@@ -6,6 +6,9 @@ the two pixels' object ids.  After row normalization, one propagation step
 averages each node with its relation-weighted neighborhood: nodes of inert
 (common) objects mostly listen to discriminative ones, which concentrates
 class evidence and averages noise away.
+
+The graph keeps its adjacency in label space (one prototype block over the
+object ids present); ``np.asarray`` builds the dense n x n matrix to look at.
 """
 
 import numpy as np
@@ -36,7 +39,13 @@ print("affinity row of a common node (attention concentrates on the",
       "discriminative columns):")
 common_row = graph.affinity[np.flatnonzero(~disc)[0]]
 print(np.round(common_row, 2).reshape(spec.grid_cells, spec.grid_cells))
-print("every adjacency row sums to one:", np.allclose(graph.adjacency.sum(1), 1.0))
+dense = np.asarray(graph.adjacency)
+print(f"label-space block {graph.adjacency.omega.shape[0]}x{graph.adjacency.omega.shape[1]},",
+      f"dense adjacency {dense.shape[0]}x{dense.shape[1]}")
+print("every adjacency row sums to one:", np.allclose(dense.sum(axis=1), 1.0))
+print("label-space propagation equals the dense one:",
+      np.allclose(nn.propagate(graph.adjacency, graph.nodes.features),
+                  nn.propagate(dense, graph.nodes.features), atol=1e-12, rtol=0))
 
 # propagation pulls class signal into the common nodes
 mixed = nn.propagate(graph.adjacency, graph.nodes.features)

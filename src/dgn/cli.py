@@ -46,6 +46,9 @@ from .prototype import (
 
 GEN_DISC_PER_CLASS = 2
 TEST_SPLIT_DIVISOR = 5  # gen writes per_class // 5 test instances per class
+# inspect builds two dense n x n float64 matrices for a label map; refuse
+# beyond this many nodes (2 x 128 MiB) rather than allocate without bound
+INSPECT_MAX_NODES = 4096
 
 _MODE_FLAGS = {m.value: m for m in CooccurrenceMode}
 _METRIC_FLAGS = {m.value: m for m in DispersionMetric}
@@ -278,6 +281,11 @@ def _inspect_prototype(path: Path, out_dir: Path) -> int:
 def _inspect_label_map(path: Path, proto, out_dir: Path) -> int:
     label_map = load_label_map(path)
     semantics = label_map.labels.reshape(-1)
+    if semantics.size > INSPECT_MAX_NODES:
+        raise ValidationError(
+            f"{path}: {semantics.size} nodes would need {2 * semantics.size**2 * 8} bytes "
+            f"for the dense affinity and adjacency; inspect allows at most {INSPECT_MAX_NODES} nodes"
+        )
     affinity = extract_local_knowledge(semantics, proto)
     adjacency = row_normalize(affinity)
     written = {}

@@ -4,6 +4,13 @@ Every feature-map pixel becomes a node; the edge weight between two nodes is
 the prototype entry for their object ids, gathered from the label map at
 feature resolution.  Row normalization turns the gathered weights into a
 row-stochastic adjacency matrix.
+
+That adjacency is ``A = D^-1 P omega P^T``, where ``P`` is the n x L one-hot
+matrix of node object ids, so ``build_graph`` keeps it in label space: over
+the k <= min(n, L) ids present, ``A @ V`` costs O(nkc + k^2 c) time and
+O(nc + k^2) memory instead of O(n^2 c) and O(n^2).  The dense n x n
+affinity and adjacency are built only on request, through
+``extract_local_knowledge`` and ``row_normalize``.
 """
 
 from __future__ import annotations
@@ -30,10 +37,59 @@ class NodeSet:
 
 
 @dataclass(frozen=True, eq=False)
+class LabelAdjacency:
+    """Row-stochastic n x n adjacency held as its k x k prototype block.
+
+    With ``S`` the per-label sums of ``V`` and ``cnt`` the per-label node
+    counts, row i of ``A @ V`` is ``(omega_k S)[l] / (omega_k cnt)[l]`` for
+    the label l of node i.  A row whose affinity sums to 0 is uniform, as in
+    ``row_normalize``, so it yields ``mean(V)``.  Every row sums to exactly 1.
+    ``np.asarray`` builds the dense matrix.
+    """
+
+    semantics: np.ndarray  # (n,) object id per node
+    prototype: Prototype
+    inverse: np.ndarray  # (n,) index of each node's id among the present ids
+    omega: np.ndarray  # (k, k) prototype block of the present ids
+
+    ndim = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.semantics.size, self.semantics.size)
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Row sums (``axis=1``), all exactly 1."""
+        if axis != 1:
+            raise ValidationError("a label-space adjacency only sums its rows")
+        return np.ones(self.semantics.size)
+
+    def __matmul__(self, features: np.ndarray) -> np.ndarray:
+        v = np.asarray(features, dtype=np.float64)
+        k = self.omega.shape[0]
+        one_hot = (self.inverse == np.arange(k)[:, None]).astype(np.float64)
+        weights = self.omega @ one_hot.sum(axis=1)
+        mixed = self.omega @ (one_hot @ v)
+        zero = weights == 0
+        rows = np.where(zero[:, None], v.mean(axis=0), mixed / np.where(zero, 1.0, weights)[:, None])
+        return rows[self.inverse]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("the dense adjacency is always built anew")
+        dense = row_normalize(extract_local_knowledge(self.semantics, self.prototype))
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class DiscriminativeGraph:
     nodes: NodeSet
-    affinity: np.ndarray  # raw gathered weights, (n, n), non-negative
-    adjacency: np.ndarray  # row-stochastic, (n, n)
+    adjacency: LabelAdjacency  # row-stochastic, (n, n) in label space
+
+    @property
+    def affinity(self) -> np.ndarray:
+        """Raw gathered weights, a dense (n, n) non-negative matrix."""
+        return extract_local_knowledge(self.adjacency.semantics, self.adjacency.prototype)
 
 
 def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> NodeSet:
@@ -49,13 +105,18 @@ def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> NodeSet:
     return NodeSet(features, semantics)
 
 
-def extract_local_knowledge(semantics: np.ndarray, prototype: Prototype) -> np.ndarray:
-    """Gather the prototype entry for every pair of node object ids."""
+def _checked_ids(semantics: np.ndarray, prototype: Prototype) -> np.ndarray:
     sem = np.asarray(semantics, dtype=np.int64)
     if sem.size and (sem.min() < 0 or sem.max() >= prototype.vocab_size):
         raise ValidationError(
             f"object id out of range for prototype vocab {prototype.vocab_size}"
         )
+    return sem
+
+
+def extract_local_knowledge(semantics: np.ndarray, prototype: Prototype) -> np.ndarray:
+    """Gather the prototype entry for every pair of node object ids."""
+    sem = _checked_ids(semantics, prototype)
     return prototype.omega[sem[:, None], sem[None, :]]
 
 
@@ -82,5 +143,7 @@ def build_graph(
     feature_map: FeatureMap, resized_labels: LabelMap, prototype: Prototype
 ) -> DiscriminativeGraph:
     nodes = flatten(feature_map, resized_labels)
-    affinity = extract_local_knowledge(nodes.semantics, prototype)
-    return DiscriminativeGraph(nodes, affinity, row_normalize(affinity))
+    sem = _checked_ids(nodes.semantics, prototype)
+    present, inverse = np.unique(sem, return_inverse=True)
+    omega = prototype.omega[np.ix_(present, present)]
+    return DiscriminativeGraph(nodes, LabelAdjacency(sem, prototype, inverse, omega))

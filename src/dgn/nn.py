@@ -27,9 +27,10 @@ def propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
 
     Adds the identity to the adjacency, then divides each row by its degree;
     for a row-stochastic adjacency every degree is 2, so each node returns
-    the average of its own feature and its neighborhood mixture.
+    the average of its own feature and its neighborhood mixture.  The
+    adjacency is a dense array or a ``graph.LabelAdjacency``.
     """
-    a = np.asarray(adjacency, dtype=np.float64)
+    a = adjacency
     v = np.asarray(features, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != v.shape[0]:
         raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")

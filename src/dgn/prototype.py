@@ -67,11 +67,26 @@ class Prototype:
     """Symmetric matrix of discriminative correlation between object ids."""
 
     vocab_size: int
-    omega: np.ndarray  # (L, L) float64, non-negative
+    omega: np.ndarray  # (L, L) float64, finite, non-negative, exactly symmetric
     mode: CooccurrenceMode
     metric: DispersionMetric
     passivated: bool
     num_classes: int
+
+    def __post_init__(self):
+        omega = np.asarray(self.omega, dtype=np.float64)
+        L = self.vocab_size
+        if omega.shape != (L, L):
+            raise ValidationError(f"omega shape {omega.shape} does not match vocab_size={L}")
+        if not np.isfinite(omega).all():
+            raise ValidationError("omega contains non-finite values")
+        if (omega < 0).any():
+            raise ValidationError("omega entries must be non-negative")
+        if not (omega == omega.T).all():
+            raise ValidationError("omega must be exactly symmetric")
+        if self.num_classes < 1:
+            raise ValidationError("num_classes must be positive")
+        object.__setattr__(self, "omega", omega)
 
 
 def count(corpus: Corpus) -> CooccurrenceCounts:

@@ -216,6 +216,40 @@ class TestTrain:
         assert not ckpt.exists()
 
 
+def write_defective_prototype(path, vocab, defect):
+    """A .dgnp file whose omega payload is patched after a valid save."""
+    omega = np.full((vocab, vocab), 0.5)
+    save_prototype(
+        Prototype(vocab, omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 3),
+        path,
+    )
+    i, j, value = {"nan": (0, 0, np.nan), "negative": (1, 1, -0.5), "asymmetric": (0, 1, 0.25)}[defect]
+    omega[i, j] = value
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - omega.nbytes] + omega.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("defect", ["nan", "negative", "asymmetric"])
+def test_defective_prototype_file_exits_2_at_load(trained_artifacts, tmp_path, defect):
+    data, _, _, full = trained_artifacts
+    bad = tmp_path / "bad.dgnp"
+    write_defective_prototype(bad, 10, defect)
+    ckpt = tmp_path / "x.dgnm"
+    result = run_cli(
+        "train", "--manifest", data / "train.manifest", "--prototype", bad, "--checkpoint", ckpt,
+    )
+    assert result.returncode == 2
+    assert "omega" in result.stderr
+    report = tmp_path / "r.csv"
+    result = run_cli(
+        "eval", "--manifest", data / "test.manifest", "--checkpoint", full,
+        "--prototype", bad, "--out", report,
+    )
+    assert result.returncode == 2
+    assert "omega" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.dgnp"]
+
+
 class TestEval:
     def test_perfect_model_fixture(self, tmp_path):
         maps = [dgn.LabelMap(np.array([[0]]), 2), dgn.LabelMap(np.array([[1]]), 2)]
@@ -319,6 +353,19 @@ class TestInspect:
         adjacency = (tmp_path / "m.adjacency.csv").read_text().splitlines()
         assert [float(v) for v in adjacency[0].split(",")] == [0.5, 0.5]
         assert [float(v) for v in adjacency[1].split(",")] == [1.0, 0.0]
+
+    def test_label_map_over_node_cap_exits_2_without_output(self, tmp_path):
+        proto = Prototype(
+            3, TOY_OMEGA, CooccurrenceMode.NON_INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
+        )
+        proto_path = tmp_path / "toy.dgnp"
+        save_prototype(proto, proto_path)
+        map_path = tmp_path / "m.dgnl"
+        dgn.save_label_map(dgn.LabelMap(np.zeros((65, 65), dtype=np.int64), 3), map_path)
+        result = run_cli("inspect", map_path, "--prototype", proto_path)
+        assert result.returncode == 2
+        assert f"4225 nodes would need {2 * 4225**2 * 8} bytes" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.dgnl", "toy.dgnp"]
 
     def test_label_map_without_prototype_exits_1(self, tmp_path):
         m = dgn.LabelMap(np.array([[0]]), 1)

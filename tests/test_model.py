@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dgn
+from dgn import graph as gr
 from dgn import model as md
 from dgn import nn
 from dgn.errors import ValidationError
@@ -222,6 +223,27 @@ class TestEvaluate:
         assert baseline.parameter_count() == count_before
         assert baseline.gc_weight is None and baseline.aux_head is None
         assert 0.0 <= plug.accuracy <= 1.0
+
+
+def test_train_and_evaluate_build_no_dense_matrix(trained_setup, monkeypatch):
+    train_corpus, test_corpus, proto = trained_setup
+
+    def dense(*args, **kwargs):
+        raise AssertionError("built a dense n x n matrix")
+
+    monkeypatch.setattr(gr, "extract_local_knowledge", dense)
+    monkeypatch.setattr(gr, "row_normalize", dense)
+    inst = train_corpus.instances[0]
+    graph = gr.build_graph(inst.feature_map, dgn.nn_resize(inst.label_map, 5, 5), proto)
+    with pytest.raises(AssertionError):
+        np.asarray(graph.adjacency)  # the patches intercept the dense path
+
+    config = TrainConfig(epochs=1, seed=304)
+    baseline, _ = md.train(train_corpus, None, config, AblationMode.BASELINE)
+    md.evaluate(baseline, test_corpus, proto, AblationMode.EVAL_ONLY_IODP)
+    for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
+        model, _ = md.train(train_corpus, proto, config, mode)
+        md.evaluate(model, test_corpus, proto)
 
 
 class TestCheckpoints:

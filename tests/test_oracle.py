@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dgn import oracle
-from dgn.prototype import CooccurrenceMode, DispersionMetric, build_prototype
+from dgn import nn, oracle
+from dgn.corpus import FeatureMap, LabelMap
+from dgn.graph import build_graph
+from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, build_prototype
 from tests.test_prototype import TOY_OMEGA, presence_corpus, random_presence_corpus
 
 
@@ -53,6 +55,63 @@ class TestNaivePropagate:
     def test_shape_mismatch(self):
         with pytest.raises(Exception):
             oracle.naive_propagate(np.eye(3), np.ones((2, 2)))
+
+
+def factored_graph(labels, omega, rng, channels=3):
+    proto = Prototype(
+        omega.shape[0], omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
+    )
+    h, w = labels.shape
+    features = FeatureMap(rng.standard_normal((h, w, channels)))
+    return build_graph(features, LabelMap(labels, omega.shape[0]), proto)
+
+
+def assert_factored_matches_dense(graph):
+    v = graph.nodes.features
+    fast = nn.propagate(graph.adjacency, v)
+    slow = oracle.naive_propagate(np.asarray(graph.adjacency), v)
+    assert oracle.compare(fast, slow).max_abs_deviation <= 1e-12
+
+
+class TestFactoredPropagation:
+    """The label-space adjacency against the scalar loop over its dense form."""
+
+    def test_all_zero_rows_fall_back_to_the_mean(self):
+        rng = np.random.default_rng(12)
+        omega = np.array([[1.0, 0.0], [0.0, 0.0]])  # id 1 relates to nothing
+        labels = np.array([[0, 1, 1], [1, 0, 1]])
+        graph = factored_graph(labels, omega, rng)
+        assert int((graph.affinity.sum(axis=1) == 0).sum()) == 4
+        assert_factored_matches_dense(graph)
+        v = graph.nodes.features
+        lone = labels.reshape(-1) == 1
+        np.testing.assert_allclose(
+            nn.propagate(graph.adjacency, v)[lone], (v[lone] + v.mean(axis=0)) / 2,
+            atol=1e-15, rtol=0,
+        )
+
+    def test_single_label_map(self):
+        rng = np.random.default_rng(13)
+        for self_relation in (0.0, 0.7):
+            omega = np.full((3, 3), self_relation)
+            assert_factored_matches_dense(factored_graph(np.full((3, 4), 2), omega, rng))
+
+    def test_vocab_larger_than_node_count(self):
+        rng = np.random.default_rng(14)
+        omega = rng.random((12, 12))
+        graph = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
+        assert graph.adjacency.omega.shape == (3, 3)
+        assert_factored_matches_dense(graph)
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            vocab = int(rng.integers(1, 9))
+            omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
+            labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
+            graph = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
+            np.testing.assert_array_equal(graph.adjacency.sum(axis=1), 1.0)
+            assert_factored_matches_dense(graph)
 
 
 class TestFdGradient:

@@ -257,3 +257,25 @@ def test_sqrt_cv_maximum_matches_one_hot_analytic():
         corpus = presence_corpus(C, 2, groups)
         proto = pt.build_prototype(corpus, Mode.NON_INDEPENDENT)
         assert math.isclose(proto.omega[0, 0], (C - 1) ** 0.25, rel_tol=0, abs_tol=1e-12)
+
+
+def _omega_with(i, j, value):
+    omega = np.full((3, 3), 0.5)
+    omega[i, j] = value
+    return omega
+
+
+@pytest.mark.parametrize(
+    "omega, num_classes",
+    [
+        (np.full((3, 2), 0.5), 2),  # not L x L
+        (_omega_with(0, 0, np.nan), 2),
+        (_omega_with(1, 1, np.inf), 2),
+        (_omega_with(2, 2, -0.5), 2),
+        (_omega_with(0, 1, 0.25), 2),  # asymmetric
+        (np.zeros((3, 3)), 0),
+    ],
+)
+def test_prototype_validated_at_construction(omega, num_classes):
+    with pytest.raises(ValidationError):
+        pt.Prototype(3, omega, Mode.INDEPENDENT, Metric.COEFF_VAR, True, num_classes)
