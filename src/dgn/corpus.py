@@ -236,7 +236,10 @@ def load_corpus(manifest_path: str | Path, split: str | None = None) -> Corpus:
         parts = ln.split("\t")
         if len(parts) != 3:
             raise FormatError(f"{manifest_path}: bad manifest row {ln!r}")
-        scene_id = int(parts[0])
+        try:
+            scene_id = int(parts[0])
+        except ValueError:
+            raise FormatError(f"{manifest_path}: non-integer scene id in row {ln!r}") from None
         label_map = load_label_map(base / parts[1])
         feature_map = None if parts[2] == "-" else load_feature_map(base / parts[2])
         instances.append(Instance(scene_id, label_map, feature_map))

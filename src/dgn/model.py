@@ -8,12 +8,13 @@ Four modes cover the ablation grid:
                           of a trained baseline at evaluation time.
 * ``train-eval-iodp``  -- one trained graph-convolution layer, main head only.
 * ``full``             -- graph layer plus an auxiliary head on the shared-
-                          weight per-node linear path, active in training only.
+                          weight per-node path, active in training only.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,15 +78,39 @@ class DgnModel:
     main_head: ClassifierParams
     gc_weight: np.ndarray | None = None
     aux_head: ClassifierParams | None = None
-    aux_activation: bool = True
+
+    @classmethod
+    def assemble(cls, mode: AblationMode, c: int, d: int, k: int, lam: float, block) -> DgnModel:
+        """The parameter layout: which blocks ``mode`` has and their shapes.
+
+        For ``c`` input channels, hidden width ``d`` and ``k`` classes,
+        baseline-shaped modes have a (c, k) main head; graph modes have the
+        shared (c, d) hidden weight plus (d, k) main and auxiliary heads.
+        ``block(shape)`` supplies each block and is called in checkpoint
+        order, the order of :meth:`blocks`.
+        """
+        if mode in _BASELINE_SHAPED:
+            return cls(mode, c, d, k, lam, ClassifierParams(block((c, k)), block((k,))))
+        gc_weight = block((c, d))
+        main_head = ClassifierParams(block((d, k)), block((k,)))
+        aux_head = ClassifierParams(block((d, k)), block((k,)))
+        return cls(mode, c, d, k, lam, main_head, gc_weight, aux_head)
+
+    def blocks(self, aux: bool = True) -> list[tuple[object, str]]:
+        """(owner, attribute) of every parameter block, in checkpoint order.
+
+        The order is shared hidden weight, main weight, main bias, aux weight,
+        aux bias, skipping blocks the model does not have; ``aux=False``
+        leaves out the auxiliary head.  ``nn.Gradients`` iterates alike.
+        """
+        out = [] if self.gc_weight is None else [(self, "gc_weight")]
+        out += [(self.main_head, "weight"), (self.main_head, "bias")]
+        if aux and self.aux_head is not None:
+            out += [(self.aux_head, "weight"), (self.aux_head, "bias")]
+        return out
 
     def parameter_count(self) -> int:
-        total = self.main_head.weight.size + self.main_head.bias.size
-        if self.gc_weight is not None:
-            total += self.gc_weight.size
-        if self.aux_head is not None:
-            total += self.aux_head.weight.size + self.aux_head.bias.size
-        return total
+        return sum(getattr(owner, attr).size for owner, attr in self.blocks())
 
 
 @dataclass(frozen=True)
@@ -99,7 +124,6 @@ class TrainConfig:
     lam: float = 0.25
     hidden_dim: int | None = None  # None: match the feature channel count
     seed: int = 304
-    aux_activation: bool = True
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
@@ -134,23 +158,13 @@ def init_model(
     """Deterministic Xavier initialization; weights per sub-seed, biases zero."""
     keys = np.random.SeedSequence(config.seed).spawn(3)
     lam = config.lam if mode is AblationMode.FULL else 0.0
-    if mode in _BASELINE_SHAPED:
-        head = ClassifierParams(
-            xavier_init(in_channels, num_classes, keys[1]), np.zeros(num_classes)
-        )
-        return DgnModel(mode, in_channels, in_channels, num_classes, lam, head)
-    d = config.hidden_dim if config.hidden_dim is not None else in_channels
-    return DgnModel(
-        mode,
-        in_channels,
-        d,
-        num_classes,
-        lam,
-        ClassifierParams(xavier_init(d, num_classes, keys[1]), np.zeros(num_classes)),
-        gc_weight=xavier_init(in_channels, d, keys[0]),
-        aux_head=ClassifierParams(xavier_init(d, num_classes, keys[2]), np.zeros(num_classes)),
-        aux_activation=config.aux_activation,
-    )
+    d = in_channels if mode in _BASELINE_SHAPED or config.hidden_dim is None else config.hidden_dim
+    model = DgnModel.assemble(mode, in_channels, d, num_classes, lam, np.zeros)
+    model.main_head.weight = xavier_init(*model.main_head.weight.shape, keys[1])
+    if model.gc_weight is not None:
+        model.gc_weight = xavier_init(*model.gc_weight.shape, keys[0])
+        model.aux_head.weight = xavier_init(*model.aux_head.weight.shape, keys[2])
+    return model
 
 
 def total_loss(loss_main: float, loss_aux: float, lam: float) -> float:
@@ -202,32 +216,14 @@ def forward_parts(
     if mode is not AblationMode.FULL or model.aux_head is None:
         return logits, None, record
 
-    aux_pre = features @ model.gc_weight
-    aux_hidden = sigmoid(aux_pre) if model.aux_activation else aux_pre
+    aux_hidden = sigmoid(features @ model.gc_weight)
     aux_pooled = gap(aux_hidden)
     aux_logits = linear(aux_pooled, model.aux_head)
     record.aux_hidden = aux_hidden
     record.aux_pooled = aux_pooled
     record.aux_head = model.aux_head
     record.aux_logits = aux_logits
-    record.aux_activation = model.aux_activation
     return logits, aux_logits, record
-
-
-def forward(model: DgnModel, graph, mode: AblationMode | None = None):
-    """Forward pass on a built graph (or bare node set for the baseline)."""
-    mode = mode or model.mode
-    nodes = graph.nodes if hasattr(graph, "nodes") else graph
-    if nodes.features.shape[1] != model.in_channels:
-        raise ValidationError(
-            f"feature width {nodes.features.shape[1]} != model channels {model.in_channels}"
-        )
-    propagated = None
-    if mode is not AblationMode.BASELINE:
-        if not hasattr(graph, "adjacency"):
-            raise ValidationError(f"mode {mode.value} needs a built graph, not a bare node set")
-        propagated = propagate(graph.adjacency, nodes.features)
-    return forward_parts(model, nodes.features, propagated, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +261,6 @@ def _check_graph_args(mode: AblationMode, corpus: Corpus, prototype: Prototype |
             )
 
 
-def _optimized_params(model: DgnModel, include_aux: bool) -> list[np.ndarray]:
-    params = []
-    if model.gc_weight is not None:
-        params.append(model.gc_weight)
-    params += [model.main_head.weight, model.main_head.bias]
-    if include_aux:
-        params += [model.aux_head.weight, model.aux_head.bias]
-    return params
-
-
-def _assign_params(model: DgnModel, params: list[np.ndarray], include_aux: bool) -> None:
-    it = iter(params)
-    if model.gc_weight is not None:
-        model.gc_weight = next(it)
-    model.main_head.weight = next(it)
-    model.main_head.bias = next(it)
-    if include_aux:
-        model.aux_head.weight = next(it)
-        model.aux_head.bias = next(it)
-
-
 def train(
     train_corpus: Corpus,
     prototype: Prototype | None,
@@ -311,10 +286,11 @@ def train(
     data = _prepared_inputs(train_corpus, prototype, needs_graph)
     c = train_corpus.feature_shape[2]
     model = init_model(mode, c, train_corpus.num_classes, config)
-    include_aux = mode is AblationMode.FULL and config.lam > 0
-
-    params = _optimized_params(model, include_aux)
-    state = AdamState.for_params(params, config.lr, config.weight_decay)
+    # the auxiliary head is optimized only when its loss has weight
+    trained = model.blocks(aux=mode is AblationMode.FULL and config.lam > 0)
+    state = AdamState.for_params(
+        [getattr(owner, attr) for owner, attr in trained], config.lr, config.weight_decay
+    )
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
 
     trace: list[EpochStats] = []
@@ -327,7 +303,7 @@ def train(
         correct = 0
         for start in range(0, n_total, config.batch_size):
             batch = order[start : start + config.batch_size]
-            params = _optimized_params(model, include_aux)
+            params = [getattr(owner, attr) for owner, attr in trained]
             grad_sums = [np.zeros_like(p) for p in params]
             batch_loss = 0.0
             for idx in batch:
@@ -336,8 +312,8 @@ def train(
                 loss_main = softmax_ce(logits, target)
                 loss_aux = softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
                 loss = total_loss(loss_main, loss_aux, model.lam)
-                grads = backward(record, target)
-                for acc, g in zip(grad_sums, _collect_grads(grads, model, include_aux)):
+                # gradients come in block order; zip drops an untrained aux tail
+                for acc, g in zip(grad_sums, backward(record, target)):
                     acc += g
                 batch_loss += loss
                 sums["loss"] += loss
@@ -347,7 +323,8 @@ def train(
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"non-finite loss in epoch {epoch}")
             mean_grads = [g / batch.size for g in grad_sums]
-            _assign_params(model, adam_step(params, mean_grads, state), include_aux)
+            for (owner, attr), p in zip(trained, adam_step(params, mean_grads, state)):
+                setattr(owner, attr, p)
         val_accuracy = None
         if eval_corpus is not None:
             val_accuracy = evaluate(model, eval_corpus, prototype, mode).accuracy
@@ -365,16 +342,6 @@ def train(
     return model, trace
 
 
-def _collect_grads(grads, model: DgnModel, include_aux: bool) -> list[np.ndarray]:
-    out = []
-    if model.gc_weight is not None:
-        out.append(grads.gc_weight)
-    out += [grads.main_weight, grads.main_bias]
-    if include_aux:
-        out += [grads.aux_weight, grads.aux_bias]
-    return out
-
-
 def evaluate(
     model: DgnModel,
     corpus: Corpus,
@@ -389,6 +356,10 @@ def evaluate(
         raise ValidationError("eval-only-iodp plugs into a trained baseline model")
     _check_graph_args(mode, corpus, prototype)
     needs_graph = mode in _GRAPH_MODES
+    # the auxiliary head is training-only: a full model is scored on its main
+    # path, which is the train-eval-iodp forward, so the aux head never runs
+    if mode is AblationMode.FULL:
+        mode = AblationMode.TRAIN_EVAL_IODP
     totals = np.zeros(corpus.num_classes, dtype=np.int64)
     hits = np.zeros(corpus.num_classes, dtype=np.int64)
     for features, propagated, target in _prepared_inputs(corpus, prototype, needs_graph):
@@ -404,57 +375,45 @@ def evaluate(
 
 
 def save_model(model: DgnModel, path: str | Path) -> None:
-    """Binary checkpoint; parameter blocks depend on the mode.
+    """Binary checkpoint: a header, then ``model.blocks()`` in order.
 
-    Baseline-shaped modes store main weight then bias; graph modes store the
-    shared hidden weight, main weight, main bias, aux weight, aux bias.  All
-    blocks are row-major little-endian float64.
+    Every block is row-major little-endian float64.
     """
-    blocks = []
-    if model.mode in _BASELINE_SHAPED:
-        blocks += [model.main_head.weight, model.main_head.bias]
-    else:
-        blocks += [
-            model.gc_weight,
-            model.main_head.weight,
-            model.main_head.bias,
-            model.aux_head.weight,
-            model.aux_head.bias,
-        ]
     payload = (
         MODEL_MAGIC
         + fileio.pack_u32(fileio.FORMAT_VERSION)
         + fileio.pack_u8(_MODE_BYTE[model.mode])
         + fileio.pack_u32(model.in_channels, model.hidden_dim, model.num_classes)
         + fileio.pack_f64(model.lam)
-        + b"".join(b.astype("<f8").tobytes() for b in blocks)
+        + b"".join(getattr(owner, attr).astype("<f8").tobytes() for owner, attr in model.blocks())
     )
     fileio.atomic_write_bytes(path, payload)
 
 
 def load_model(path: str | Path) -> DgnModel:
+    """Read a checkpoint; the header and every parameter block are validated."""
     r = fileio.Reader(Path(path).read_bytes(), str(path))
     r.magic(MODEL_MAGIC)
     r.version()
     mode_byte = r.u8()
     if mode_byte not in _BYTE_MODE:
         raise ValidationError(f"{path}: unknown mode byte {mode_byte}")
-    mode = _BYTE_MODE[mode_byte]
     c, d, num_classes = r.u32(), r.u32(), r.u32()
     lam = r.f64()
-    if mode in _BASELINE_SHAPED:
-        head = ClassifierParams(
-            r.array("<f8", c * num_classes).reshape(c, num_classes),
-            r.array("<f8", num_classes),
+    if min(c, d, num_classes) < 1:
+        raise ValidationError(
+            f"{path}: in_channels, hidden_dim and num_classes must be >= 1, "
+            f"got {c}, {d}, {num_classes}"
         )
-        r.done()
-        return DgnModel(mode, c, d, num_classes, lam, head)
-    gc_weight = r.array("<f8", c * d).reshape(c, d)
-    main = ClassifierParams(
-        r.array("<f8", d * num_classes).reshape(d, num_classes), r.array("<f8", num_classes)
-    )
-    aux = ClassifierParams(
-        r.array("<f8", d * num_classes).reshape(d, num_classes), r.array("<f8", num_classes)
-    )
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"{path}: lambda must be finite and >= 0, got {lam!r}")
+
+    def block(shape: tuple[int, ...]) -> np.ndarray:
+        values = r.array("<f8", math.prod(shape)).reshape(shape)
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{path}: non-finite value in a {shape} parameter block")
+        return values
+
+    model = DgnModel.assemble(_BYTE_MODE[mode_byte], c, d, num_classes, lam, block)
     r.done()
-    return DgnModel(mode, c, d, num_classes, lam, main, gc_weight=gc_weight, aux_head=aux)
+    return model

@@ -109,11 +109,10 @@ class ForwardRecord:
     propagated: np.ndarray | None = None  # degree-normalized neighborhood mix of V
     gc_weight: np.ndarray | None = None  # shared hidden weight W
     hidden: np.ndarray | None = None  # sigmoid(propagated @ W)
-    aux_hidden: np.ndarray | None = None  # per-node V @ W, optionally sigmoided
+    aux_hidden: np.ndarray | None = None  # per-node sigmoid(V @ W)
     aux_pooled: np.ndarray | None = None
     aux_head: ClassifierParams | None = None
     aux_logits: np.ndarray | None = None
-    aux_activation: bool = True
 
 
 @dataclass(eq=False)
@@ -123,6 +122,11 @@ class Gradients:
     main_bias: np.ndarray
     aux_weight: np.ndarray | None
     aux_bias: np.ndarray | None
+
+    def __iter__(self):
+        """The present gradients, in the model's parameter block order."""
+        blocks = (self.gc_weight, self.main_weight, self.main_bias, self.aux_weight, self.aux_bias)
+        return (g for g in blocks if g is not None)
 
 
 def backward(record: ForwardRecord, target: int) -> Gradients:
@@ -147,12 +151,7 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
         aux_w_grad = np.outer(record.aux_pooled, delta_a)
         aux_b_grad = delta_a
         d_aux_pooled = record.aux_head.weight @ delta_a
-        if record.aux_activation:
-            d_aux_pre = (d_aux_pooled / n)[None, :] * (
-                record.aux_hidden * (1.0 - record.aux_hidden)
-            )
-        else:
-            d_aux_pre = np.broadcast_to((d_aux_pooled / n)[None, :], record.aux_hidden.shape)
+        d_aux_pre = (d_aux_pooled / n)[None, :] * (record.aux_hidden * (1.0 - record.aux_hidden))
         gc_grad = gc_grad + record.features.T @ d_aux_pre
 
     return Gradients(gc_grad, main_w_grad, main_b_grad, aux_w_grad, aux_b_grad)

@@ -250,6 +250,54 @@ def test_defective_prototype_file_exits_2_at_load(trained_artifacts, tmp_path, d
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.dgnp"]
 
 
+def write_defective_checkpoint(source, path, defect):
+    """A copy of a baseline .dgnm with a NaN first weight or a negative lambda."""
+    data = bytearray(source.read_bytes())
+    header = 4 + 4 + 1 + 12  # magic, version, mode byte, c/d/num_classes
+    offset, value = {"nan": (header + 8, np.nan), "negative-lambda": (header, -0.25)}[defect]
+    data[offset : offset + 8] = np.float64(value).astype("<f8").tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("defect", ["nan", "negative-lambda"])
+def test_defective_checkpoint_exits_2_at_load(trained_artifacts, tmp_path, defect):
+    data, _, baseline, _ = trained_artifacts
+    bad = tmp_path / "bad.dgnm"
+    write_defective_checkpoint(baseline, bad, defect)
+    result = run_cli(
+        "eval", "--manifest", data / "test.manifest", "--checkpoint", bad,
+        "--out", tmp_path / "r.csv",
+    )
+    assert result.returncode == 2
+    assert "accuracy" not in result.stdout
+    result = run_cli("inspect", bad, "--out", tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.dgnm"]
+
+
+def test_non_integer_scene_id_exits_2(trained_artifacts, tmp_path):
+    data, proto, baseline, _ = trained_artifacts
+    header, *body = (data / "train.manifest").read_text().splitlines()
+    # absolute map paths, so the manifest can live outside the corpus directory
+    rows = []
+    for row in body:
+        scene, label, feature = row.split("\t")
+        rows.append("\t".join([scene, str(data / label), str(data / feature)]))
+    rows[0] = "x" + rows[0]
+    bad = tmp_path / "bad.manifest"
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    for args in (
+        ("iodp", "--manifest", bad, "--out", tmp_path / "p.dgnp"),
+        ("train", "--manifest", bad, "--mode", "baseline", "--checkpoint", tmp_path / "x.dgnm"),
+        ("eval", "--manifest", bad, "--checkpoint", baseline, "--out", tmp_path / "r.csv"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert "scene id" in result.stderr and "bad.manifest" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.manifest"]
+
+
 class TestEval:
     def test_perfect_model_fixture(self, tmp_path):
         maps = [dgn.LabelMap(np.array([[0]]), 2), dgn.LabelMap(np.array([[1]]), 2)]

@@ -224,6 +224,24 @@ class TestEvaluate:
         assert baseline.gc_weight is None and baseline.aux_head is None
         assert 0.0 <= plug.accuracy <= 1.0
 
+    def test_full_model_never_runs_the_aux_head(self, trained_setup, monkeypatch):
+        train_corpus, test_corpus, proto = trained_setup
+        config = TrainConfig(epochs=1, seed=304)
+        full, _ = md.train(train_corpus, proto, config, AblationMode.FULL)
+        expected = md.evaluate(full, test_corpus, proto, AblationMode.TRAIN_EVAL_IODP)
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return nn.sigmoid(x)
+
+        monkeypatch.setattr(md, "sigmoid", counted)
+        report = md.evaluate(full, test_corpus, proto)
+        # one sigmoid per instance: the main path's hidden layer only
+        assert len(calls) == len(test_corpus.instances)
+        assert report.accuracy == expected.accuracy
+        np.testing.assert_array_equal(report.per_class, expected.per_class)
+
 
 def test_train_and_evaluate_build_no_dense_matrix(trained_setup, monkeypatch):
     train_corpus, test_corpus, proto = trained_setup
@@ -277,3 +295,54 @@ class TestCheckpoints:
         bad.write_bytes(bytes(data))
         with pytest.raises(ValidationError):
             md.load_model(bad)
+
+    def test_layout_orders_checkpoint_adam_and_gradients_alike(self, tmp_path, trained_setup):
+        train_corpus, _, proto = trained_setup
+        config = TrainConfig(epochs=1, seed=304)
+        for mode in (AblationMode.BASELINE, AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
+            needs = None if mode is AblationMode.BASELINE else proto
+            model, _ = md.train(train_corpus, needs, config, mode)
+            arrays = [getattr(owner, attr) for owner, attr in model.blocks()]
+            assert model.parameter_count() == sum(a.size for a in arrays)
+            path = tmp_path / f"{mode.value}.dgnm"
+            md.save_model(model, path)
+            payload = b"".join(a.astype("<f8").tobytes() for a in arrays)
+            assert path.read_bytes().endswith(payload)
+            inst = train_corpus.instances[0]
+            features = inst.feature_map.values.reshape(-1, model.in_channels)
+            _, _, record = md.forward_parts(model, features, features)
+            grads = list(nn.backward(record, inst.scene_id))
+            expected = [a.shape for a in arrays]
+            if mode is not AblationMode.FULL:
+                expected = expected[: len(grads)]  # no aux loss, no aux gradients
+            assert [g.shape for g in grads] == expected
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("c", 0), ("d", 0), ("k", 0), ("lam", -0.25), ("lam", np.inf), ("lam", np.nan),
+         ("gc_weight", np.nan), ("aux_bias", np.inf)],
+    )
+    def test_load_rejects_bad_header_or_block(self, tmp_path, field, value):
+        model = md.init_model(AblationMode.FULL, 3, 2, TrainConfig(seed=1))
+        path = tmp_path / "m.dgnm"
+        md.save_model(model, path)
+        data = bytearray(path.read_bytes())
+        header = 4 + 4 + 1  # magic, version, mode byte
+        if field in ("c", "d", "k"):
+            at = header + 4 * "cdk".index(field)
+            data[at : at + 4] = int(value).to_bytes(4, "little")
+        else:
+            at = {"lam": header + 12, "gc_weight": header + 20, "aux_bias": len(data) - 8}[field]
+            data[at : at + 8] = np.float64(value).astype("<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError):
+            md.load_model(path)
+
+    def test_huge_header_fails_on_truncation_before_allocating(self, tmp_path):
+        path = tmp_path / "m.dgnm"
+        md.save_model(md.init_model(AblationMode.FULL, 3, 2, TrainConfig(seed=1)), path)
+        data = bytearray(path.read_bytes())
+        data[9:21] = (2**32 - 1).to_bytes(4, "little") * 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(EOFError):
+            md.load_model(path)

@@ -149,7 +149,7 @@ class TestXavierInit:
 
 
 class TestBackward:
-    def _record(self, lam, rng, aux_activation=True):
+    def _record(self, lam, rng):
         n, c, d, C = 5, 3, 4, 3
         v = rng.standard_normal((n, c))
         a = rng.random((n, n))
@@ -160,8 +160,7 @@ class TestBackward:
         pooled = nn.gap(hidden)
         main = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
         aux = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
-        aux_pre = v @ w
-        aux_hidden = nn.sigmoid(aux_pre) if aux_activation else aux_pre
+        aux_hidden = nn.sigmoid(v @ w)
         aux_pooled = nn.gap(aux_hidden)
         return nn.ForwardRecord(
             features=v,
@@ -176,7 +175,6 @@ class TestBackward:
             aux_pooled=aux_pooled,
             aux_head=aux,
             aux_logits=nn.linear(aux_pooled, aux),
-            aux_activation=aux_activation,
         )
 
     def test_lambda_zero_zeroes_aux_gradients(self):
