@@ -2,8 +2,8 @@
 """How object co-occurrence turns into a discriminative prototype.
 
 A four-instance toy corpus with two scene classes and three object ids is
-small enough to follow every number by hand: count presence, form per-class
-pair likelihoods, normalize into a posterior over classes, score its spread,
+small enough to follow every number by hand: count presence, normalize the
+per-class pair likelihoods into a posterior over classes, score its spread,
 and take the square root.
 """
 
@@ -19,27 +19,32 @@ instances = [
     dgn.Instance(1, dgn.LabelMap(np.array([[1, 2]]), 3)),
     dgn.Instance(1, dgn.LabelMap(np.array([[2]]), 3)),
 ]
-corpus = dgn.Corpus(2, 3, tuple(instances), "train")
+corpus = dgn.Corpus(2, 3, tuple(instances))
 
 counts = pt.count(corpus)
 print("instances per class:", counts.instances_per_class)
 print("object presence counts per class:\n", counts.presence)
 print("pair (0,1) seen together in class 0:", counts.pair_presence[0, 0, 1], "of 2 instances")
 
-print("\npair (0,1): likelihood per class, then the posterior")
+
+def entry(mode, metric, passivated, i, j):
+    return dgn.build_prototype(corpus, mode, metric, passivated).omega[i, j]
+
+
+cv = dgn.DispersionMetric.COEFF_VAR
+print("\npair (0,1): the class posterior (classes sorted by it), its cv, then sqrt(cv)")
 for mode in dgn.CooccurrenceMode:
-    lik = np.array([pt.cooccurrence_prob(counts, mode, 0, 1, c) for c in range(2)])
-    post = pt.posterior(lik)
-    theta = pt.dispersion(post, dgn.DispersionMetric.COEFF_VAR)
-    print(f"  {mode.value:15s} likelihood={lik} posterior={post} cv={theta:.3f}"
-          f" sqrt(cv)={pt.passivate(theta):.3f}")
+    post = pt.class_posterior(counts, mode)[:, 0, 1]
+    print(f"  {mode.value:15s} posterior={post} cv={entry(mode, cv, False, 0, 1):.3f}"
+          f" sqrt(cv)={entry(mode, cv, True, 0, 1):.3f}")
 
 print("\npair (1,1) occurs in both classes equally, so it carries no signal:")
-lik = np.array([pt.cooccurrence_prob(counts, dgn.CooccurrenceMode.NON_INDEPENDENT, 1, 1, c)
-                for c in range(2)])
-print("  likelihood", lik, "-> posterior", pt.posterior(lik), "-> dispersion 0")
+mode = dgn.CooccurrenceMode.NON_INDEPENDENT
+print("  posterior", pt.class_posterior(counts, mode)[:, 1, 1], "->",
+      ", ".join(f"{m.value}={entry(mode, m, False, 1, 1)}" for m in dgn.DispersionMetric))
 
 print("\npair (0,2) never co-occurs anywhere: no evidence, entry stays 0")
+print("  posterior", pt.class_posterior(counts, mode)[:, 0, 2], "-> entry", entry(mode, cv, True, 0, 2))
 
 for mode in dgn.CooccurrenceMode:
     proto = dgn.build_prototype(corpus, mode)

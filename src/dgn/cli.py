@@ -218,8 +218,7 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(args.manifest)
     model = load_model(args.checkpoint)
     proto = load_prototype(args.prototype) if args.prototype else None
-    mode = _ABLATION_FLAGS[args.mode] if args.mode else model.mode
-    report = evaluate(model, corpus, proto, mode)
+    report = evaluate(model, corpus, proto, _ABLATION_FLAGS.get(args.mode))
     print(f"accuracy={report.accuracy:.6f}")
     print(f"instances={report.count}")
     for k, acc in enumerate(report.per_class):

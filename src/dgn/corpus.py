@@ -105,14 +105,11 @@ class Corpus:
     num_classes: int
     vocab_size: int
     instances: tuple[Instance, ...]
-    split: str = "train"
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
         if self.num_classes < 1:
             raise ValidationError("num_classes must be positive")
-        if self.split not in ("train", "test"):
-            raise ValidationError(f"split must be 'train' or 'test', got {self.split!r}")
         shape = None
         for inst in self.instances:
             if not 0 <= inst.scene_id < self.num_classes:
@@ -213,12 +210,8 @@ def save_corpus(corpus: Corpus, out_dir: str | Path, name: str) -> Path:
 _HEADER_RE = re.compile(r"^#DGN-MANIFEST v1 C=(\d+) L=(\d+)$")
 
 
-def load_corpus(manifest_path: str | Path, split: str | None = None) -> Corpus:
-    """Read a manifest back into memory.
-
-    ``split`` defaults to "test" when the manifest stem starts with "test",
-    "train" otherwise.
-    """
+def load_corpus(manifest_path: str | Path) -> Corpus:
+    """Read a manifest back into memory."""
     manifest_path = Path(manifest_path)
     text = manifest_path.read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -228,8 +221,6 @@ def load_corpus(manifest_path: str | Path, split: str | None = None) -> Corpus:
     if m is None:
         raise FormatError(f"{manifest_path}: bad manifest header {lines[0]!r}")
     num_classes, vocab = int(m.group(1)), int(m.group(2))
-    if split is None:
-        split = "test" if manifest_path.stem.lower().startswith("test") else "train"
     base = manifest_path.parent
     instances = []
     for ln in lines[1:]:
@@ -243,7 +234,7 @@ def load_corpus(manifest_path: str | Path, split: str | None = None) -> Corpus:
         label_map = load_label_map(base / parts[1])
         feature_map = None if parts[2] == "-" else load_feature_map(base / parts[2])
         instances.append(Instance(scene_id, label_map, feature_map))
-    return Corpus(num_classes, vocab, tuple(instances), split)
+    return Corpus(num_classes, vocab, tuple(instances))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +341,7 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> tuple[Corpus, Corpus]:
     common_ids = np.arange(k * spec.num_classes, k * spec.num_classes + m)
     embeddings = _object_embeddings(spec, rng)
 
-    def make_split(split: str, per_class: int) -> Corpus:
+    def make_split(per_class: int) -> Corpus:
         instances = []
         for class_id in range(spec.num_classes):
             allowed = np.concatenate([disc_ids[class_id], common_ids])
@@ -366,8 +357,8 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> tuple[Corpus, Corpus]:
                 instances.append(
                     Instance(class_id, LabelMap(labels, spec.vocab_size), FeatureMap(values))
                 )
-        return Corpus(spec.num_classes, spec.vocab_size, tuple(instances), split)
+        return Corpus(spec.num_classes, spec.vocab_size, tuple(instances))
 
-    train = make_split("train", spec.train_per_class)
-    test = make_split("test", spec.test_per_class)
+    train = make_split(spec.train_per_class)
+    test = make_split(spec.test_per_class)
     return train, test

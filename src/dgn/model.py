@@ -59,6 +59,13 @@ _BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
 
 _GRAPH_MODES = (AblationMode.EVAL_ONLY_IODP, AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL)
 _BASELINE_SHAPED = (AblationMode.BASELINE, AblationMode.EVAL_ONLY_IODP)
+# checkpoint mode -> the eval modes that can score it; its keys are the modes
+# ``train`` writes
+_EVAL_MODES = {
+    AblationMode.BASELINE: (AblationMode.BASELINE, AblationMode.EVAL_ONLY_IODP),
+    AblationMode.TRAIN_EVAL_IODP: (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL),
+    AblationMode.FULL: (AblationMode.FULL, AblationMode.TRAIN_EVAL_IODP),
+}
 
 
 @dataclass(eq=False)
@@ -192,8 +199,6 @@ def forward_parts(
     if propagated is None:
         raise ValidationError(f"mode {mode.value} needs a graph propagation")
     if mode is AblationMode.EVAL_ONLY_IODP:
-        if model.main_head.weight.shape[0] != features.shape[1]:
-            raise ValidationError("eval-only plug-in needs a baseline-shaped head")
         pooled = gap(propagated)
         logits = linear(pooled, model.main_head)
         record = ForwardRecord(features, pooled, model.main_head, logits, propagated=propagated)
@@ -352,8 +357,12 @@ def evaluate(
     mode = mode or model.mode
     if not corpus.instances:
         raise ValidationError("cannot evaluate an empty corpus")
-    if mode is AblationMode.EVAL_ONLY_IODP and model.mode not in _BASELINE_SHAPED:
-        raise ValidationError("eval-only-iodp plugs into a trained baseline model")
+    if mode not in _EVAL_MODES.get(model.mode, ()):
+        raise ValidationError(f"a {model.mode.value} model cannot be evaluated in mode {mode.value}")
+    if corpus.feature_shape is not None and corpus.feature_shape[2] != model.in_channels:
+        raise ValidationError(
+            f"corpus has {corpus.feature_shape[2]} feature channels, the model {model.in_channels}"
+        )
     _check_graph_args(mode, corpus, prototype)
     needs_graph = mode in _GRAPH_MODES
     # the auxiliary head is training-only: a full model is scored on its main
@@ -396,8 +405,9 @@ def load_model(path: str | Path) -> DgnModel:
     r.magic(MODEL_MAGIC)
     r.version()
     mode_byte = r.u8()
-    if mode_byte not in _BYTE_MODE:
-        raise ValidationError(f"{path}: unknown mode byte {mode_byte}")
+    mode = _BYTE_MODE.get(mode_byte)
+    if mode not in _EVAL_MODES:
+        raise ValidationError(f"{path}: mode byte {mode_byte} is not a trained model's mode")
     c, d, num_classes = r.u32(), r.u32(), r.u32()
     lam = r.f64()
     if min(c, d, num_classes) < 1:
@@ -414,6 +424,6 @@ def load_model(path: str | Path) -> DgnModel:
             raise ValidationError(f"{path}: non-finite value in a {shape} parameter block")
         return values
 
-    model = DgnModel.assemble(_BYTE_MODE[mode_byte], c, d, num_classes, lam, block)
+    model = DgnModel.assemble(mode, c, d, num_classes, lam, block)
     r.done()
     return model

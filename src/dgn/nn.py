@@ -38,17 +38,6 @@ def propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
     return (v + a @ v) / degrees[:, None]
 
 
-def gcn_forward(
-    adjacency: np.ndarray, features: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One graph-convolution layer; returns (pre-activation, sigmoid output)."""
-    w = np.asarray(weight, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != np.asarray(features).shape[1]:
-        raise ValidationError(f"weight shape {w.shape} does not match features")
-    pre = propagate(adjacency, features) @ w
-    return pre, sigmoid(pre)
-
-
 def gap(x: np.ndarray) -> np.ndarray:
     """Global average pooling: columnwise mean over nodes."""
     x = np.asarray(x, dtype=np.float64)

@@ -109,58 +109,28 @@ def count(corpus: Corpus) -> CooccurrenceCounts:
     return CooccurrenceCounts(C, L, n_inst, presence, pair)
 
 
-def cooccurrence_prob(
-    counts: CooccurrenceCounts, mode: CooccurrenceMode, i: int, j: int, scene: int
-) -> float:
-    """Estimated probability of seeing objects i and j together in a class."""
-    L, C = counts.vocab_size, counts.num_classes
-    if not (0 <= i < L and 0 <= j < L and 0 <= scene < C):
-        raise ValidationError("index out of range")
-    n = float(counts.instances_per_class[scene])
+def class_posterior(counts: CooccurrenceCounts, mode: CooccurrenceMode) -> np.ndarray:
+    """Class posterior of every object pair under a uniform prior, (C, L, L).
+
+    The pair likelihood per class is the joint presence rate
+    (NON_INDEPENDENT) or the product of the two marginal rates (INDEPENDENT);
+    with equal priors the posterior is that likelihood normalized over
+    classes.  The class axis is sorted, so every reduction over it is
+    bit-identical under scene-id permutation.  A pair with no evidence in
+    any class has posterior 0 in every class.
+    """
+    n = counts.instances_per_class.astype(np.float64)[:, None, None]
     if mode is CooccurrenceMode.NON_INDEPENDENT:
-        return float(counts.pair_presence[scene, i, j]) / n
-    return float(counts.presence[scene, i]) * float(counts.presence[scene, j]) / (n * n)
-
-
-def posterior(likelihoods: np.ndarray) -> np.ndarray | None:
-    """Class posterior under a uniform prior; None when there is no evidence.
-
-    With equal priors the prior cancels, so the posterior is the likelihood
-    vector normalized to sum 1.  An all-zero likelihood vector (the pair was
-    never seen) has no defined posterior and yields None.
-    """
-    lik = np.asarray(likelihoods, dtype=np.float64)
-    if (lik < 0).any():
-        raise ValidationError("likelihoods must be non-negative")
-    total = lik.sum()
-    if total == 0.0:
-        return None
-    return lik / total
-
-
-def dispersion(p: np.ndarray | None, metric: DispersionMetric) -> float:
-    """Spread of a class posterior; 0 for the no-evidence marker.
-
-    Computed on the sorted vector so the result is bit-identical under any
-    permutation of class ids.  Standard deviation is the population form
-    (divide by C); the coefficient of variation uses mean 1/C.
-    """
-    if p is None:
-        return 0.0
-    p = np.sort(np.asarray(p, dtype=np.float64))
-    if metric is DispersionMetric.RANGE:
-        return float(p[-1] - p[0])
-    std = float(np.sqrt(np.mean((p - np.mean(p)) ** 2)))
-    if metric is DispersionMetric.STD_DEV:
-        return std
-    return std * p.size  # cv = std / mean, mean = 1/C
-
-
-def passivate(theta: float, enabled: bool = True) -> float:
-    """Square-root flattening of a dispersion score."""
-    if theta < 0:
-        raise ValidationError("dispersion must be non-negative")
-    return float(np.sqrt(theta)) if enabled else float(theta)
+        lik = counts.pair_presence.astype(np.float64) / n
+    else:
+        marg = counts.presence.astype(np.float64)
+        lik = marg[:, :, None] * marg[:, None, :] / (n * n)
+    lik = np.sort(lik, axis=0)
+    evidence = lik.sum(axis=0)
+    seen = evidence > 0
+    post = np.zeros_like(lik)
+    np.divide(lik, evidence[None, :, :], out=post, where=seen[None, :, :])
+    return post
 
 
 def build_prototype(
@@ -169,22 +139,15 @@ def build_prototype(
     metric: DispersionMetric = DispersionMetric.COEFF_VAR,
     passivated: bool = True,
 ) -> Prototype:
-    """Compute the full pairwise discriminative-correlation matrix."""
+    """Compute the full pairwise discriminative-correlation matrix.
+
+    Each entry is the range, population standard deviation or coefficient of
+    variation (std over the mean 1/C) of the pair's class posterior,
+    square-rooted when ``passivated``; 0 for a pair with no evidence.
+    """
     counts = count(corpus)
-    C, L = counts.num_classes, counts.vocab_size
-    n = counts.instances_per_class.astype(np.float64)[:, None, None]
-    if mode is CooccurrenceMode.NON_INDEPENDENT:
-        lik = counts.pair_presence.astype(np.float64) / n
-    else:
-        marg = counts.presence.astype(np.float64)
-        lik = marg[:, :, None] * marg[:, None, :] / (n * n)
-    # canonical class order before any reduction: sums and quotients are then
-    # bit-identical under scene-id permutation
-    lik = np.sort(lik, axis=0)
-    evidence = lik.sum(axis=0)
-    seen = evidence > 0
-    post = np.zeros_like(lik)
-    np.divide(lik, evidence[None, :, :], out=post, where=seen[None, :, :])
+    C = counts.num_classes
+    post = class_posterior(counts, mode)
     if metric is DispersionMetric.RANGE:
         theta = post[-1] - post[0]
     else:
@@ -192,8 +155,7 @@ def build_prototype(
         if metric is DispersionMetric.COEFF_VAR:
             theta = theta * C
     omega = np.sqrt(theta) if passivated else theta
-    omega = np.where(seen, omega, 0.0)
-    return Prototype(L, omega, mode, metric, passivated, C)
+    return Prototype(counts.vocab_size, omega, mode, metric, passivated, C)
 
 
 def save_prototype(prototype: Prototype, path: str | Path) -> None:

@@ -75,16 +75,14 @@ def test_criterion_2_posterior_normalization():
     for _ in range(10):
         corpus = random_presence_corpus(rng)
         counts = pt.count(corpus)
-        L, C = counts.vocab_size, counts.num_classes
         for mode in CooccurrenceMode:
-            for i in range(L):
-                for j in range(L):
-                    lik = np.array(
-                        [pt.cooccurrence_prob(counts, mode, i, j, c) for c in range(C)]
-                    )
-                    post = pt.posterior(lik)
-                    if post is not None:
-                        assert abs(post.sum() - 1.0) <= 1e-12
+            post = pt.class_posterior(counts, mode)
+            assert post.shape == (counts.num_classes, counts.vocab_size, counts.vocab_size)
+            assert (post >= 0).all()
+            total = post.sum(axis=0)
+            seen = total > 0
+            assert np.abs(total[seen] - 1.0).max(initial=0.0) <= 1e-12
+            assert (post[:, ~seen] == 0).all()
     passed(2, "posterior normalization")
 
 
@@ -111,7 +109,6 @@ def test_criterion_3_structural_suite():
                     )
                     for i in corpus.instances
                 ),
-                corpus.split,
             )
             permuted = pt.build_prototype(remapped, mode).omega
             np.testing.assert_array_equal(permuted[np.ix_(obj_perm, obj_perm)], omega)
@@ -124,7 +121,6 @@ def test_criterion_3_structural_suite():
                     dgn.Instance(int(scene_perm[i.scene_id]), i.label_map)
                     for i in corpus.instances
                 ),
-                corpus.split,
             )
             np.testing.assert_array_equal(pt.build_prototype(relabeled, mode).omega, omega)
     passed(3, "prototype structural suite")
@@ -229,11 +225,13 @@ def test_criterion_6_gradient_check():
 def test_criterion_7_gcn_numerics():
     a = np.array([[0.5, 0.5], [1.0, 0.0]])
     v = np.array([[1.0], [0.0]])
-    w = np.array([[1.0]])
-    pre, out = nn.gcn_forward(a, v, w)
-    np.testing.assert_array_equal(pre.ravel(), [0.75, 0.5])
+    model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, 1, 1, 2, 0.0, np.ones)
+    propagated = nn.propagate(a, v)
+    _, _, record = md.forward_parts(model, v, propagated)
+    # with the unit hidden weight the propagation is the pre-activation
+    np.testing.assert_array_equal(propagated.ravel(), [0.75, 0.5])
     expected = np.array([1 / (1 + math.exp(-0.75)), 1 / (1 + math.exp(-0.5))])
-    assert np.abs(out.ravel() - expected).max() <= 1e-9
+    assert np.abs(record.hidden.ravel() - expected).max() <= 1e-9
     passed(7, "graph convolution numerics")
 
 

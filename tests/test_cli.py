@@ -303,7 +303,7 @@ class TestEval:
         maps = [dgn.LabelMap(np.array([[0]]), 2), dgn.LabelMap(np.array([[1]]), 2)]
         feats = [dgn.FeatureMap(np.zeros((1, 1, 1))), dgn.FeatureMap(np.ones((1, 1, 1)))]
         corpus = dgn.Corpus(
-            2, 2, tuple(dgn.Instance(i, m, f) for i, (m, f) in enumerate(zip(maps, feats))), "test"
+            2, 2, tuple(dgn.Instance(i, m, f) for i, (m, f) in enumerate(zip(maps, feats)))
         )
         manifest = dgn.save_corpus(corpus, tmp_path, "test")
         head = nn.ClassifierParams(np.array([[-5.0, 0.0]]), np.array([1.0, 0.0]))
@@ -347,6 +347,76 @@ class TestEval:
         data, _, _, full = trained_artifacts
         result = run_cli("eval", "--manifest", data / "test.manifest", "--checkpoint", full)
         assert result.returncode == 2
+
+
+@pytest.fixture(scope="module")
+def criterion_8_checkpoints(tmp_path_factory):
+    """The criterion-8 corpus, its default prototype and a 5-epoch model per training mode."""
+    root = tmp_path_factory.mktemp("criterion8")
+    assert run_cli(
+        "gen", "--classes", 3, "--objects", 10, "--per-class", 12, "--cells", 4,
+        "--channels", 8, "--noise", 2.0, "--seed", 304, "--out", root / "data",
+    ).returncode == 0
+    proto = root / "p.dgnp"
+    assert run_cli("iodp", "--manifest", root / "data" / "train.manifest", "--out", proto).returncode == 0
+    checkpoints = {}
+    for mode in ("baseline", "train-eval-iodp", "full"):
+        checkpoints[mode] = root / f"{mode}.dgnm"
+        result = run_cli(
+            "train", "--manifest", root / "data" / "train.manifest", "--prototype", proto,
+            "--mode", mode, "--epochs", 5, "--seed", 304, "--checkpoint", checkpoints[mode],
+        )
+        assert result.returncode == 0, result.stderr
+    return root / "data" / "test.manifest", proto, checkpoints
+
+
+# checkpoint mode -> the eval modes that can score it, and the stdout they print
+SUPPORTED_EVAL_MODES = {
+    "baseline": ("baseline", "eval-only-iodp"),
+    "train-eval-iodp": ("train-eval-iodp", "full"),
+    "full": ("full", "train-eval-iodp"),
+}
+CRITERION_8_ACCURACY = {
+    "baseline": ("0.666667", ("0.000000", "1.000000", "1.000000")),
+    "train-eval-iodp": ("0.333333", ("0.000000", "1.000000", "0.000000")),
+    "full": ("0.333333", ("0.000000", "1.000000", "0.000000")),
+}
+
+
+@pytest.mark.parametrize("eval_mode", ["baseline", "eval-only-iodp", "train-eval-iodp", "full"])
+@pytest.mark.parametrize("checkpoint_mode", sorted(SUPPORTED_EVAL_MODES))
+def test_eval_mode_must_suit_the_checkpoint(criterion_8_checkpoints, tmp_path, checkpoint_mode, eval_mode):
+    manifest, proto, checkpoints = criterion_8_checkpoints
+    report = tmp_path / "r.csv"
+    result = run_cli(
+        "eval", "--manifest", manifest, "--checkpoint", checkpoints[checkpoint_mode],
+        "--prototype", proto, "--mode", eval_mode, "--out", report,
+    )
+    if eval_mode not in SUPPORTED_EVAL_MODES[checkpoint_mode]:
+        assert result.returncode == 2, result.stderr
+        assert checkpoint_mode in result.stderr and eval_mode in result.stderr
+        assert not report.exists()
+        return
+    assert result.returncode == 0, result.stderr
+    accuracy, per_class = CRITERION_8_ACCURACY[checkpoint_mode]
+    expected = [f"accuracy={accuracy}", "instances=6"]
+    expected += [f"class_{k}_accuracy={acc}" for k, acc in enumerate(per_class)]
+    assert result.stdout.splitlines() == expected + [f"report={report}"]
+
+
+def test_checkpoint_with_eval_only_mode_byte_exits_2(criterion_8_checkpoints, tmp_path):
+    manifest, proto, checkpoints = criterion_8_checkpoints
+    data = bytearray(checkpoints["baseline"].read_bytes())
+    data[8] = 1  # eval-only-iodp is an evaluation mode; train never writes it
+    bad = tmp_path / "eval-only.dgnm"
+    bad.write_bytes(bytes(data))
+    for args in (
+        ("eval", "--manifest", manifest, "--checkpoint", bad, "--prototype", proto),
+        ("inspect", bad),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert "mode byte 1" in result.stderr
 
 
 class TestInspect:

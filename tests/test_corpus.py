@@ -132,11 +132,9 @@ def test_object_presence_examples():
 def test_corpus_validation():
     m = cp.LabelMap(np.array([[0]]), 2)
     with pytest.raises(ValidationError):
-        cp.Corpus(1, 2, (cp.Instance(3, m),), "train")
+        cp.Corpus(1, 2, (cp.Instance(3, m),))
     with pytest.raises(ValidationError):
-        cp.Corpus(1, 5, (cp.Instance(0, m),), "train")  # vocab mismatch
-    with pytest.raises(ValidationError):
-        cp.Corpus(1, 2, (cp.Instance(0, m),), "validation")
+        cp.Corpus(1, 5, (cp.Instance(0, m),))  # vocab mismatch
     with pytest.raises(ValidationError):
         cp.Corpus(
             1,
@@ -145,7 +143,6 @@ def test_corpus_validation():
                 cp.Instance(0, m, cp.FeatureMap(np.ones((1, 1, 2)))),
                 cp.Instance(0, m, cp.FeatureMap(np.ones((1, 1, 3)))),
             ),
-            "train",
         )
 
 
@@ -153,12 +150,11 @@ def test_manifest_round_trip(tmp_path):
     maps = [cp.LabelMap(np.array([[0, 1]]), 3), cp.LabelMap(np.array([[2]]), 3)]
     feats = [cp.FeatureMap(np.ones((1, 2, 2))), None]
     corpus = cp.Corpus(
-        2, 3, tuple(cp.Instance(i, m, f) for i, (m, f) in enumerate(zip(maps, feats))), "train"
+        2, 3, tuple(cp.Instance(i, m, f) for i, (m, f) in enumerate(zip(maps, feats)))
     )
     manifest = cp.save_corpus(corpus, tmp_path, "train")
     assert manifest.name == "train.manifest"
     loaded = cp.load_corpus(manifest)
-    assert loaded.split == "train"
     assert loaded.num_classes == 2 and loaded.vocab_size == 3
     assert len(loaded.instances) == 2
     np.testing.assert_array_equal(loaded.instances[0].label_map.labels, maps[0].labels)

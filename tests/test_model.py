@@ -289,12 +289,14 @@ class TestCheckpoints:
         model = md.DgnModel(AblationMode.BASELINE, 1, 1, 2, 0.0, head)
         path = tmp_path / "m.dgnm"
         md.save_model(model, path)
-        data = bytearray(path.read_bytes())
-        data[8] = 200
-        bad = tmp_path / "bad.dgnm"
-        bad.write_bytes(bytes(data))
-        with pytest.raises(ValidationError):
-            md.load_model(bad)
+        # 1 is eval-only-iodp, an evaluation mode that no checkpoint holds
+        for mode_byte in (1, 200):
+            data = bytearray(path.read_bytes())
+            data[8] = mode_byte
+            bad = tmp_path / "bad.dgnm"
+            bad.write_bytes(bytes(data))
+            with pytest.raises(ValidationError):
+                md.load_model(bad)
 
     def test_layout_orders_checkpoint_adam_and_gradients_alike(self, tmp_path, trained_setup):
         train_corpus, _, proto = trained_setup

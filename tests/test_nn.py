@@ -3,21 +3,35 @@ import math
 import numpy as np
 import pytest
 
+from dgn import model as md
 from dgn import nn
+from dgn.corpus import Corpus, FeatureMap, Instance, LabelMap
 from dgn.errors import ValidationError
+from dgn.model import AblationMode
+from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
+
+
+def graph_layer(adjacency, features, weight):
+    """Propagation and hidden layer of a train-eval-iodp model with ``weight``."""
+    c, d = np.shape(weight)
+    model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, c, d, 2, 0.0, np.zeros)
+    model.gc_weight = np.asarray(weight, dtype=np.float64)
+    propagated = nn.propagate(adjacency, features)
+    _, _, record = md.forward_parts(model, features, propagated)
+    return propagated, record.hidden
 
 
 class TestGcnForward:
     def test_single_zero_node_outputs_half(self):
-        pre, out = nn.gcn_forward(np.array([[1.0]]), np.array([[0.0]]), np.array([[2.5]]))
-        assert pre[0, 0] == 0.0
+        propagated, out = graph_layer(np.array([[1.0]]), np.array([[0.0]]), np.array([[2.5]]))
+        assert propagated[0, 0] == 0.0
         assert out[0, 0] == 0.5
 
     def test_worked_two_node_example(self):
         a = np.array([[0.5, 0.5], [1.0, 0.0]])
         v = np.array([[1.0], [0.0]])
-        w = np.array([[1.0]])
-        pre, out = nn.gcn_forward(a, v, w)
+        # with the unit weight the propagation is the pre-activation
+        pre, out = graph_layer(a, v, np.array([[1.0]]))
         np.testing.assert_array_equal(pre.ravel(), [0.75, 0.5])
         expected = [1.0 / (1.0 + math.exp(-0.75)), 1.0 / (1.0 + math.exp(-0.5))]
         np.testing.assert_allclose(out.ravel(), expected, atol=1e-12, rtol=0)
@@ -27,12 +41,19 @@ class TestGcnForward:
         a = rng.random((4, 4))
         a /= a.sum(1, keepdims=True)
         v = rng.standard_normal((4, 3))
-        _, out = nn.gcn_forward(a, v, np.zeros((3, 2)))
+        _, out = graph_layer(a, v, np.zeros((3, 2)))
         np.testing.assert_array_equal(out, np.full((4, 2), 0.5))
 
     def test_shape_mismatch(self):
+        # a model trained on 4 channels refuses 3-channel features
+        labels = LabelMap(np.zeros((2, 2), dtype=np.int64), 1)
+        corpus = Corpus(1, 1, (Instance(0, labels, FeatureMap(np.ones((2, 2, 3)))),))
+        proto = Prototype(
+            1, np.ones((1, 1)), CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 1
+        )
+        model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, 4, 4, 1, 0.0, np.ones)
         with pytest.raises(ValidationError):
-            nn.gcn_forward(np.eye(2), np.ones((2, 3)), np.ones((4, 2)))
+            md.evaluate(model, corpus, proto)
 
     def test_propagation_is_convex_combination(self):
         rng = np.random.default_rng(1)
@@ -47,7 +68,7 @@ class TestGcnForward:
         a = rng.random((5, 5))
         a /= a.sum(1, keepdims=True)
         v = rng.standard_normal((5, 3)) * 3
-        _, out = nn.gcn_forward(a, v, rng.standard_normal((3, 3)))
+        _, out = graph_layer(a, v, rng.standard_normal((3, 3)))
         assert (out > 0).all() and (out < 1).all()
 
 

@@ -9,6 +9,7 @@ from dgn import corpus as cp
 from dgn import graph as gr
 from dgn import nn
 from dgn import prototype as pt
+from tests.test_prototype import presence_corpus
 
 label_grids = hnp.arrays(
     dtype=np.int64,
@@ -48,32 +49,46 @@ def test_row_normalize_is_row_stochastic(a0):
     assert (out >= 0).all()
 
 
-likelihood_vectors = hnp.arrays(
-    dtype=np.float64,
-    shape=st.integers(min_value=1, max_value=8),
-    elements=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-)
+@st.composite
+def presence_corpora(draw):
+    """Every class holds one to three instances; each instance a non-empty object set."""
+    num_classes = draw(st.integers(min_value=1, max_value=5))
+    vocab = draw(st.integers(min_value=1, max_value=6))
+    objects = st.sets(st.integers(min_value=0, max_value=vocab - 1), min_size=1)
+    groups = []
+    for scene in range(num_classes):
+        for present in draw(st.lists(objects, min_size=1, max_size=3)):
+            groups.append((scene, present))
+    return presence_corpus(num_classes, vocab, groups)
 
 
-@given(likelihood_vectors)
-def test_posterior_normalizes_or_flags_no_evidence(lik):
-    post = pt.posterior(lik)
-    if lik.sum() == 0.0:
-        assert post is None
-    else:
-        assert abs(post.sum() - 1.0) <= 1e-12
+@given(presence_corpora())
+def test_posterior_normalizes_or_flags_no_evidence(corpus):
+    counts = pt.count(corpus)
+    for mode in pt.CooccurrenceMode:
+        post = pt.class_posterior(counts, mode)
         assert (post >= 0).all()
+        total = post.sum(axis=0)
+        # a pair has evidence when some class holds both objects: in one
+        # instance (non-independent) or each in some instance (independent)
+        marg = counts.presence > 0
+        both = {
+            pt.CooccurrenceMode.NON_INDEPENDENT: counts.pair_presence > 0,
+            pt.CooccurrenceMode.INDEPENDENT: marg[:, :, None] & marg[:, None, :],
+        }
+        seen = both[mode].any(axis=0)
+        assert np.abs(total[seen] - 1.0).max(initial=0.0) <= 1e-12
+        assert (post[:, ~seen] == 0).all()
 
 
-@given(likelihood_vectors.filter(lambda v: v.sum() > 0))
-def test_dispersion_non_negative_and_cv_bounded(lik):
-    post = pt.posterior(lik)
-    C = post.size
-    for metric in pt.DispersionMetric:
-        theta = pt.dispersion(post, metric)
-        assert theta >= 0.0
-    # cv of a probability vector of length C is at most sqrt(C - 1)
-    assert pt.dispersion(post, pt.DispersionMetric.COEFF_VAR) <= np.sqrt(C - 1) + 1e-12
+@given(presence_corpora())
+def test_dispersion_non_negative_and_cv_bounded(corpus):
+    for mode in pt.CooccurrenceMode:
+        raw = {m: pt.build_prototype(corpus, mode, m, False).omega for m in pt.DispersionMetric}
+        assert all((omega >= 0.0).all() for omega in raw.values())
+        # cv of a probability vector of length C is at most sqrt(C - 1)
+        cv = raw[pt.DispersionMetric.COEFF_VAR]
+        assert cv.max() <= np.sqrt(corpus.num_classes - 1) + 1e-12
 
 
 logit_vectors = hnp.arrays(

@@ -11,13 +11,13 @@ Mode = pt.CooccurrenceMode
 Metric = pt.DispersionMetric
 
 
-def presence_corpus(num_classes, vocab, groups, split="train"):
+def presence_corpus(num_classes, vocab, groups):
     """Corpus from per-instance presence sets, one row of pixels each."""
     instances = []
     for scene_id, present in groups:
         labels = np.array([sorted(present)])
         instances.append(Instance(scene_id, LabelMap(labels, vocab)))
-    return Corpus(num_classes, vocab, tuple(instances), split)
+    return Corpus(num_classes, vocab, tuple(instances))
 
 
 @pytest.fixture()
@@ -63,81 +63,123 @@ class TestCounts:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            pt.count(Corpus(1, 3, (), "train"))
+            pt.count(Corpus(1, 3, ()))
+
+
+def counted_pair_corpus(num_classes, per_class, together):
+    """``per_class`` instances per class; ``together[c]`` of class c hold both 0 and 1."""
+    groups = []
+    for scene in range(num_classes):
+        for idx in range(per_class):
+            groups.append((scene, {0, 1} if idx < together[scene] else {2}))
+    return presence_corpus(num_classes, 3, groups)
+
+
+# 3 classes of 10 instances where pair (0,1) co-occurs 7, 2 and 1 times
+HAND_CORPUS_TOGETHER = (7, 2, 1)
 
 
 class TestCooccurrenceProb:
+    """The pair likelihood per class, seen through the posterior it normalizes into."""
+
     def test_toy_values(self, toy):
         counts = pt.count(toy)
-        assert pt.cooccurrence_prob(counts, Mode.NON_INDEPENDENT, 0, 1, 0) == 0.5
-        assert pt.cooccurrence_prob(counts, Mode.INDEPENDENT, 0, 1, 0) == 0.5
-        # N_o[1][0] is 0, so the independence estimate vanishes
-        assert pt.cooccurrence_prob(counts, Mode.INDEPENDENT, 0, 1, 1) == 0.0
-
-    def test_bad_index(self, toy):
-        counts = pt.count(toy)
-        with pytest.raises(ValidationError):
-            pt.cooccurrence_prob(counts, Mode.INDEPENDENT, 0, 9, 0)
+        # non-independent: 1 of 2 class-0 instances holds both; class 1 none
+        # independent: 2/2 * 1/2 in class 0; object 0 never appears in class 1
+        for mode in Mode:
+            np.testing.assert_array_equal(pt.class_posterior(counts, mode)[:, 0, 1], [0.0, 1.0])
+        # joint presence 0 and 2 of 2; marginal product 1/2 * 1/2 = 1/4 and 1
+        corpus = presence_corpus(2, 2, [(0, {0}), (0, {1}), (1, {0, 1}), (1, {0, 1})])
+        counts = pt.count(corpus)
+        np.testing.assert_array_equal(
+            pt.class_posterior(counts, Mode.NON_INDEPENDENT)[:, 0, 1], [0.0, 1.0]
+        )
+        np.testing.assert_allclose(
+            pt.class_posterior(counts, Mode.INDEPENDENT)[:, 0, 1], [0.2, 0.8], atol=1e-15, rtol=0
+        )
 
 
 class TestPosterior:
     def test_normalizes(self):
-        np.testing.assert_allclose(pt.posterior([0.5, 0.0]), [1.0, 0.0])
-        np.testing.assert_allclose(pt.posterior([0.3, 0.1]), [0.75, 0.25])
-        np.testing.assert_allclose(pt.posterior([0.2] * 4), [0.25] * 4)
+        for together, expected in (((5, 0), [0.0, 1.0]), ((3, 1), [0.25, 0.75]), ((2,) * 4, [0.25] * 4)):
+            corpus = counted_pair_corpus(len(together), 10, together)
+            post = pt.class_posterior(pt.count(corpus), Mode.NON_INDEPENDENT)
+            np.testing.assert_allclose(post[:, 0, 1], expected, atol=1e-15, rtol=0)
 
-    def test_zero_evidence_marker(self):
-        assert pt.posterior([0.0, 0.0]) is None
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            pt.posterior([-0.1, 0.5])
+    def test_zero_evidence_marker(self, toy):
+        # objects 0 and 2 never share an instance, nor a class
+        for mode in Mode:
+            post = pt.class_posterior(pt.count(toy), mode)
+            np.testing.assert_array_equal(post[:, 0, 2], [0.0, 0.0])
+            np.testing.assert_array_equal(post[:, 2, 0], [0.0, 0.0])
 
 
 class TestDispersion:
-    def test_uniform_vector_has_zero_spread(self):
-        for n in (2, 3, 4, 7):
-            p = np.full(n, 1.0 / n)
-            for metric in Metric:
-                assert abs(pt.dispersion(p, metric)) <= 1e-15
+    """Raw (unpassivated) prototype entries are the posterior's dispersion."""
 
-    def test_one_hot(self):
-        p = np.array([1.0, 0.0])
-        assert pt.dispersion(p, Metric.RANGE) == 1.0
-        assert pt.dispersion(p, Metric.STD_DEV) == 0.5
-        assert pt.dispersion(p, Metric.COEFF_VAR) == 1.0
+    def test_uniform_vector_has_zero_spread(self):
+        for num_classes in (2, 3, 4, 7):
+            corpus = counted_pair_corpus(num_classes, 3, (2,) * num_classes)
+            for metric in Metric:
+                omega = pt.build_prototype(corpus, Mode.NON_INDEPENDENT, metric, False).omega
+                assert abs(omega[0, 1]) <= 1e-15
+
+    def test_one_hot(self, toy):
+        # the toy pair (0,1) has posterior [0, 1] in both modes
+        expected = {Metric.RANGE: 1.0, Metric.STD_DEV: 0.5, Metric.COEFF_VAR: 1.0}
+        for mode in Mode:
+            for metric, value in expected.items():
+                assert pt.build_prototype(toy, mode, metric, False).omega[0, 1] == value
 
     def test_hand_computed_values(self):
-        p = np.array([0.7, 0.2, 0.1])
-        assert abs(pt.dispersion(p, Metric.RANGE) - 0.6) < 1e-12
-        assert abs(pt.dispersion(p, Metric.STD_DEV) - 0.262467) < 1e-6
-        assert abs(pt.dispersion(p, Metric.COEFF_VAR) - 0.787401) < 1e-6
+        corpus = counted_pair_corpus(3, 10, HAND_CORPUS_TOGETHER)
+        omega = {
+            metric: pt.build_prototype(corpus, Mode.NON_INDEPENDENT, metric, False).omega[0, 1]
+            for metric in Metric
+        }
+        assert abs(omega[Metric.RANGE] - 0.6) < 1e-12
+        assert abs(omega[Metric.STD_DEV] - 0.262467) < 1e-6
+        assert abs(omega[Metric.COEFF_VAR] - 0.787401) < 1e-6
 
-    def test_zero_evidence_marker_maps_to_zero(self):
-        for metric in Metric:
-            assert pt.dispersion(None, metric) == 0.0
+    def test_zero_evidence_marker_maps_to_zero(self, toy):
+        for mode in Mode:
+            for metric in Metric:
+                for passivated in (True, False):
+                    omega = pt.build_prototype(toy, mode, metric, passivated).omega
+                    assert omega[0, 2] == 0.0 and omega[2, 0] == 0.0
 
     def test_permutation_gives_bit_identical_result(self):
         rng = np.random.default_rng(11)
-        p = rng.random(7)
-        p /= p.sum()
-        shuffled = p[rng.permutation(7)]
-        for metric in Metric:
-            assert pt.dispersion(p, metric) == pt.dispersion(shuffled, metric)
+        corpus = counted_pair_corpus(7, 10, tuple(rng.integers(0, 11, size=7)))
+        perm = rng.permutation(7)
+        shuffled = Corpus(
+            7, 3, tuple(Instance(int(perm[i.scene_id]), i.label_map) for i in corpus.instances)
+        )
+        for mode in Mode:
+            for metric in Metric:
+                np.testing.assert_array_equal(
+                    pt.build_prototype(corpus, mode, metric, False).omega,
+                    pt.build_prototype(shuffled, mode, metric, False).omega,
+                )
 
 
 class TestPassivate:
+    """Passivation square-roots each entry; off, the raw dispersion stays."""
+
     def test_fixed_points_and_example(self):
-        assert pt.passivate(0.0) == 0.0
-        assert pt.passivate(1.0) == 1.0
-        assert abs(pt.passivate(0.787401) - 0.887356) < 1e-6
+        # the fixed points 0 and 1 are the toy matrix's entries
+        corpus = counted_pair_corpus(3, 10, HAND_CORPUS_TOGETHER)
+        omega = pt.build_prototype(corpus, Mode.NON_INDEPENDENT, Metric.COEFF_VAR, True).omega
+        assert abs(omega[0, 1] - 0.887356) < 1e-6
 
     def test_disabled_is_identity(self):
-        assert pt.passivate(0.64, enabled=False) == 0.64
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            pt.passivate(-1e-9)
+        rng = np.random.default_rng(12)
+        corpus = random_presence_corpus(rng)
+        for mode in Mode:
+            for metric in Metric:
+                raw = pt.build_prototype(corpus, mode, metric, False).omega
+                passivated = pt.build_prototype(corpus, mode, metric, True).omega
+                np.testing.assert_array_equal(passivated, np.sqrt(raw))
 
 
 class TestBuildPrototype:
@@ -182,7 +224,6 @@ class TestBuildPrototype:
                 Instance(i.scene_id, LabelMap(perm[i.label_map.labels], corpus.vocab_size))
                 for i in corpus.instances
             ),
-            corpus.split,
         )
         for mode in Mode:
             before = pt.build_prototype(corpus, mode).omega
@@ -200,7 +241,6 @@ class TestBuildPrototype:
                 Instance(int(perm[i.scene_id]), i.label_map, i.feature_map)
                 for i in corpus.instances
             ),
-            corpus.split,
         )
         for mode in Mode:
             np.testing.assert_array_equal(
@@ -211,15 +251,11 @@ class TestBuildPrototype:
     def test_posterior_rows_sum_to_one(self, toy):
         counts = pt.count(toy)
         for mode in Mode:
-            for i in range(3):
-                for j in range(3):
-                    lik = [
-                        pt.cooccurrence_prob(counts, mode, i, j, c)
-                        for c in range(counts.num_classes)
-                    ]
-                    post = pt.posterior(np.array(lik))
-                    if post is not None:
-                        assert abs(post.sum() - 1.0) <= 1e-12
+            post = pt.class_posterior(counts, mode)
+            total = post.sum(axis=0)
+            seen = total > 0
+            np.testing.assert_allclose(total[seen], 1.0, atol=1e-12, rtol=0)
+            np.testing.assert_array_equal(post[:, ~seen], 0.0)
 
 
 def random_presence_corpus(rng, max_classes=5, max_vocab=8, max_instances=20):
