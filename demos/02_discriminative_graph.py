@@ -61,3 +61,20 @@ pooled_after = mixed.mean(axis=0)
 print("pooled class-channel response:",
       f"{pooled_before[signal_channels].mean():+.3f} before,",
       f"{pooled_after[signal_channels].mean():+.3f} after")
+
+# the graph layer is weight-first: D^-1 (A + I) (V W) equals (D^-1 (A + I) V) W,
+# so a trained model propagates V W and never keeps the propagated V
+w = rng.standard_normal((spec.channels, 4))
+print("\nweight-first layer equals propagate-first:",
+      np.allclose(nn.propagate(graph.adjacency, graph.nodes.features @ w), mixed @ w,
+                  atol=1e-12, rtol=0))
+# the plug-and-play mode pools through the adjoint: gap(M V) = (M^T 1/n)^T V
+weights = nn.propagate_adjoint(graph.adjacency, np.full((n, 1), 1.0 / n))[:, 0]
+print("pooling through the adjoint equals pooling the propagation:",
+      np.allclose(weights @ graph.nodes.features, pooled_after, atol=1e-12, rtol=0))
+
+# forward_parts takes the adjacency itself; a train-eval-iodp model's hidden layer
+model = dgn.init_model(dgn.AblationMode.TRAIN_EVAL_IODP, spec.channels, spec.num_classes,
+                       dgn.TrainConfig(hidden_dim=4))
+logits, _, record = dgn.model.forward_parts(model, graph.nodes.features, graph.adjacency)
+print("hidden layer", record.hidden.shape, "logits", np.round(logits, 3))

@@ -2,8 +2,10 @@
 """Analytic gradients of the full model versus central finite differences.
 
 The network is one graph-convolution layer feeding a pooled main head, plus
-an auxiliary head on the shared-weight per-node linear path.  Every gradient
-below is hand-derived; the finite-difference oracle knows nothing about the
+an auxiliary head on the shared-weight per-node linear path.  Both paths
+start from the same product ``V W``, so the shared weight's gradient is one
+product ``V^T (M^T d_pre + d_aux)`` through the propagation's adjoint
+``M^T``.  Every gradient below is hand-derived; the finite-difference oracle knows nothing about the
 chain rule, it only evaluates the loss at perturbed parameters.
 """
 
@@ -18,7 +20,6 @@ n, c, d, C, lam = 5, 3, 4, 3, 0.25
 features = rng.standard_normal((n, c))
 adjacency = rng.random((n, n))
 adjacency /= adjacency.sum(axis=1, keepdims=True)
-propagated = nn.propagate(adjacency, features)
 target = 1
 
 params = [
@@ -40,13 +41,13 @@ def model_of(p):
 
 
 def loss_of(p):
-    logits, aux_logits, _ = md.forward_parts(model_of(p), features, propagated)
+    logits, aux_logits, _ = md.forward_parts(model_of(p), features, adjacency)
     return md.total_loss(nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam)
 
 
 print(f"loss at the starting point: {loss_of(params):.6f}")
 
-_, _, record = md.forward_parts(model_of(params), features, propagated)
+_, _, record = md.forward_parts(model_of(params), features, adjacency)
 grads = nn.backward(record, target)
 analytic = [grads.gc_weight, grads.main_weight, grads.main_bias, grads.aux_weight, grads.aux_bias]
 numeric = oracle.fd_gradient(loss_of, params, h=1e-6)

@@ -15,6 +15,7 @@ affinity and adjacency are built only on request, through
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ class LabelAdjacency:
     counts, row i of ``A @ V`` is ``(omega_k S)[l] / (omega_k cnt)[l]`` for
     the label l of node i.  A row whose affinity sums to 0 is uniform, as in
     ``row_normalize``, so it yields ``mean(V)``.  Every row sums to exactly 1.
+    ``A.T @ Z`` is the transposed product, in label space too.
     ``np.asarray`` builds the dense matrix.
     """
 
@@ -64,13 +66,25 @@ class LabelAdjacency:
             raise ValidationError("a label-space adjacency only sums its rows")
         return np.ones(self.semantics.size)
 
-    def __matmul__(self, features: np.ndarray) -> np.ndarray:
-        v = np.asarray(features, dtype=np.float64)
+    @functools.cached_property
+    def _labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k x n one-hot of node labels, label weights ``omega_k cnt``, zero mask).
+
+        Computed once per graph and shared by ``A @ V`` and ``A.T @ Z``.
+        """
         k = self.omega.shape[0]
         one_hot = (self.inverse == np.arange(k)[:, None]).astype(np.float64)
         weights = self.omega @ one_hot.sum(axis=1)
+        return one_hot, weights, weights == 0
+
+    @property
+    def T(self) -> _TransposedLabelAdjacency:
+        return _TransposedLabelAdjacency(self)
+
+    def __matmul__(self, features: np.ndarray) -> np.ndarray:
+        v = np.asarray(features, dtype=np.float64)
+        one_hot, weights, zero = self._labels
         mixed = self.omega @ (one_hot @ v)
-        zero = weights == 0
         rows = np.where(zero[:, None], v.mean(axis=0), mixed / np.where(zero, 1.0, weights)[:, None])
         return rows[self.inverse]
 
@@ -79,6 +93,29 @@ class LabelAdjacency:
             raise ValueError("the dense adjacency is always built anew")
         dense = row_normalize(extract_local_knowledge(self.semantics, self.prototype))
         return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class _TransposedLabelAdjacency:
+    """``A.T`` of a :class:`LabelAdjacency`, for the product ``A.T @ Z``.
+
+    With ``S`` the per-label sums of ``Z`` and ``w`` the label weights,
+    ``A.T @ Z`` is ``(omega_k (S / w))[inv]`` plus ``1/n`` of the sums of
+    the zero-weight labels, whose rows are uniform; ``omega_k`` is
+    symmetric, so it serves as its own transpose.
+    """
+
+    adjacency: LabelAdjacency
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        a = self.adjacency
+        one_hot, weights, zero = a._labels
+        sums = one_hot @ np.asarray(z, dtype=np.float64)
+        scaled = np.where(zero[:, None], 0.0, sums / np.where(zero, 1.0, weights)[:, None])
+        out = (a.omega @ scaled)[a.inverse]
+        if zero.any():
+            out += sums[zero].sum(axis=0) / a.semantics.size
+        return out
 
 
 @dataclass(frozen=True, eq=False)

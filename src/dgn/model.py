@@ -33,6 +33,7 @@ from .nn import (
     gap,
     linear,
     propagate,
+    propagate_adjoint,
     sigmoid,
     softmax_ce,
     xavier_init,
@@ -181,14 +182,16 @@ def total_loss(loss_main: float, loss_aux: float, lam: float) -> float:
 def forward_parts(
     model: DgnModel,
     features: np.ndarray,
-    propagated: np.ndarray | None,
+    adjacency: np.ndarray | None,
     mode: AblationMode | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, ForwardRecord]:
-    """Forward pass from a node-feature matrix and its (optional) propagation.
+    """Forward pass from a node-feature matrix and its (optional) adjacency.
 
-    ``propagated`` is the degree-normalized neighborhood mix of the features;
-    the baseline path ignores it.  Used directly by the training loop, which
-    caches the propagation per instance.
+    ``adjacency`` is a dense row-stochastic array or a
+    ``graph.LabelAdjacency``; the baseline path ignores it.  The graph layer
+    is weight-first, ``D^-1 (A + I) (V W)``, so the full mode's auxiliary
+    path reuses the same ``V W``.  The eval-only mode pools the propagation
+    through its adjoint, ``gap(M V) = (M^T 1/n)^T V``, one column wide.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
@@ -196,16 +199,18 @@ def forward_parts(
         logits = linear(pooled, model.main_head)
         record = ForwardRecord(features, pooled, model.main_head, logits)
         return logits, None, record
-    if propagated is None:
-        raise ValidationError(f"mode {mode.value} needs a graph propagation")
+    if adjacency is None:
+        raise ValidationError(f"mode {mode.value} needs a graph adjacency")
     if mode is AblationMode.EVAL_ONLY_IODP:
-        pooled = gap(propagated)
+        n = features.shape[0]
+        weights = propagate_adjoint(adjacency, np.full((n, 1), 1.0 / n))
+        pooled = weights[:, 0] @ features
         logits = linear(pooled, model.main_head)
-        record = ForwardRecord(features, pooled, model.main_head, logits, propagated=propagated)
+        record = ForwardRecord(features, pooled, model.main_head, logits, adjacency=adjacency)
         return logits, None, record
 
-    pre = propagated @ model.gc_weight
-    hidden = sigmoid(pre)
+    fw = features @ model.gc_weight
+    hidden = sigmoid(propagate(adjacency, fw))
     pooled = gap(hidden)
     logits = linear(pooled, model.main_head)
     record = ForwardRecord(
@@ -214,14 +219,14 @@ def forward_parts(
         model.main_head,
         logits,
         lam=model.lam,
-        propagated=propagated,
+        adjacency=adjacency,
         gc_weight=model.gc_weight,
         hidden=hidden,
     )
     if mode is not AblationMode.FULL or model.aux_head is None:
         return logits, None, record
 
-    aux_hidden = sigmoid(features @ model.gc_weight)
+    aux_hidden = sigmoid(fw)
     aux_pooled = gap(aux_hidden)
     aux_logits = linear(aux_pooled, model.aux_head)
     record.aux_hidden = aux_hidden
@@ -247,12 +252,11 @@ def _prepared_inputs(
         if inst.feature_map is None:
             raise ValidationError("every instance needs a feature map")
         features = inst.feature_map.values.reshape(h1 * w1, c)
-        propagated = None
+        adjacency = None
         if needs_graph:
             resized = nn_resize(inst.label_map, w1, h1)
-            g = build_graph(inst.feature_map, resized, prototype)
-            propagated = propagate(g.adjacency, g.nodes.features)
-        out.append((features, propagated, inst.scene_id))
+            adjacency = build_graph(inst.feature_map, resized, prototype).adjacency
+        out.append((features, adjacency, inst.scene_id))
     return out
 
 
@@ -312,8 +316,8 @@ def train(
             grad_sums = [np.zeros_like(p) for p in params]
             batch_loss = 0.0
             for idx in batch:
-                features, propagated, target = data[idx]
-                logits, aux_logits, record = forward_parts(model, features, propagated, mode)
+                features, adjacency, target = data[idx]
+                logits, aux_logits, record = forward_parts(model, features, adjacency, mode)
                 loss_main = softmax_ce(logits, target)
                 loss_aux = softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
                 loss = total_loss(loss_main, loss_aux, model.lam)
@@ -371,8 +375,8 @@ def evaluate(
         mode = AblationMode.TRAIN_EVAL_IODP
     totals = np.zeros(corpus.num_classes, dtype=np.int64)
     hits = np.zeros(corpus.num_classes, dtype=np.int64)
-    for features, propagated, target in _prepared_inputs(corpus, prototype, needs_graph):
-        logits, _, _ = forward_parts(model, features, propagated, mode)
+    for features, adjacency, target in _prepared_inputs(corpus, prototype, needs_graph):
+        logits, _, _ = forward_parts(model, features, adjacency, mode)
         totals[target] += 1
         hits[target] += int(np.argmax(logits) == target)
     per_class = np.where(totals > 0, hits / np.maximum(totals, 1), 0.0)

@@ -16,10 +16,16 @@ from .errors import ValidationError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Logistic function as ``0.5 * (1 + tanh(x / 2))``, in one new array.
+
+    It cannot overflow; below about -37 it returns exactly 0 where
+    ``1 / (1 + e^-x)`` would give ``e^x``.
+    """
+    out = np.multiply(x, 0.5, dtype=np.float64)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -36,6 +42,21 @@ def propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")
     degrees = a.sum(axis=1) + 1.0
     return (v + a @ v) / degrees[:, None]
+
+
+def propagate_adjoint(adjacency: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``M^T y`` for the map ``M = D^-1 (I + A)`` that ``propagate`` applies.
+
+    With ``z = y / deg`` it is ``z + A^T z``; a ``graph.LabelAdjacency``
+    supplies ``A^T`` in label space, as a dense array does through ``.T``.
+    So ``<propagate(A, V), Y> = <V, propagate_adjoint(A, Y)>``.
+    """
+    a = adjacency
+    y = np.asarray(y, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or y.ndim != 2 or a.shape[0] != y.shape[0]:
+        raise ValidationError(f"shape mismatch: adjacency {a.shape}, gradient {y.shape}")
+    z = y / (a.sum(axis=1) + 1.0)[:, None]
+    return z + a.T @ z
 
 
 def gap(x: np.ndarray) -> np.ndarray:
@@ -85,7 +106,7 @@ def softmax_ce(logits: np.ndarray, target: int) -> float:
 class ForwardRecord:
     """Everything the backward pass needs from one forward evaluation.
 
-    ``propagated`` and ``gc_weight`` are None for the plain pooled-feature
+    ``adjacency`` and ``gc_weight`` are None for the plain pooled-feature
     path (no graph layer); the auxiliary fields are None when the auxiliary
     head is absent.
     """
@@ -95,9 +116,9 @@ class ForwardRecord:
     main_head: ClassifierParams
     main_logits: np.ndarray
     lam: float = 0.0
-    propagated: np.ndarray | None = None  # degree-normalized neighborhood mix of V
+    adjacency: np.ndarray | None = None  # A, dense or a graph.LabelAdjacency
     gc_weight: np.ndarray | None = None  # shared hidden weight W
-    hidden: np.ndarray | None = None  # sigmoid(propagated @ W)
+    hidden: np.ndarray | None = None  # sigmoid(propagate(A, V @ W))
     aux_hidden: np.ndarray | None = None  # per-node sigmoid(V @ W)
     aux_pooled: np.ndarray | None = None
     aux_head: ClassifierParams | None = None
@@ -119,7 +140,12 @@ class Gradients:
 
 
 def backward(record: ForwardRecord, target: int) -> Gradients:
-    """Exact gradients of loss_main + lam * loss_aux for every parameter."""
+    """Exact gradients of loss_main + lam * loss_aux for every parameter.
+
+    Both paths start from ``V @ W``, so the shared weight's gradient is one
+    product ``V^T (M^T d_pre + d_aux_pre)``, with ``M^T`` from
+    :func:`propagate_adjoint`.
+    """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
     main_w_grad = np.outer(record.pooled, delta_m)
@@ -132,7 +158,7 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
     d_pooled = record.main_head.weight @ delta_m  # (d,)
     # GAP spreads the pooled gradient evenly; sigmoid' = s * (1 - s)
     d_pre = (d_pooled / n)[None, :] * (record.hidden * (1.0 - record.hidden))
-    gc_grad = record.propagated.T @ d_pre
+    d_fw = propagate_adjoint(record.adjacency, d_pre)
 
     aux_w_grad = aux_b_grad = None
     if record.aux_logits is not None:
@@ -140,9 +166,9 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
         aux_w_grad = np.outer(record.aux_pooled, delta_a)
         aux_b_grad = delta_a
         d_aux_pooled = record.aux_head.weight @ delta_a
-        d_aux_pre = (d_aux_pooled / n)[None, :] * (record.aux_hidden * (1.0 - record.aux_hidden))
-        gc_grad = gc_grad + record.features.T @ d_aux_pre
+        d_fw += (d_aux_pooled / n)[None, :] * (record.aux_hidden * (1.0 - record.aux_hidden))
 
+    gc_grad = record.features.T @ d_fw
     return Gradients(gc_grad, main_w_grad, main_b_grad, aux_w_grad, aux_b_grad)
 
 
@@ -183,8 +209,11 @@ def adam_step(
     """One Adam update with bias correction and decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr * wd) before the moment update,
-    so a zero-gradient step with decay is a pure shrink.  Returns the new
-    parameter arrays; the state is mutated in place.
+    so a zero-gradient step with decay is a pure shrink.  Returns new
+    parameter arrays and leaves ``params`` and ``grads`` alone; the moments
+    are updated in place.  Each update is
+    ``p * (1 - lr * wd) - lr * (m / bc1) / (sqrt(v / bc2) + eps)``, in that
+    operation order, through one scratch buffer per block.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValidationError("params/grads/state length mismatch")
@@ -196,10 +225,22 @@ def adam_step(
     bc2 = 1.0 - state.beta2**state.t
     out = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        p = p * (1.0 - state.lr * state.weight_decay)
-        m[:] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[:] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        out.append(p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps))
+        step = np.multiply(g, 1.0 - state.beta1)
+        m *= state.beta1
+        m += step
+        np.multiply(g, 1.0 - state.beta2, out=step)
+        step *= g
+        v *= state.beta2
+        v += step
+        np.divide(v, bc2, out=step)
+        np.sqrt(step, out=step)
+        step += state.eps
+        new = np.divide(m, bc1)
+        new *= state.lr
+        new /= step
+        np.multiply(p, 1.0 - state.lr * state.weight_decay, out=step)
+        np.subtract(step, new, out=new)
+        out.append(new)
     return out
 
 

@@ -119,18 +119,21 @@ def class_posterior(counts: CooccurrenceCounts, mode: CooccurrenceMode) -> np.nd
     bit-identical under scene-id permutation.  A pair with no evidence in
     any class has posterior 0 in every class.
     """
+    # one (C, L, L) array, updated in place: fresh arrays of that size cost
+    # page faults, and the in-place forms give the same bytes
     n = counts.instances_per_class.astype(np.float64)[:, None, None]
     if mode is CooccurrenceMode.NON_INDEPENDENT:
-        lik = counts.pair_presence.astype(np.float64) / n
+        lik = counts.pair_presence.astype(np.float64)
+        lik /= n
     else:
         marg = counts.presence.astype(np.float64)
-        lik = marg[:, :, None] * marg[:, None, :] / (n * n)
-    lik = np.sort(lik, axis=0)
+        lik = marg[:, :, None] * marg[:, None, :]
+        lik /= n * n
+    lik.sort(axis=0)
     evidence = lik.sum(axis=0)
-    seen = evidence > 0
-    post = np.zeros_like(lik)
-    np.divide(lik, evidence[None, :, :], out=post, where=seen[None, :, :])
-    return post
+    # a pair without evidence is 0 in every class already
+    np.divide(lik, evidence[None, :, :], out=lik, where=(evidence > 0)[None, :, :])
+    return lik
 
 
 def build_prototype(
@@ -151,7 +154,9 @@ def build_prototype(
     if metric is DispersionMetric.RANGE:
         theta = post[-1] - post[0]
     else:
-        theta = np.sqrt(np.mean((post - post.mean(axis=0)) ** 2, axis=0))
+        deviation = post - post.mean(axis=0)
+        np.square(deviation, out=deviation)
+        theta = np.sqrt(np.mean(deviation, axis=0))
         if metric is DispersionMetric.COEFF_VAR:
             theta = theta * C
     omega = np.sqrt(theta) if passivated else theta

@@ -186,7 +186,6 @@ def test_criterion_6_gradient_check():
         v = rng.standard_normal((n, c))
         a = rng.random((n, n))
         a /= a.sum(axis=1, keepdims=True)
-        propagated = nn.propagate(a, v)
         target = int(rng.integers(0, C))
         params = [
             rng.standard_normal((c, d)) * 0.6,
@@ -205,12 +204,12 @@ def test_criterion_6_gradient_check():
             )
 
         def loss_of(p):
-            logits, aux_logits, _ = md.forward_parts(model_of(p), v, propagated)
+            logits, aux_logits, _ = md.forward_parts(model_of(p), v, a)
             return md.total_loss(
                 nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam
             )
 
-        _, _, record = md.forward_parts(model_of(params), v, propagated)
+        _, _, record = md.forward_parts(model_of(params), v, a)
         grads = nn.backward(record, target)
         analytic = [grads.gc_weight, grads.main_weight, grads.main_bias,
                     grads.aux_weight, grads.aux_bias]
@@ -227,7 +226,7 @@ def test_criterion_7_gcn_numerics():
     v = np.array([[1.0], [0.0]])
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, 1, 1, 2, 0.0, np.ones)
     propagated = nn.propagate(a, v)
-    _, _, record = md.forward_parts(model, v, propagated)
+    _, _, record = md.forward_parts(model, v, a)
     # with the unit hidden weight the propagation is the pre-activation
     np.testing.assert_array_equal(propagated.ravel(), [0.75, 0.5])
     expected = np.array([1 / (1 + math.exp(-0.75)), 1 / (1 + math.exp(-0.5))])

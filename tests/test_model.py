@@ -45,7 +45,7 @@ class TestForward:
         # single node: adjacency [[1]], propagation returns V itself
         propagated = nn.propagate(np.array([[1.0]]), v)
         np.testing.assert_allclose(propagated, v, atol=1e-15, rtol=0)
-        logits, aux_logits, _ = md.forward_parts(model, v, propagated)
+        logits, aux_logits, _ = md.forward_parts(model, v, np.array([[1.0]]))
         np.testing.assert_allclose(logits, aux_logits, atol=1e-15, rtol=0)
 
     def test_eval_only_matches_baseline_on_half_mean_shift(self):
@@ -54,9 +54,8 @@ class TestForward:
         head = nn.ClassifierParams(rng.standard_normal((4, 3)), rng.standard_normal(3))
         baseline = md.DgnModel(AblationMode.BASELINE, 4, 4, 3, 0.0, head)
         # uniform relations: propagation equals (V + mean(V)) / 2
-        propagated = nn.propagate(np.full((6, 6), 1.0 / 6), v)
         plug_logits, _, _ = md.forward_parts(
-            baseline, v, propagated, AblationMode.EVAL_ONLY_IODP
+            baseline, v, np.full((6, 6), 1.0 / 6), AblationMode.EVAL_ONLY_IODP
         )
         shifted = (v + v.mean(axis=0)) / 2
         base_logits, _, _ = md.forward_parts(baseline, shifted, None)
@@ -73,13 +72,13 @@ class TestForward:
         model = md.init_model(AblationMode.FULL, 3, 2, config)
         rng = np.random.default_rng(2)
         v = rng.standard_normal((4, 3))
-        propagated = nn.propagate(np.full((4, 4), 0.25), v)
-        _, _, record = md.forward_parts(model, v, propagated)
+        adjacency = np.full((4, 4), 0.25)
+        _, _, record = md.forward_parts(model, v, adjacency)
         assert record.gc_weight is model.gc_weight
         # the aux path reads the same array: mutating it changes both paths
-        before_main, before_aux, _ = md.forward_parts(model, v, propagated)
+        before_main, before_aux, _ = md.forward_parts(model, v, adjacency)
         model.gc_weight[:] = 0.0
-        after_main, after_aux, recer = md.forward_parts(model, v, propagated)
+        after_main, after_aux, recer = md.forward_parts(model, v, adjacency)
         assert not np.array_equal(before_main, after_main)
         assert not np.array_equal(before_aux, after_aux)
 
@@ -264,6 +263,25 @@ def test_train_and_evaluate_build_no_dense_matrix(trained_setup, monkeypatch):
         md.evaluate(model, test_corpus, proto)
 
 
+def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_setup, monkeypatch):
+    train_corpus, test_corpus, proto = trained_setup
+    data = md._prepared_inputs(train_corpus, proto, True)
+    assert all(isinstance(adjacency, gr.LabelAdjacency) for _, adjacency, _ in data)
+    widths = []
+
+    def counted(adjacency, x):
+        widths.append(x.shape[1])
+        return nn.propagate(adjacency, x)
+
+    monkeypatch.setattr(md, "propagate", counted)
+    config = TrainConfig(epochs=1, seed=304, hidden_dim=5)  # the corpus has 16 channels
+    for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
+        model, _ = md.train(train_corpus, proto, config, mode)
+        md.evaluate(model, test_corpus, proto)
+    # one weight-first propagation per forward, never of the 16 raw channels
+    assert widths == [5] * (2 * (len(train_corpus.instances) + len(test_corpus.instances)))
+
+
 class TestCheckpoints:
     def test_round_trip_all_saved_modes(self, tmp_path, trained_setup):
         train_corpus, _, proto = trained_setup
@@ -312,7 +330,8 @@ class TestCheckpoints:
             assert path.read_bytes().endswith(payload)
             inst = train_corpus.instances[0]
             features = inst.feature_map.values.reshape(-1, model.in_channels)
-            _, _, record = md.forward_parts(model, features, features)
+            n = features.shape[0]
+            _, _, record = md.forward_parts(model, features, np.zeros((n, n)))
             grads = list(nn.backward(record, inst.scene_id))
             expected = [a.shape for a in arrays]
             if mode is not AblationMode.FULL:

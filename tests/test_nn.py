@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dgn import model as md
-from dgn import nn
+from dgn import nn, oracle
 from dgn.corpus import Corpus, FeatureMap, Instance, LabelMap
 from dgn.errors import ValidationError
 from dgn.model import AblationMode
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
+from tests.test_acceptance import _gradcheck_relative_error
+from tests.test_oracle import factored_graph
 
 
 def graph_layer(adjacency, features, weight):
@@ -16,9 +18,8 @@ def graph_layer(adjacency, features, weight):
     c, d = np.shape(weight)
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, c, d, 2, 0.0, np.zeros)
     model.gc_weight = np.asarray(weight, dtype=np.float64)
-    propagated = nn.propagate(adjacency, features)
-    _, _, record = md.forward_parts(model, features, propagated)
-    return propagated, record.hidden
+    _, _, record = md.forward_parts(model, features, adjacency)
+    return nn.propagate(adjacency, features), record.hidden
 
 
 class TestGcnForward:
@@ -70,6 +71,18 @@ class TestGcnForward:
         v = rng.standard_normal((5, 3)) * 3
         _, out = graph_layer(a, v, rng.standard_normal((3, 3)))
         assert (out > 0).all() and (out < 1).all()
+
+
+def test_sigmoid_matches_the_logistic_and_leaves_its_input():
+    x = np.linspace(-36.0, 36.0, 7201).reshape(7201, 1)
+    kept = x.copy()
+    s = nn.sigmoid(x)
+    np.testing.assert_array_equal(x, kept)
+    assert s is not x
+    np.testing.assert_allclose(s, 1.0 / (1.0 + np.exp(-x)), atol=1e-15, rtol=0)
+    # tanh saturates: far below zero the result is exactly 0, never negative
+    assert nn.sigmoid(np.array([-40.0, -700.0])).tolist() == [0.0, 0.0]
+    assert nn.sigmoid(np.array([700.0])).tolist() == [1.0]
 
 
 def test_gap():
@@ -145,6 +158,32 @@ class TestAdam:
         minus = nn.adam_step([-q.copy() for q in p], [-h for h in g], s2)
         np.testing.assert_array_equal(plus[0], -minus[0])
 
+    def test_same_bytes_as_the_plain_update_and_inputs_untouched(self):
+        # the in-place update against the plain expression it must reproduce
+        rng = np.random.default_rng(8)
+        params = [rng.standard_normal((6, 4)), rng.standard_normal(4)]
+        state = nn.AdamState.for_params(params, lr=0.01, weight_decay=1e-3)
+        ref, ref_m, ref_v = params, [np.zeros_like(q) for q in params], [np.zeros_like(q) for q in params]
+        for t in range(1, 21):
+            grads = [rng.standard_normal(q.shape) for q in params]
+            kept = [q.copy() for q in params], [g.copy() for g in grads]
+            out = nn.adam_step(params, grads, state)
+            for q, g, q0, g0, new in zip(params, grads, *kept, out):
+                np.testing.assert_array_equal(q, q0)
+                np.testing.assert_array_equal(g, g0)
+                assert new is not q and new is not g
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            step = []
+            for q, g, m, v in zip(ref, grads, ref_m, ref_v):
+                q = q * (1.0 - 0.01 * 1e-3)
+                m[:] = 0.9 * m + (1.0 - 0.9) * g
+                v[:] = 0.999 * v + (1.0 - 0.999) * g * g
+                step.append(q - 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8))
+            ref = step
+            for new, expected in zip(out, ref):
+                assert new.tobytes() == expected.tobytes()
+            params = out
+
     def test_shape_mismatch(self):
         p = [np.zeros(2)]
         state = nn.AdamState.for_params(p, lr=0.001)
@@ -175,9 +214,8 @@ class TestBackward:
         v = rng.standard_normal((n, c))
         a = rng.random((n, n))
         a /= a.sum(1, keepdims=True)
-        p = nn.propagate(a, v)
         w = rng.standard_normal((c, d)) * 0.4
-        hidden = nn.sigmoid(p @ w)
+        hidden = nn.sigmoid(nn.propagate(a, v @ w))
         pooled = nn.gap(hidden)
         main = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
         aux = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
@@ -189,7 +227,7 @@ class TestBackward:
             main_head=main,
             main_logits=nn.linear(pooled, main),
             lam=lam,
-            propagated=p,
+            adjacency=a,
             gc_weight=w,
             hidden=hidden,
             aux_hidden=aux_hidden,
@@ -215,3 +253,37 @@ class TestBackward:
         np.testing.assert_array_equal(g2.aux_weight, 2.0 * g1.aux_weight)
         np.testing.assert_array_equal(g2.aux_bias, 2.0 * g1.aux_bias)
         np.testing.assert_array_equal(g1.main_weight, g2.main_weight)
+
+    def test_gradient_check_through_label_space_adjacency(self):
+        # criterion 6 with a label-space adjacency whose ids 3 and 4 relate to
+        # nothing: their rows are uniform, and M^T runs through label space
+        rng = np.random.default_rng(1007)
+        omega = rng.random((5, 5))
+        omega = (omega + omega.T) / 2
+        omega[3:, :] = omega[:, 3:] = 0.0
+        for trial in range(9):
+            labels = rng.integers(0, 5, size=(int(rng.integers(1, 4)), int(rng.integers(2, 4))))
+            labels.flat[0] = 3
+            c, d, C = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 3
+            lam = (0.0, 0.25, 1.0)[trial % 3]
+            graph = factored_graph(labels, omega, rng, c)
+            v, target = graph.nodes.features, int(rng.integers(0, C))
+            params = [rng.standard_normal(shape) * 0.6 for shape in ((c, d), (d, C), (C,), (d, C), (C,))]
+
+            def model_of(p):
+                return md.DgnModel(
+                    AblationMode.FULL, c, d, C, lam, nn.ClassifierParams(p[1], p[2]),
+                    gc_weight=p[0], aux_head=nn.ClassifierParams(p[3], p[4]),
+                )
+
+            def loss_of(p):
+                logits, aux_logits, _ = md.forward_parts(model_of(p), v, graph.adjacency)
+                return md.total_loss(
+                    nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam
+                )
+
+            _, _, record = md.forward_parts(model_of(params), v, graph.adjacency)
+            analytic = list(nn.backward(record, target))
+            numeric = oracle.fd_gradient(loss_of, params, h=1e-6)
+            for a_, f_ in zip(analytic, numeric):
+                assert _gradcheck_relative_error(a_, f_) <= 1e-6

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dgn import model as md
 from dgn import nn, oracle
 from dgn.corpus import FeatureMap, LabelMap
+from dgn.errors import ValidationError
 from dgn.graph import build_graph
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, build_prototype
 from tests.test_prototype import TOY_OMEGA, presence_corpus, random_presence_corpus
@@ -112,6 +114,76 @@ class TestFactoredPropagation:
             graph = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
             np.testing.assert_array_equal(graph.adjacency.sum(axis=1), 1.0)
             assert_factored_matches_dense(graph)
+
+
+def assert_adjoint_matches_dense(graph, rng):
+    """``propagate_adjoint`` in label space against the scalar loop's transpose."""
+    v = graph.nodes.features
+    n, c = v.shape
+    y = rng.standard_normal((n, c))
+    dense = np.asarray(graph.adjacency)
+    adjoint = nn.propagate_adjoint(graph.adjacency, y)
+    # <M V, Y> = <V, M^T Y>
+    assert abs(np.sum(oracle.naive_propagate(dense, v) * y) - np.sum(v * adjoint)) <= 1e-12
+    m = oracle.naive_propagate(dense, np.eye(n))
+    assert oracle.compare(adjoint, m.T @ y).max_abs_deviation <= 1e-12
+    assert oracle.compare(nn.propagate_adjoint(dense, y), m.T @ y).max_abs_deviation <= 1e-12
+
+
+def assert_eval_only_pool_matches_dense(graph):
+    """The eval-only mode pools through the adjoint; the oracle pools the propagation."""
+    v = graph.nodes.features
+    c = v.shape[1]
+    baseline = md.DgnModel.assemble(md.AblationMode.BASELINE, c, c, 2, 0.0, np.zeros)
+    _, _, record = md.forward_parts(baseline, v, graph.adjacency, md.AblationMode.EVAL_ONLY_IODP)
+    slow = nn.gap(oracle.naive_propagate(np.asarray(graph.adjacency), v))
+    assert oracle.compare(record.pooled, slow).max_abs_deviation <= 1e-12
+
+
+class TestAdjoint:
+    """``M^T`` of the label-space adjacency, on the fixtures of TestFactoredPropagation."""
+
+    def test_all_zero_rows(self):
+        rng = np.random.default_rng(16)
+        omega = np.array([[1.0, 0.0], [0.0, 0.0]])
+        graph = factored_graph(np.array([[0, 1, 1], [1, 0, 1]]), omega, rng)
+        assert int((graph.affinity.sum(axis=1) == 0).sum()) == 4
+        assert_adjoint_matches_dense(graph, rng)
+        assert_eval_only_pool_matches_dense(graph)
+
+    def test_every_row_zero(self):
+        rng = np.random.default_rng(17)
+        graph = factored_graph(np.array([[0, 1], [2, 1]]), np.zeros((3, 3)), rng)
+        assert_adjoint_matches_dense(graph, rng)
+        assert_eval_only_pool_matches_dense(graph)
+
+    def test_single_label_map(self):
+        rng = np.random.default_rng(18)
+        for self_relation in (0.0, 0.7):
+            graph = factored_graph(np.full((3, 4), 2), np.full((3, 3), self_relation), rng)
+            assert_adjoint_matches_dense(graph, rng)
+            assert_eval_only_pool_matches_dense(graph)
+
+    def test_vocab_larger_than_node_count(self):
+        rng = np.random.default_rng(19)
+        omega = rng.random((12, 12))
+        graph = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
+        assert_adjoint_matches_dense(graph, rng)
+        assert_eval_only_pool_matches_dense(graph)
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            vocab = int(rng.integers(1, 9))
+            omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
+            labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
+            graph = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
+            assert_adjoint_matches_dense(graph, rng)
+            assert_eval_only_pool_matches_dense(graph)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValidationError):
+            nn.propagate_adjoint(np.eye(3), np.ones((2, 2)))
 
 
 class TestFdGradient:

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from dgn import corpus as cp
 from dgn import graph as gr
-from dgn import nn
+from dgn import nn, oracle
 from dgn import prototype as pt
 from tests.test_prototype import presence_corpus
 
@@ -151,6 +151,30 @@ def test_propagation_never_expands_max_norm(n, c, seed):
     v = rng.standard_normal((n, c)) * 10
     out = nn.propagate(a, v)
     assert np.abs(out).max() <= np.abs(v).max() + 1e-12
+
+
+@settings(max_examples=50)
+@given(
+    label_grids.filter(lambda g: g.size <= 30),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_label_space_adjoint_identity(grid, c, sparsity, seed):
+    # <M V, Y> = <V, M^T Y> for the label-space adjacency, zero-affinity rows included
+    rng = np.random.default_rng(seed)
+    omega = rng.random((7, 7)) * (rng.random((7, 7)) >= sparsity)
+    proto = pt.Prototype(
+        7, (omega + omega.T) / 2, pt.CooccurrenceMode.INDEPENDENT, pt.DispersionMetric.COEFF_VAR,
+        True, 2,
+    )
+    h, w = grid.shape
+    graph = gr.build_graph(cp.FeatureMap(rng.standard_normal((h, w, c))), cp.LabelMap(grid, 7), proto)
+    v = graph.nodes.features
+    y = rng.standard_normal(v.shape)
+    lhs = np.sum(oracle.naive_propagate(np.asarray(graph.adjacency), v) * y)
+    rhs = np.sum(v * nn.propagate_adjoint(graph.adjacency, y))
+    assert abs(lhs - rhs) <= 1e-12
 
 
 @given(
