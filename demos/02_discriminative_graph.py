@@ -7,8 +7,9 @@ averages each node with its relation-weighted neighborhood: nodes of inert
 (common) objects mostly listen to discriminative ones, which concentrates
 class evidence and averages noise away.
 
-The graph keeps its adjacency in label space (one prototype block over the
-object ids present); ``np.asarray`` builds the dense n x n matrix to look at.
+``build_graph`` returns the adjacency in label space (one prototype block over
+the object ids present); ``np.asarray`` builds the dense n x n matrix to look
+at, and ``extract_local_knowledge`` the raw affinity.
 """
 
 import numpy as np
@@ -27,36 +28,38 @@ proto = dgn.build_prototype(train, dgn.CooccurrenceMode.INDEPENDENT)
 
 inst = train.instances[0]
 cells = dgn.nn_resize(inst.label_map, spec.grid_cells, spec.grid_cells)
-graph = dgn.build_graph(inst.feature_map, cells, proto)
+adjacency = dgn.build_graph(inst.feature_map, cells, proto)
+# node i is pixel (i mod width, i div width), of the features as of the labels
+features = inst.feature_map.values.reshape(-1, spec.channels)
 
-n = graph.nodes.n
+n = features.shape[0]
 print(f"instance of class {inst.scene_id}: {n} nodes, vocab {spec.vocab_size}")
-print("node object ids:", graph.nodes.semantics.reshape(spec.grid_cells, spec.grid_cells))
+print("node object ids:", adjacency.semantics.reshape(spec.grid_cells, spec.grid_cells))
 
-disc = graph.nodes.semantics < spec.disc_per_class * spec.num_classes
+disc = adjacency.semantics < spec.disc_per_class * spec.num_classes
 print(f"\n{disc.sum()} discriminative nodes, {n - disc.sum()} common nodes")
 print("affinity row of a common node (attention concentrates on the",
       "discriminative columns):")
-common_row = graph.affinity[np.flatnonzero(~disc)[0]]
+common_row = dgn.extract_local_knowledge(adjacency.semantics, proto)[np.flatnonzero(~disc)[0]]
 print(np.round(common_row, 2).reshape(spec.grid_cells, spec.grid_cells))
-dense = np.asarray(graph.adjacency)
-print(f"label-space block {graph.adjacency.omega.shape[0]}x{graph.adjacency.omega.shape[1]},",
+dense = np.asarray(adjacency)
+print(f"label-space block {adjacency.omega.shape[0]}x{adjacency.omega.shape[1]},",
       f"dense adjacency {dense.shape[0]}x{dense.shape[1]}")
 print("every adjacency row sums to one:", np.allclose(dense.sum(axis=1), 1.0))
 print("label-space propagation equals the dense one:",
-      np.allclose(nn.propagate(graph.adjacency, graph.nodes.features),
-                  nn.propagate(dense, graph.nodes.features), atol=1e-12, rtol=0))
+      np.allclose(nn.propagate(adjacency, features),
+                  nn.propagate(dense, features), atol=1e-12, rtol=0))
 
 # propagation pulls class signal into the common nodes
-mixed = nn.propagate(graph.adjacency, graph.nodes.features)
+mixed = nn.propagate(adjacency, features)
 signal_channels = np.arange(inst.scene_id * 3, inst.scene_id * 3 + 3)
 
-before = graph.nodes.features[~disc][:, signal_channels].mean()
+before = features[~disc][:, signal_channels].mean()
 after = mixed[~disc][:, signal_channels].mean()
 print(f"\nmean class-channel response of common nodes: {before:+.3f} before,"
       f" {after:+.3f} after propagation")
 
-pooled_before = graph.nodes.features.mean(axis=0)
+pooled_before = features.mean(axis=0)
 pooled_after = mixed.mean(axis=0)
 print("pooled class-channel response:",
       f"{pooled_before[signal_channels].mean():+.3f} before,",
@@ -66,15 +69,15 @@ print("pooled class-channel response:",
 # so a trained model propagates V W and never keeps the propagated V
 w = rng.standard_normal((spec.channels, 4))
 print("\nweight-first layer equals propagate-first:",
-      np.allclose(nn.propagate(graph.adjacency, graph.nodes.features @ w), mixed @ w,
+      np.allclose(nn.propagate(adjacency, features @ w), mixed @ w,
                   atol=1e-12, rtol=0))
 # the plug-and-play mode pools through the adjoint: gap(M V) = (M^T 1/n)^T V
-weights = nn.propagate_adjoint(graph.adjacency, np.full((n, 1), 1.0 / n))[:, 0]
+weights = nn.propagate_adjoint(adjacency, np.full((n, 1), 1.0 / n))[:, 0]
 print("pooling through the adjoint equals pooling the propagation:",
-      np.allclose(weights @ graph.nodes.features, pooled_after, atol=1e-12, rtol=0))
+      np.allclose(weights @ features, pooled_after, atol=1e-12, rtol=0))
 
 # forward_parts takes the adjacency itself; a train-eval-iodp model's hidden layer
 model = dgn.init_model(dgn.AblationMode.TRAIN_EVAL_IODP, spec.channels, spec.num_classes,
                        dgn.TrainConfig(hidden_dim=4))
-logits, _, record = dgn.model.forward_parts(model, graph.nodes.features, graph.adjacency)
+logits, _, record = dgn.model.forward_parts(model, features, adjacency)
 print("hidden layer", record.hidden.shape, "logits", np.round(logits, 3))

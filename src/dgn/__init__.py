@@ -19,9 +19,7 @@ from .corpus import (
 )
 from .errors import FormatError, ValidationError
 from .graph import (
-    DiscriminativeGraph,
     LabelAdjacency,
-    NodeSet,
     build_graph,
     extract_local_knowledge,
     row_normalize,
@@ -54,7 +52,6 @@ __all__ = [
     "Corpus",
     "CooccurrenceMode",
     "DgnModel",
-    "DiscriminativeGraph",
     "DispersionMetric",
     "EvalReport",
     "FeatureMap",
@@ -62,7 +59,6 @@ __all__ = [
     "Instance",
     "LabelAdjacency",
     "LabelMap",
-    "NodeSet",
     "Prototype",
     "SyntheticSpec",
     "TrainConfig",

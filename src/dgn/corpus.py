@@ -213,7 +213,10 @@ _HEADER_RE = re.compile(r"^#DGN-MANIFEST v1 C=(\d+) L=(\d+)$")
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Read a manifest back into memory."""
     manifest_path = Path(manifest_path)
-    text = manifest_path.read_text(encoding="utf-8")
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{manifest_path}: not UTF-8 text (byte {exc.start})") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{manifest_path}: empty manifest")

@@ -6,7 +6,7 @@ feature resolution.  Row normalization turns the gathered weights into a
 row-stochastic adjacency matrix.
 
 That adjacency is ``A = D^-1 P omega P^T``, where ``P`` is the n x L one-hot
-matrix of node object ids, so ``build_graph`` keeps it in label space: over
+matrix of node object ids, so ``build_graph`` returns it in label space: over
 the k <= min(n, L) ids present, ``A @ V`` costs O(nkc + k^2 c) time and
 O(nc + k^2) memory instead of O(n^2 c) and O(n^2).  The dense n x n
 affinity and adjacency are built only on request, through
@@ -23,18 +23,6 @@ import numpy as np
 from .corpus import FeatureMap, LabelMap
 from .errors import ValidationError
 from .prototype import Prototype
-
-
-@dataclass(frozen=True, eq=False)
-class NodeSet:
-    """Flattened pixel features and their object ids, row-major pixel order."""
-
-    features: np.ndarray  # (n, channels) float64
-    semantics: np.ndarray  # (n,) int
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +106,8 @@ class _TransposedLabelAdjacency:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class DiscriminativeGraph:
-    nodes: NodeSet
-    adjacency: LabelAdjacency  # row-stochastic, (n, n) in label space
-
-    @property
-    def affinity(self) -> np.ndarray:
-        """Raw gathered weights, a dense (n, n) non-negative matrix."""
-        return extract_local_knowledge(self.adjacency.semantics, self.adjacency.prototype)
-
-
-def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> NodeSet:
-    """Node i is pixel (i mod width, i div width) of both inputs."""
+def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
+    """(n x channels features, n object ids); node i is pixel (i mod width, i div width)."""
     if (resized_labels.height, resized_labels.width) != (feature_map.height, feature_map.width):
         raise ValidationError(
             f"label map {resized_labels.height}x{resized_labels.width} does not match "
@@ -139,7 +116,7 @@ def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> NodeSet:
     n = feature_map.height * feature_map.width
     features = feature_map.values.reshape(n, feature_map.channels)
     semantics = resized_labels.labels.reshape(n).astype(np.int64)
-    return NodeSet(features, semantics)
+    return features, semantics
 
 
 def _checked_ids(semantics: np.ndarray, prototype: Prototype) -> np.ndarray:
@@ -178,9 +155,8 @@ def row_normalize(affinity: np.ndarray) -> np.ndarray:
 
 def build_graph(
     feature_map: FeatureMap, resized_labels: LabelMap, prototype: Prototype
-) -> DiscriminativeGraph:
-    nodes = flatten(feature_map, resized_labels)
-    sem = _checked_ids(nodes.semantics, prototype)
+) -> LabelAdjacency:
+    """The adjacency of the graph over the pixels of ``feature_map``."""
+    sem = _checked_ids(flatten(feature_map, resized_labels)[1], prototype)
     present, inverse = np.unique(sem, return_inverse=True)
-    omega = prototype.omega[np.ix_(present, present)]
-    return DiscriminativeGraph(nodes, LabelAdjacency(sem, prototype, inverse, omega))
+    return LabelAdjacency(sem, prototype, inverse, prototype.omega[np.ix_(present, present)])

@@ -50,16 +50,11 @@ class AblationMode(enum.Enum):
     FULL = "full"
 
 
-_MODE_BYTE = {
-    AblationMode.BASELINE: 0,
-    AblationMode.EVAL_ONLY_IODP: 1,
-    AblationMode.TRAIN_EVAL_IODP: 2,
-    AblationMode.FULL: 3,
-}
+# byte 1 is eval-only-iodp, an evaluation mode that no checkpoint holds
+_MODE_BYTE = {AblationMode.BASELINE: 0, AblationMode.TRAIN_EVAL_IODP: 2, AblationMode.FULL: 3}
 _BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
 
 _GRAPH_MODES = (AblationMode.EVAL_ONLY_IODP, AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL)
-_BASELINE_SHAPED = (AblationMode.BASELINE, AblationMode.EVAL_ONLY_IODP)
 # checkpoint mode -> the eval modes that can score it; its keys are the modes
 # ``train`` writes
 _EVAL_MODES = {
@@ -91,34 +86,38 @@ class DgnModel:
     def assemble(cls, mode: AblationMode, c: int, d: int, k: int, lam: float, block) -> DgnModel:
         """The parameter layout: which blocks ``mode`` has and their shapes.
 
-        For ``c`` input channels, hidden width ``d`` and ``k`` classes,
-        baseline-shaped modes have a (c, k) main head; graph modes have the
-        shared (c, d) hidden weight plus (d, k) main and auxiliary heads.
-        ``block(shape)`` supplies each block and is called in checkpoint
-        order, the order of :meth:`blocks`.
+        For ``c`` input channels, hidden width ``d`` and ``k`` classes, the
+        baseline has a (c, k) main head; graph modes have the shared (c, d)
+        hidden weight plus (d, k) main and auxiliary heads.  ``block(shape)``
+        supplies each block and is called in checkpoint order, the order of
+        :meth:`blocks`.
         """
-        if mode in _BASELINE_SHAPED:
+        if mode is AblationMode.BASELINE:
             return cls(mode, c, d, k, lam, ClassifierParams(block((c, k)), block((k,))))
         gc_weight = block((c, d))
         main_head = ClassifierParams(block((d, k)), block((k,)))
         aux_head = ClassifierParams(block((d, k)), block((k,)))
         return cls(mode, c, d, k, lam, main_head, gc_weight, aux_head)
 
-    def blocks(self, aux: bool = True) -> list[tuple[object, str]]:
-        """(owner, attribute) of every parameter block, in checkpoint order.
+    def blocks(self, aux: bool = True) -> list[np.ndarray]:
+        """Every parameter block, in checkpoint order.
 
         The order is shared hidden weight, main weight, main bias, aux weight,
         aux bias, skipping blocks the model does not have; ``aux=False``
         leaves out the auxiliary head.  ``nn.Gradients`` iterates alike.
         """
-        out = [] if self.gc_weight is None else [(self, "gc_weight")]
-        out += [(self.main_head, "weight"), (self.main_head, "bias")]
+        out = [] if self.gc_weight is None else [self.gc_weight]
+        out += [self.main_head.weight, self.main_head.bias]
         if aux and self.aux_head is not None:
-            out += [(self.aux_head, "weight"), (self.aux_head, "bias")]
+            out += [self.aux_head.weight, self.aux_head.bias]
         return out
 
     def parameter_count(self) -> int:
-        return sum(getattr(owner, attr).size for owner, attr in self.blocks())
+        return sum(p.size for p in self.blocks())
+
+
+# the learning rate drops by this factor at each epoch in ``decay_epochs``
+DECAY_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,14 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.001
     decay_epochs: tuple[int, ...] = (10, 15, 20)
-    decay_factor: float = 0.1
     weight_decay: float = 1e-5
     lam: float = 0.25
     hidden_dim: int | None = None  # None: match the feature channel count
     seed: int = 304
 
     def validate(self) -> None:
+        if not all(math.isfinite(x) for x in (self.lr, self.weight_decay, self.lam)):
+            raise ValidationError("lr, weight_decay and lam must be finite")
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ValidationError("epochs, batch_size and lr must be positive")
         if self.lam < 0 or self.weight_decay < 0:
@@ -166,7 +166,7 @@ def init_model(
     """Deterministic Xavier initialization; weights per sub-seed, biases zero."""
     keys = np.random.SeedSequence(config.seed).spawn(3)
     lam = config.lam if mode is AblationMode.FULL else 0.0
-    d = in_channels if mode in _BASELINE_SHAPED or config.hidden_dim is None else config.hidden_dim
+    d = in_channels if mode is AblationMode.BASELINE or config.hidden_dim is None else config.hidden_dim
     model = DgnModel.assemble(mode, in_channels, d, num_classes, lam, np.zeros)
     model.main_head.weight = xavier_init(*model.main_head.weight.shape, keys[1])
     if model.gc_weight is not None:
@@ -255,7 +255,7 @@ def _prepared_inputs(
         adjacency = None
         if needs_graph:
             resized = nn_resize(inst.label_map, w1, h1)
-            adjacency = build_graph(inst.feature_map, resized, prototype).adjacency
+            adjacency = build_graph(inst.feature_map, resized, prototype)
         out.append((features, adjacency, inst.scene_id))
     return out
 
@@ -281,7 +281,7 @@ def train(
 
     Batches accumulate per-instance gradients and apply one optimizer step
     per batch (the mean of the per-instance losses).  The learning rate
-    drops by ``decay_factor`` at each epoch in ``decay_epochs``.  When
+    drops by ``DECAY_FACTOR`` at each epoch in ``decay_epochs``.  When
     ``eval_corpus`` is given, each epoch's stats include its accuracy.
     """
     config.validate()
@@ -296,23 +296,20 @@ def train(
     c = train_corpus.feature_shape[2]
     model = init_model(mode, c, train_corpus.num_classes, config)
     # the auxiliary head is optimized only when its loss has weight
-    trained = model.blocks(aux=mode is AblationMode.FULL and config.lam > 0)
-    state = AdamState.for_params(
-        [getattr(owner, attr) for owner, attr in trained], config.lr, config.weight_decay
-    )
+    params = model.blocks(aux=mode is AblationMode.FULL and config.lam > 0)
+    state = AdamState.for_params(params, config.lr, config.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
 
     trace: list[EpochStats] = []
     n_total = len(data)
     for epoch in range(1, config.epochs + 1):
         drops = sum(1 for boundary in config.decay_epochs if epoch >= boundary)
-        state.lr = config.lr * config.decay_factor**drops
+        state.lr = config.lr * DECAY_FACTOR**drops
         order = shuffle_rng.permutation(n_total)
         sums = {"loss": 0.0, "main": 0.0, "aux": 0.0}
         correct = 0
         for start in range(0, n_total, config.batch_size):
             batch = order[start : start + config.batch_size]
-            params = [getattr(owner, attr) for owner, attr in trained]
             grad_sums = [np.zeros_like(p) for p in params]
             batch_loss = 0.0
             for idx in batch:
@@ -331,9 +328,7 @@ def train(
                 correct += int(np.argmax(logits) == target)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"non-finite loss in epoch {epoch}")
-            mean_grads = [g / batch.size for g in grad_sums]
-            for (owner, attr), p in zip(trained, adam_step(params, mean_grads, state)):
-                setattr(owner, attr, p)
+            adam_step(params, [g / batch.size for g in grad_sums], state)
         val_accuracy = None
         if eval_corpus is not None:
             val_accuracy = evaluate(model, eval_corpus, prototype, mode).accuracy
@@ -398,7 +393,7 @@ def save_model(model: DgnModel, path: str | Path) -> None:
         + fileio.pack_u8(_MODE_BYTE[model.mode])
         + fileio.pack_u32(model.in_channels, model.hidden_dim, model.num_classes)
         + fileio.pack_f64(model.lam)
-        + b"".join(getattr(owner, attr).astype("<f8").tobytes() for owner, attr in model.blocks())
+        + b"".join(p.astype("<f8").tobytes() for p in model.blocks())
     )
     fileio.atomic_write_bytes(path, payload)
 
@@ -410,7 +405,7 @@ def load_model(path: str | Path) -> DgnModel:
     r.version()
     mode_byte = r.u8()
     mode = _BYTE_MODE.get(mode_byte)
-    if mode not in _EVAL_MODES:
+    if mode is None:
         raise ValidationError(f"{path}: mode byte {mode_byte} is not a trained model's mode")
     c, d, num_classes = r.u32(), r.u32(), r.u32()
     lam = r.f64()

@@ -209,11 +209,10 @@ def adam_step(
     """One Adam update with bias correction and decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr * wd) before the moment update,
-    so a zero-gradient step with decay is a pure shrink.  Returns new
-    parameter arrays and leaves ``params`` and ``grads`` alone; the moments
-    are updated in place.  Each update is
-    ``p * (1 - lr * wd) - lr * (m / bc1) / (sqrt(v / bc2) + eps)``, in that
-    operation order, through one scratch buffer per block.
+    so a zero-gradient step with decay is a pure shrink.  Updates ``params``
+    and the moments in place, leaves ``grads`` alone and returns ``params``.
+    Each update is ``p *= 1 - lr * wd; p -= lr * (m / bc1) / (sqrt(v / bc2)
+    + eps)``, in that operation order.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValidationError("params/grads/state length mismatch")
@@ -223,7 +222,6 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    out = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         step = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
@@ -235,13 +233,12 @@ def adam_step(
         np.divide(v, bc2, out=step)
         np.sqrt(step, out=step)
         step += state.eps
-        new = np.divide(m, bc1)
-        new *= state.lr
-        new /= step
-        np.multiply(p, 1.0 - state.lr * state.weight_decay, out=step)
-        np.subtract(step, new, out=new)
-        out.append(new)
-    return out
+        update = np.divide(m, bc1)
+        update *= state.lr
+        update /= step
+        p *= 1.0 - state.lr * state.weight_decay
+        p -= update
+    return params
 
 
 def xavier_init(rows: int, cols: int, seed) -> np.ndarray:

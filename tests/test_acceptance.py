@@ -157,13 +157,13 @@ def test_criterion_5_graph_suite():
     uniform_proto = pt.Prototype(
         2, np.full((2, 2), 0.4), CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
     )
-    g = dgn.build_graph(
+    adjacency = dgn.build_graph(
         dgn.FeatureMap(v.reshape(2, 3, 3)),
         dgn.LabelMap(np.random.default_rng(9).integers(0, 2, size=(2, 3)), 2),
         uniform_proto,
     )
     np.testing.assert_allclose(
-        nn.propagate(g.adjacency, v), (v + v.mean(axis=0)) / 2, atol=1e-12, rtol=0
+        nn.propagate(adjacency, v), (v + v.mean(axis=0)) / 2, atol=1e-12, rtol=0
     )
     passed(5, "graph suite")
 

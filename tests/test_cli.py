@@ -276,26 +276,69 @@ def test_defective_checkpoint_exits_2_at_load(trained_artifacts, tmp_path, defec
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.dgnm"]
 
 
-def test_non_integer_scene_id_exits_2(trained_artifacts, tmp_path):
-    data, proto, baseline, _ = trained_artifacts
+def relocated_manifest(data):
+    """Header and rows of the train manifest with absolute map paths, so a
+    copy can live outside the corpus directory."""
     header, *body = (data / "train.manifest").read_text().splitlines()
-    # absolute map paths, so the manifest can live outside the corpus directory
     rows = []
     for row in body:
         scene, label, feature = row.split("\t")
         rows.append("\t".join([scene, str(data / label), str(data / feature)]))
-    rows[0] = "x" + rows[0]
-    bad = tmp_path / "bad.manifest"
-    bad.write_text("\n".join([header, *rows]) + "\n")
+    return header, rows
+
+
+def assert_manifest_refused(bad, baseline, message):
+    """``iodp``, ``train`` and ``eval`` exit 2 naming ``bad`` and write nothing."""
+    out = bad.parent
     for args in (
-        ("iodp", "--manifest", bad, "--out", tmp_path / "p.dgnp"),
-        ("train", "--manifest", bad, "--mode", "baseline", "--checkpoint", tmp_path / "x.dgnm"),
-        ("eval", "--manifest", bad, "--checkpoint", baseline, "--out", tmp_path / "r.csv"),
+        ("iodp", "--manifest", bad, "--out", out / "p.dgnp"),
+        ("train", "--manifest", bad, "--mode", "baseline", "--checkpoint", out / "x.dgnm"),
+        ("eval", "--manifest", bad, "--checkpoint", baseline, "--out", out / "r.csv"),
     ):
         result = run_cli(*args)
         assert result.returncode == 2, result.stderr
-        assert "scene id" in result.stderr and "bad.manifest" in result.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.manifest"]
+        assert message in result.stderr and bad.name in result.stderr
+    assert sorted(p.name for p in out.iterdir()) == [bad.name]
+
+
+def test_non_integer_scene_id_exits_2(trained_artifacts, tmp_path):
+    data, proto, baseline, _ = trained_artifacts
+    header, rows = relocated_manifest(data)
+    rows[0] = "x" + rows[0]
+    bad = tmp_path / "bad.manifest"
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    assert_manifest_refused(bad, baseline, "scene id")
+
+
+def test_non_utf8_manifest_exits_2(trained_artifacts, tmp_path):
+    data, _, baseline, _ = trained_artifacts
+    header, rows = relocated_manifest(data)
+    bad = tmp_path / "bad.manifest"
+    bad.write_bytes(("\n".join([header, *rows]) + "\n").encode() + b"\xff")
+    assert_manifest_refused(bad, baseline, "UTF-8")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--mode", "baseline", "--lr", "nan"),
+        ("--mode", "baseline", "--lr", "inf"),
+        ("--mode", "baseline", "--weight-decay", "nan"),
+        ("--mode", "baseline", "--weight-decay", "inf"),
+        ("--mode", "train-eval-iodp", "--lambda", "nan"),
+        ("--mode", "full", "--lambda", "inf"),
+    ],
+    ids=lambda flags: f"{flags[1]}{flags[2][1:]}={flags[3]}",
+)
+def test_non_finite_hyperparameter_exits_2(trained_artifacts, tmp_path, flags):
+    data, proto, _, _ = trained_artifacts
+    result = run_cli(
+        "train", "--manifest", data / "train.manifest", "--prototype", proto, *flags,
+        "--epochs", 1, "--batch", 1000, "--checkpoint", tmp_path / "m.dgnm",
+    )
+    assert result.returncode == 2, result.stderr
+    assert "finite" in result.stderr
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no trace
 
 
 class TestEval:

@@ -20,17 +20,17 @@ def toy_prototype(omega=TOY_OMEGA, num_classes=2):
 
 class TestFlatten:
     def test_single_pixel(self):
-        nodes = gr.flatten(FeatureMap(np.ones((1, 1, 4))), LabelMap(np.array([[0]]), 1))
-        assert nodes.n == 1
-        assert nodes.features.shape == (1, 4)
+        features, semantics = gr.flatten(FeatureMap(np.ones((1, 1, 4))), LabelMap(np.array([[0]]), 1))
+        assert semantics.shape == (1,)
+        assert features.shape == (1, 4)
 
     def test_row_major_node_order(self):
         values = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
         labels = LabelMap(np.array([[0, 1], [2, 3]]), 4)
-        nodes = gr.flatten(FeatureMap(values), labels)
+        features, semantics = gr.flatten(FeatureMap(values), labels)
         # node order (0,0), (1,0), (0,1), (1,1)
-        np.testing.assert_array_equal(nodes.semantics, [0, 1, 2, 3])
-        np.testing.assert_array_equal(nodes.features[1], [2.0, 3.0])
+        np.testing.assert_array_equal(semantics, [0, 1, 2, 3])
+        np.testing.assert_array_equal(features[1], [2.0, 3.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -94,22 +94,25 @@ class TestBuildGraph:
     def test_toy_composition(self):
         fm = FeatureMap(np.array([[[1.0], [0.0]]]))
         labels = LabelMap(np.array([[0, 1]]), 3)
-        g = gr.build_graph(fm, labels, toy_prototype())
-        np.testing.assert_array_equal(g.affinity, [[1.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(g.adjacency, [[0.5, 0.5], [1.0, 0.0]])
+        a = gr.build_graph(fm, labels, toy_prototype())
+        assert isinstance(a, gr.LabelAdjacency)
+        np.testing.assert_array_equal(
+            gr.extract_local_knowledge(a.semantics, a.prototype), [[1.0, 1.0], [1.0, 0.0]]
+        )
+        np.testing.assert_allclose(a, [[0.5, 0.5], [1.0, 0.0]])
 
     def test_uniform_relations_give_uniform_adjacency(self):
         proto = toy_prototype(np.full((3, 3), 0.7))
         fm = FeatureMap(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
         labels = LabelMap(np.array([[0, 1], [2, 0]]), 3)
-        g = gr.build_graph(fm, labels, proto)
-        np.testing.assert_allclose(g.adjacency, np.full((4, 4), 0.25))
+        a = gr.build_graph(fm, labels, proto)
+        np.testing.assert_allclose(a, np.full((4, 4), 0.25))
 
     def test_single_node_graph(self):
-        g = gr.build_graph(
+        a = gr.build_graph(
             FeatureMap(np.ones((1, 1, 2))), LabelMap(np.array([[0]]), 3), toy_prototype()
         )
-        np.testing.assert_array_equal(g.adjacency, [[1.0]])
+        np.testing.assert_array_equal(a, [[1.0]])
 
     def test_node_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -136,6 +139,6 @@ def test_uniform_adjacency_propagation_matches_half_mean_shift():
     v = rng.standard_normal((5, 3))
     proto = toy_prototype(np.full((2, 2), 0.3))
     labels = LabelMap(rng.integers(0, 2, size=(1, 5)), 2)
-    g = gr.build_graph(FeatureMap(v.reshape(1, 5, 3)), labels, proto)
-    out = nn.propagate(g.adjacency, v)
+    a = gr.build_graph(FeatureMap(v.reshape(1, 5, 3)), labels, proto)
+    out = nn.propagate(a, v)
     np.testing.assert_allclose(out, (v + v.mean(axis=0)) / 2, atol=1e-12, rtol=0)

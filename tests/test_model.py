@@ -251,9 +251,9 @@ def test_train_and_evaluate_build_no_dense_matrix(trained_setup, monkeypatch):
     monkeypatch.setattr(gr, "extract_local_knowledge", dense)
     monkeypatch.setattr(gr, "row_normalize", dense)
     inst = train_corpus.instances[0]
-    graph = gr.build_graph(inst.feature_map, dgn.nn_resize(inst.label_map, 5, 5), proto)
+    adjacency = gr.build_graph(inst.feature_map, dgn.nn_resize(inst.label_map, 5, 5), proto)
     with pytest.raises(AssertionError):
-        np.asarray(graph.adjacency)  # the patches intercept the dense path
+        np.asarray(adjacency)  # the patches intercept the dense path
 
     config = TrainConfig(epochs=1, seed=304)
     baseline, _ = md.train(train_corpus, None, config, AblationMode.BASELINE)
@@ -322,7 +322,7 @@ class TestCheckpoints:
         for mode in (AblationMode.BASELINE, AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
             needs = None if mode is AblationMode.BASELINE else proto
             model, _ = md.train(train_corpus, needs, config, mode)
-            arrays = [getattr(owner, attr) for owner, attr in model.blocks()]
+            arrays = model.blocks()
             assert model.parameter_count() == sum(a.size for a in arrays)
             path = tmp_path / f"{mode.value}.dgnm"
             md.save_model(model, path)

@@ -5,7 +5,7 @@ from dgn import model as md
 from dgn import nn, oracle
 from dgn.corpus import FeatureMap, LabelMap
 from dgn.errors import ValidationError
-from dgn.graph import build_graph
+from dgn.graph import build_graph, extract_local_knowledge
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, build_prototype
 from tests.test_prototype import TOY_OMEGA, presence_corpus, random_presence_corpus
 
@@ -60,18 +60,24 @@ class TestNaivePropagate:
 
 
 def factored_graph(labels, omega, rng, channels=3):
+    """(n x channels node features, label-space adjacency) over ``labels``."""
     proto = Prototype(
         omega.shape[0], omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
     )
     h, w = labels.shape
     features = FeatureMap(rng.standard_normal((h, w, channels)))
-    return build_graph(features, LabelMap(labels, omega.shape[0]), proto)
+    adjacency = build_graph(features, LabelMap(labels, omega.shape[0]), proto)
+    return features.values.reshape(h * w, channels), adjacency
 
 
-def assert_factored_matches_dense(graph):
-    v = graph.nodes.features
-    fast = nn.propagate(graph.adjacency, v)
-    slow = oracle.naive_propagate(np.asarray(graph.adjacency), v)
+def zero_affinity_rows(adjacency):
+    affinity = extract_local_knowledge(adjacency.semantics, adjacency.prototype)
+    return int((affinity.sum(axis=1) == 0).sum())
+
+
+def assert_factored_matches_dense(v, adjacency):
+    fast = nn.propagate(adjacency, v)
+    slow = oracle.naive_propagate(np.asarray(adjacency), v)
     assert oracle.compare(fast, slow).max_abs_deviation <= 1e-12
 
 
@@ -82,13 +88,12 @@ class TestFactoredPropagation:
         rng = np.random.default_rng(12)
         omega = np.array([[1.0, 0.0], [0.0, 0.0]])  # id 1 relates to nothing
         labels = np.array([[0, 1, 1], [1, 0, 1]])
-        graph = factored_graph(labels, omega, rng)
-        assert int((graph.affinity.sum(axis=1) == 0).sum()) == 4
-        assert_factored_matches_dense(graph)
-        v = graph.nodes.features
+        v, adjacency = factored_graph(labels, omega, rng)
+        assert zero_affinity_rows(adjacency) == 4
+        assert_factored_matches_dense(v, adjacency)
         lone = labels.reshape(-1) == 1
         np.testing.assert_allclose(
-            nn.propagate(graph.adjacency, v)[lone], (v[lone] + v.mean(axis=0)) / 2,
+            nn.propagate(adjacency, v)[lone], (v[lone] + v.mean(axis=0)) / 2,
             atol=1e-15, rtol=0,
         )
 
@@ -96,14 +101,14 @@ class TestFactoredPropagation:
         rng = np.random.default_rng(13)
         for self_relation in (0.0, 0.7):
             omega = np.full((3, 3), self_relation)
-            assert_factored_matches_dense(factored_graph(np.full((3, 4), 2), omega, rng))
+            assert_factored_matches_dense(*factored_graph(np.full((3, 4), 2), omega, rng))
 
     def test_vocab_larger_than_node_count(self):
         rng = np.random.default_rng(14)
         omega = rng.random((12, 12))
-        graph = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
-        assert graph.adjacency.omega.shape == (3, 3)
-        assert_factored_matches_dense(graph)
+        v, adjacency = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
+        assert adjacency.omega.shape == (3, 3)
+        assert_factored_matches_dense(v, adjacency)
 
     def test_random_cases(self):
         rng = np.random.default_rng(15)
@@ -111,18 +116,17 @@ class TestFactoredPropagation:
             vocab = int(rng.integers(1, 9))
             omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
             labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            graph = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
-            np.testing.assert_array_equal(graph.adjacency.sum(axis=1), 1.0)
-            assert_factored_matches_dense(graph)
+            v, adjacency = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
+            np.testing.assert_array_equal(adjacency.sum(axis=1), 1.0)
+            assert_factored_matches_dense(v, adjacency)
 
 
-def assert_adjoint_matches_dense(graph, rng):
+def assert_adjoint_matches_dense(v, adjacency, rng):
     """``propagate_adjoint`` in label space against the scalar loop's transpose."""
-    v = graph.nodes.features
     n, c = v.shape
     y = rng.standard_normal((n, c))
-    dense = np.asarray(graph.adjacency)
-    adjoint = nn.propagate_adjoint(graph.adjacency, y)
+    dense = np.asarray(adjacency)
+    adjoint = nn.propagate_adjoint(adjacency, y)
     # <M V, Y> = <V, M^T Y>
     assert abs(np.sum(oracle.naive_propagate(dense, v) * y) - np.sum(v * adjoint)) <= 1e-12
     m = oracle.naive_propagate(dense, np.eye(n))
@@ -130,13 +134,12 @@ def assert_adjoint_matches_dense(graph, rng):
     assert oracle.compare(nn.propagate_adjoint(dense, y), m.T @ y).max_abs_deviation <= 1e-12
 
 
-def assert_eval_only_pool_matches_dense(graph):
+def assert_eval_only_pool_matches_dense(v, adjacency):
     """The eval-only mode pools through the adjoint; the oracle pools the propagation."""
-    v = graph.nodes.features
     c = v.shape[1]
     baseline = md.DgnModel.assemble(md.AblationMode.BASELINE, c, c, 2, 0.0, np.zeros)
-    _, _, record = md.forward_parts(baseline, v, graph.adjacency, md.AblationMode.EVAL_ONLY_IODP)
-    slow = nn.gap(oracle.naive_propagate(np.asarray(graph.adjacency), v))
+    _, _, record = md.forward_parts(baseline, v, adjacency, md.AblationMode.EVAL_ONLY_IODP)
+    slow = nn.gap(oracle.naive_propagate(np.asarray(adjacency), v))
     assert oracle.compare(record.pooled, slow).max_abs_deviation <= 1e-12
 
 
@@ -146,30 +149,30 @@ class TestAdjoint:
     def test_all_zero_rows(self):
         rng = np.random.default_rng(16)
         omega = np.array([[1.0, 0.0], [0.0, 0.0]])
-        graph = factored_graph(np.array([[0, 1, 1], [1, 0, 1]]), omega, rng)
-        assert int((graph.affinity.sum(axis=1) == 0).sum()) == 4
-        assert_adjoint_matches_dense(graph, rng)
-        assert_eval_only_pool_matches_dense(graph)
+        v, adjacency = factored_graph(np.array([[0, 1, 1], [1, 0, 1]]), omega, rng)
+        assert zero_affinity_rows(adjacency) == 4
+        assert_adjoint_matches_dense(v, adjacency, rng)
+        assert_eval_only_pool_matches_dense(v, adjacency)
 
     def test_every_row_zero(self):
         rng = np.random.default_rng(17)
-        graph = factored_graph(np.array([[0, 1], [2, 1]]), np.zeros((3, 3)), rng)
-        assert_adjoint_matches_dense(graph, rng)
-        assert_eval_only_pool_matches_dense(graph)
+        v, adjacency = factored_graph(np.array([[0, 1], [2, 1]]), np.zeros((3, 3)), rng)
+        assert_adjoint_matches_dense(v, adjacency, rng)
+        assert_eval_only_pool_matches_dense(v, adjacency)
 
     def test_single_label_map(self):
         rng = np.random.default_rng(18)
         for self_relation in (0.0, 0.7):
-            graph = factored_graph(np.full((3, 4), 2), np.full((3, 3), self_relation), rng)
-            assert_adjoint_matches_dense(graph, rng)
-            assert_eval_only_pool_matches_dense(graph)
+            v, adjacency = factored_graph(np.full((3, 4), 2), np.full((3, 3), self_relation), rng)
+            assert_adjoint_matches_dense(v, adjacency, rng)
+            assert_eval_only_pool_matches_dense(v, adjacency)
 
     def test_vocab_larger_than_node_count(self):
         rng = np.random.default_rng(19)
         omega = rng.random((12, 12))
-        graph = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
-        assert_adjoint_matches_dense(graph, rng)
-        assert_eval_only_pool_matches_dense(graph)
+        v, adjacency = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
+        assert_adjoint_matches_dense(v, adjacency, rng)
+        assert_eval_only_pool_matches_dense(v, adjacency)
 
     def test_random_cases(self):
         rng = np.random.default_rng(20)
@@ -177,9 +180,9 @@ class TestAdjoint:
             vocab = int(rng.integers(1, 9))
             omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
             labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            graph = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
-            assert_adjoint_matches_dense(graph, rng)
-            assert_eval_only_pool_matches_dense(graph)
+            v, adjacency = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
+            assert_adjoint_matches_dense(v, adjacency, rng)
+            assert_eval_only_pool_matches_dense(v, adjacency)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):

@@ -169,11 +169,12 @@ def test_label_space_adjoint_identity(grid, c, sparsity, seed):
         True, 2,
     )
     h, w = grid.shape
-    graph = gr.build_graph(cp.FeatureMap(rng.standard_normal((h, w, c))), cp.LabelMap(grid, 7), proto)
-    v = graph.nodes.features
+    features = cp.FeatureMap(rng.standard_normal((h, w, c)))
+    adjacency = gr.build_graph(features, cp.LabelMap(grid, 7), proto)
+    v = features.values.reshape(h * w, c)
     y = rng.standard_normal(v.shape)
-    lhs = np.sum(oracle.naive_propagate(np.asarray(graph.adjacency), v) * y)
-    rhs = np.sum(v * nn.propagate_adjoint(graph.adjacency, y))
+    lhs = np.sum(oracle.naive_propagate(np.asarray(adjacency), v) * y)
+    rhs = np.sum(v * nn.propagate_adjoint(adjacency, y))
     assert abs(lhs - rhs) <= 1e-12
 
 
