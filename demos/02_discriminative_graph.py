@@ -36,7 +36,7 @@ n = features.shape[0]
 print(f"instance of class {inst.scene_id}: {n} nodes, vocab {spec.vocab_size}")
 print("node object ids:", adjacency.semantics.reshape(spec.grid_cells, spec.grid_cells))
 
-disc = adjacency.semantics < spec.disc_per_class * spec.num_classes
+disc = adjacency.semantics < dgn.corpus.DISC_PER_CLASS * spec.num_classes
 print(f"\n{disc.sum()} discriminative nodes, {n - disc.sum()} common nodes")
 print("affinity row of a common node (attention concentrates on the",
       "discriminative columns):")

@@ -50,7 +50,7 @@ print(f"loss at the starting point: {loss_of(params):.6f}")
 _, _, record = md.forward_parts(model_of(params), features, adjacency)
 grads = nn.backward(record, target)
 analytic = [grads.gc_weight, grads.main_weight, grads.main_bias, grads.aux_weight, grads.aux_bias]
-numeric = oracle.fd_gradient(loss_of, params, h=1e-6)
+numeric = oracle.fd_gradient(loss_of, params)
 
 for name, a, f in zip(names, analytic, numeric):
     report = oracle.compare(a, f)

@@ -8,6 +8,7 @@ print a key=value summary block on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,8 +28,10 @@ from .corpus import (
 from .errors import FormatError, ValidationError
 from .graph import extract_local_knowledge, row_normalize
 from .model import (
+    _EVAL_MODES,
     MODEL_MAGIC,
     AblationMode,
+    EpochStats,
     TrainConfig,
     evaluate,
     load_model,
@@ -44,15 +47,10 @@ from .prototype import (
     save_prototype,
 )
 
-GEN_DISC_PER_CLASS = 2
 TEST_SPLIT_DIVISOR = 5  # gen writes per_class // 5 test instances per class
 # inspect builds two dense n x n float64 matrices for a label map; refuse
 # beyond this many nodes (2 x 128 MiB) rather than allocate without bound
 INSPECT_MAX_NODES = 4096
-
-_MODE_FLAGS = {m.value: m for m in CooccurrenceMode}
-_METRIC_FLAGS = {m.value: m for m in DispersionMetric}
-_ABLATION_FLAGS = {m.value: m for m in AblationMode}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,18 +69,18 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate a synthetic train/test corpus")
     gen.add_argument("--classes", type=int, default=7)
     gen.add_argument("--objects", type=int, default=20)
-    gen.add_argument("--per-class", type=int, default=100)
+    gen.add_argument("--per-class", type=int, default=SyntheticSpec.train_per_class)
     gen.add_argument("--noise", type=float, default=SyntheticSpec.noise)
-    gen.add_argument("--cells", type=int, default=7)
-    gen.add_argument("--channels", type=int, default=32)
-    gen.add_argument("--seed", type=int, default=304)
+    gen.add_argument("--cells", type=int, default=SyntheticSpec.grid_cells)
+    gen.add_argument("--channels", type=int, default=SyntheticSpec.channels)
+    gen.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
     iodp = sub.add_parser("iodp", help="build the discriminative prototype from a corpus")
     iodp.add_argument("--manifest", required=True)
-    iodp.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="independent")
-    iodp.add_argument("--metric", choices=sorted(_METRIC_FLAGS), default="cv")
+    iodp.add_argument("--mode", choices=_choices(CooccurrenceMode), default="independent")
+    iodp.add_argument("--metric", choices=_choices(DispersionMetric), default="cv")
     iodp.add_argument("--passivate", action=argparse.BooleanOptionalAction, default=True)
     iodp.add_argument("--out", required=True)
     iodp.set_defaults(func=cmd_iodp)
@@ -90,18 +88,14 @@ def _build_parser() -> _Parser:
     tr = sub.add_parser("train", help="train a classifier")
     tr.add_argument("--manifest", required=True)
     tr.add_argument("--prototype")
-    tr.add_argument(
-        "--mode",
-        choices=["baseline", "train-eval-iodp", "full"],
-        default="full",
-    )
-    tr.add_argument("--lambda", dest="lam", type=float, default=0.25)
-    tr.add_argument("--hidden-dim", type=int, default=None)
-    tr.add_argument("--epochs", type=int, default=30)
-    tr.add_argument("--batch", type=int, default=32)
-    tr.add_argument("--lr", type=float, default=0.001)
-    tr.add_argument("--weight-decay", type=float, default=1e-5)
-    tr.add_argument("--seed", type=int, default=304)
+    tr.add_argument("--mode", choices=[m.value for m in _EVAL_MODES], default="full")
+    tr.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam)
+    tr.add_argument("--hidden-dim", type=int, default=TrainConfig.hidden_dim)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    tr.add_argument("--lr", type=float, default=TrainConfig.lr)
+    tr.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
     tr.add_argument("--checkpoint", required=True)
     tr.add_argument("--out", help="trace CSV path (default: <checkpoint>.trace.csv)")
     tr.set_defaults(func=cmd_train)
@@ -110,7 +104,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--manifest", required=True)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--prototype")
-    ev.add_argument("--mode", choices=sorted(_ABLATION_FLAGS), default=None)
+    ev.add_argument("--mode", choices=_choices(AblationMode), default=None)
     ev.add_argument("--out", help="report CSV path")
     ev.set_defaults(func=cmd_eval)
 
@@ -121,6 +115,10 @@ def _build_parser() -> _Parser:
     ins.set_defaults(func=cmd_inspect)
 
     return parser
+
+
+def _choices(enum_type) -> list[str]:
+    return sorted(m.value for m in enum_type)
 
 
 def main(argv=None) -> int:
@@ -144,7 +142,6 @@ def cmd_gen(args) -> int:
     spec = SyntheticSpec(
         num_classes=args.classes,
         vocab_size=args.objects,
-        disc_per_class=GEN_DISC_PER_CLASS,
         grid_cells=args.cells,
         train_per_class=args.per_class,
         test_per_class=max(1, args.per_class // TEST_SPLIT_DIVISOR),
@@ -169,7 +166,7 @@ def cmd_gen(args) -> int:
 def cmd_iodp(args) -> int:
     corpus = load_corpus(args.manifest)
     proto = build_prototype(
-        corpus, _MODE_FLAGS[args.mode], _METRIC_FLAGS[args.metric], args.passivate
+        corpus, CooccurrenceMode(args.mode), DispersionMetric(args.metric), args.passivate
     )
     save_prototype(proto, args.out)
     print(f"prototype={args.out}")
@@ -182,7 +179,7 @@ def cmd_iodp(args) -> int:
 
 
 def cmd_train(args) -> int:
-    mode = _ABLATION_FLAGS[args.mode]
+    mode = AblationMode(args.mode)
     if mode is not AblationMode.BASELINE and not args.prototype:
         print(f"dgn train: error: --mode {args.mode} requires --prototype", file=sys.stderr)
         return 1
@@ -200,11 +197,8 @@ def cmd_train(args) -> int:
     model, trace = train(corpus, proto, config, mode)
     save_model(model, args.checkpoint)
     trace_path = args.out or f"{args.checkpoint}.trace.csv"
-    lines = ["epoch,lr,loss,loss_main,loss_aux,train_accuracy"]
-    for s in trace:
-        lines.append(
-            f"{s.epoch},{s.lr!r},{s.loss!r},{s.loss_main!r},{s.loss_aux!r},{s.train_accuracy!r}"
-        )
+    lines = [",".join(f.name for f in dataclasses.fields(EpochStats))]
+    lines += [",".join(map(repr, dataclasses.astuple(s))) for s in trace]
     fileio.atomic_write_text(trace_path, "\n".join(lines) + "\n")
     print(f"checkpoint={args.checkpoint}")
     print(f"trace={trace_path}")
@@ -218,7 +212,7 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(args.manifest)
     model = load_model(args.checkpoint)
     proto = load_prototype(args.prototype) if args.prototype else None
-    report = evaluate(model, corpus, proto, _ABLATION_FLAGS.get(args.mode))
+    report = evaluate(model, corpus, proto, AblationMode(args.mode) if args.mode else None)
     print(f"accuracy={report.accuracy:.6f}")
     print(f"instances={report.count}")
     for k, acc in enumerate(report.per_class):
@@ -237,7 +231,6 @@ def cmd_inspect(args) -> int:
     with open(path, "rb") as fh:
         magic = fh.read(4)
     out_dir = Path(args.out) if args.out else path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     if magic == PROTOTYPE_MAGIC:
         return _inspect_prototype(path, out_dir)
     if magic == LABEL_MAGIC:
@@ -262,6 +255,7 @@ def cmd_inspect(args) -> int:
 
 def _inspect_prototype(path: Path, out_dir: Path) -> int:
     proto = load_prototype(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
     pgm = out_dir / f"{path.stem}.omega.pgm"
     csv = out_dir / f"{path.stem}.omega.csv"
     write_pgm16(proto.omega, pgm)
@@ -287,6 +281,7 @@ def _inspect_label_map(path: Path, proto, out_dir: Path) -> int:
         )
     affinity = extract_local_knowledge(semantics, proto)
     adjacency = row_normalize(affinity)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for name, matrix in (("affinity", affinity), ("adjacency", adjacency)):
         pgm = out_dir / f"{path.stem}.{name}.pgm"

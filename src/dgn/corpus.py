@@ -175,7 +175,9 @@ def load_feature_map(path: str | Path) -> FeatureMap:
     width, height, channels = r.u32(), r.u32(), r.u32()
     if width == 0 or height == 0 or channels == 0:
         raise ValidationError(f"{path}: empty feature map")
-    values = r.array("<f4", width * height * channels).astype(np.float64)
+    # the cast warns on a signalling NaN; FeatureMap refuses every non-finite value
+    with np.errstate(invalid="ignore"):
+        values = r.array("<f4", width * height * channels).astype(np.float64)
     r.done()
     return FeatureMap(values.reshape(height, width, channels))
 
@@ -228,7 +230,8 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     instances = []
     for ln in lines[1:]:
         parts = ln.split("\t")
-        if len(parts) != 3:
+        # a path with a NUL byte cannot be opened
+        if len(parts) != 3 or "\x00" in ln:
             raise FormatError(f"{manifest_path}: bad manifest row {ln!r}")
         try:
             scene_id = int(parts[0])
@@ -267,21 +270,24 @@ def object_presence(label_map: LabelMap) -> set[int]:
 # synthetic corpora
 
 
+# each class owns this many object ids that never occur in other classes
+DISC_PER_CLASS = 2
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a planted-signal corpus.
 
-    Each class owns ``disc_per_class`` object ids that never occur in other
-    classes; ``common_objects`` ids are shared by everyone.  Every instance
-    is a ``grid_cells`` x ``grid_cells`` arrangement of cells, each cell one
-    object, with at least one class-owned cell guaranteed.  Pixel features
-    are a fixed per-object embedding plus isotropic Gaussian noise.
+    Each class owns ``DISC_PER_CLASS`` object ids that never occur in other
+    classes; the remaining ``vocab_size - DISC_PER_CLASS * num_classes``
+    common ids are shared by everyone.  Every instance is a ``grid_cells`` x
+    ``grid_cells`` arrangement of cells, each cell one object, with at least
+    one class-owned cell guaranteed.  Pixel features are a fixed per-object
+    embedding plus isotropic Gaussian noise.
     """
 
     num_classes: int
     vocab_size: int
-    disc_per_class: int = 2
-    common_objects: int | None = None  # defaults to vocab_size - disc_per_class * num_classes
     grid_cells: int = 7
     train_per_class: int = 100
     test_per_class: int = 20
@@ -289,17 +295,11 @@ class SyntheticSpec:
     noise: float = 6.0
     seed: int = 304
 
-    def resolved_common(self) -> int:
-        if self.common_objects is not None:
-            return self.common_objects
-        return self.vocab_size - self.disc_per_class * self.num_classes
-
     def validate(self) -> None:
         counts = {
             "num_classes": self.num_classes,
             "vocab_size": self.vocab_size,
-            "disc_per_class": self.disc_per_class,
-            "common_objects": self.resolved_common(),
+            "common_objects": self.vocab_size - DISC_PER_CLASS * self.num_classes,
             "grid_cells": self.grid_cells,
             "train_per_class": self.train_per_class,
             "test_per_class": self.test_per_class,
@@ -310,11 +310,6 @@ class SyntheticSpec:
                 raise ValidationError(f"{name} must be positive, got {value}")
         if self.noise < 0:
             raise ValidationError("noise must be >= 0")
-        needed = self.disc_per_class * self.num_classes + self.resolved_common()
-        if needed > self.vocab_size:
-            raise ValidationError(
-                f"infeasible spec: {needed} object ids needed but vocab_size={self.vocab_size}"
-            )
 
 
 def _object_embeddings(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
@@ -325,7 +320,7 @@ def _object_embeddings(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
     channels.  Common objects stay jitter-only, so pooled features carry
     no large class-independent component.
     """
-    c, k, C = spec.channels, spec.disc_per_class, spec.num_classes
+    c, k, C = spec.channels, DISC_PER_CLASS, spec.num_classes
     emb = JITTER_SCALE * rng.standard_normal((spec.vocab_size, c))
     block = max(1, c // (C + 1))
     for oid in range(k * C):
@@ -339,9 +334,9 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> tuple[Corpus, Corpus]:
     """Generate (train, test) corpora; a pure function of ``spec``."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    k, m, g = spec.disc_per_class, spec.resolved_common(), spec.grid_cells
+    k, g = DISC_PER_CLASS, spec.grid_cells
     disc_ids = np.arange(k * spec.num_classes).reshape(spec.num_classes, k)
-    common_ids = np.arange(k * spec.num_classes, k * spec.num_classes + m)
+    common_ids = np.arange(k * spec.num_classes, spec.vocab_size)
     embeddings = _object_embeddings(spec, rng)
 
     def make_split(per_class: int) -> Corpus:

@@ -54,7 +54,6 @@ class AblationMode(enum.Enum):
 _MODE_BYTE = {AblationMode.BASELINE: 0, AblationMode.TRAIN_EVAL_IODP: 2, AblationMode.FULL: 3}
 _BYTE_MODE = {v: k for k, v in _MODE_BYTE.items()}
 
-_GRAPH_MODES = (AblationMode.EVAL_ONLY_IODP, AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL)
 # checkpoint mode -> the eval modes that can score it; its keys are the modes
 # ``train`` writes
 _EVAL_MODES = {
@@ -144,13 +143,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch of training; the fields are the trace CSV's columns, in order."""
+
     epoch: int
     lr: float
     loss: float
     loss_main: float
     loss_aux: float
     train_accuracy: float
-    val_accuracy: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +261,7 @@ def _prepared_inputs(
 
 
 def _check_graph_args(mode: AblationMode, corpus: Corpus, prototype: Prototype | None) -> None:
-    if mode in _GRAPH_MODES:
+    if mode is not AblationMode.BASELINE:
         if prototype is None:
             raise ValidationError(f"mode {mode.value} requires a prototype")
         if prototype.vocab_size != corpus.vocab_size:
@@ -275,14 +275,12 @@ def train(
     prototype: Prototype | None,
     config: TrainConfig,
     mode: AblationMode = AblationMode.FULL,
-    eval_corpus: Corpus | None = None,
 ) -> tuple[DgnModel, list[EpochStats]]:
     """Train a model of the given mode; deterministic under ``config.seed``.
 
     Batches accumulate per-instance gradients and apply one optimizer step
     per batch (the mean of the per-instance losses).  The learning rate
-    drops by ``DECAY_FACTOR`` at each epoch in ``decay_epochs``.  When
-    ``eval_corpus`` is given, each epoch's stats include its accuracy.
+    drops by ``DECAY_FACTOR`` at each epoch in ``decay_epochs``.
     """
     config.validate()
     if mode is AblationMode.EVAL_ONLY_IODP:
@@ -291,8 +289,7 @@ def train(
         raise ValidationError("cannot train on an empty corpus")
     _check_graph_args(mode, train_corpus, prototype)
 
-    needs_graph = mode in _GRAPH_MODES
-    data = _prepared_inputs(train_corpus, prototype, needs_graph)
+    data = _prepared_inputs(train_corpus, prototype, mode is not AblationMode.BASELINE)
     c = train_corpus.feature_shape[2]
     model = init_model(mode, c, train_corpus.num_classes, config)
     # the auxiliary head is optimized only when its loss has weight
@@ -329,9 +326,6 @@ def train(
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"non-finite loss in epoch {epoch}")
             adam_step(params, [g / batch.size for g in grad_sums], state)
-        val_accuracy = None
-        if eval_corpus is not None:
-            val_accuracy = evaluate(model, eval_corpus, prototype, mode).accuracy
         trace.append(
             EpochStats(
                 epoch,
@@ -340,7 +334,6 @@ def train(
                 sums["main"] / n_total,
                 sums["aux"] / n_total,
                 correct / n_total,
-                val_accuracy,
             )
         )
     return model, trace
@@ -362,18 +355,27 @@ def evaluate(
         raise ValidationError(
             f"corpus has {corpus.feature_shape[2]} feature channels, the model {model.in_channels}"
         )
+    if corpus.num_classes != model.num_classes:
+        raise ValidationError(
+            f"corpus has {corpus.num_classes} classes, the model {model.num_classes}"
+        )
     _check_graph_args(mode, corpus, prototype)
-    needs_graph = mode in _GRAPH_MODES
     # the auxiliary head is training-only: a full model is scored on its main
     # path, which is the train-eval-iodp forward, so the aux head never runs
     if mode is AblationMode.FULL:
         mode = AblationMode.TRAIN_EVAL_IODP
     totals = np.zeros(corpus.num_classes, dtype=np.int64)
     hits = np.zeros(corpus.num_classes, dtype=np.int64)
-    for features, adjacency, target in _prepared_inputs(corpus, prototype, needs_graph):
-        logits, _, _ = forward_parts(model, features, adjacency, mode)
-        totals[target] += 1
-        hits[target] += int(np.argmax(logits) == target)
+    data = _prepared_inputs(corpus, prototype, mode is not AblationMode.BASELINE)
+    # finite weights, prototype and features can still overflow together;
+    # such logits are refused rather than scored
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (features, adjacency, target) in enumerate(data):
+            logits, _, _ = forward_parts(model, features, adjacency, mode)
+            if not np.isfinite(logits).all():
+                raise ValidationError(f"instance {i}: non-finite logits; the inputs overflow")
+            totals[target] += 1
+            hits[target] += int(np.argmax(logits) == target)
     per_class = np.where(totals > 0, hits / np.maximum(totals, 1), 0.0)
     return EvalReport(float(hits.sum() / totals.sum()), per_class, int(totals.sum()))
 

@@ -162,7 +162,9 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
 
     aux_w_grad = aux_b_grad = None
     if record.aux_logits is not None:
-        delta_a = record.lam * (softmax(record.aux_logits) - _one_hot(target, record.aux_logits.size))
+        delta_a = softmax(record.aux_logits)
+        delta_a[target] -= 1.0
+        delta_a *= record.lam
         aux_w_grad = np.outer(record.aux_pooled, delta_a)
         aux_b_grad = delta_a
         d_aux_pooled = record.aux_head.weight @ delta_a
@@ -172,25 +174,26 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
     return Gradients(gc_grad, main_w_grad, main_b_grad, aux_w_grad, aux_b_grad)
 
 
-def _one_hot(index: int, size: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
-
-
 # ---------------------------------------------------------------------------
 # optimizer and initialization
 
 
+# Adam's published constants (Kingma & Ba)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(eq=False)
 class AdamState:
-    """Adam moments plus learning-rate and decoupled weight-decay settings."""
+    """Adam moments plus learning-rate and decoupled weight-decay settings.
+
+    The moment decays and epsilon are the fixed ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``.
+    """
 
     lr: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -220,19 +223,19 @@ def adam_step(
         if p.shape != g.shape:
             raise ValidationError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        step = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
+        step = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += step
-        np.multiply(g, 1.0 - state.beta2, out=step)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
         step *= g
-        v *= state.beta2
+        v *= ADAM_BETA2
         v += step
         np.divide(v, bc2, out=step)
         np.sqrt(step, out=step)
-        step += state.eps
+        step += ADAM_EPS
         update = np.divide(m, bc1)
         update *= state.lr
         update /= step

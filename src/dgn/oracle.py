@@ -18,6 +18,9 @@ from .corpus import Corpus
 from .errors import ValidationError
 from .prototype import CooccurrenceMode, DispersionMetric, Prototype
 
+# central-difference step of fd_gradient
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -111,11 +114,8 @@ def naive_propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
 def fd_gradient(
     loss_fn: Callable[[list[np.ndarray]], float],
     params: Sequence[np.ndarray],
-    h: float = 1e-6,
 ) -> list[np.ndarray]:
-    """Central-difference gradient of ``loss_fn`` per parameter coordinate."""
-    if h <= 0:
-        raise ValidationError("step size must be positive")
+    """Central-difference gradient of ``loss_fn`` per parameter coordinate, step ``FD_STEP``."""
     grads = []
     for idx, p in enumerate(params):
         grad = np.zeros_like(p, dtype=np.float64)
@@ -123,12 +123,12 @@ def fd_gradient(
         for _ in it:
             where = it.multi_index
             plus = [q.copy() for q in params]
-            plus[idx][where] += h
+            plus[idx][where] += FD_STEP
             minus = [q.copy() for q in params]
-            minus[idx][where] -= h
+            minus[idx][where] -= FD_STEP
             f_plus, f_minus = loss_fn(plus), loss_fn(minus)
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise FloatingPointError("loss is not finite at perturbed parameters")
-            grad[where] = (f_plus - f_minus) / (2.0 * h)
+            grad[where] = (f_plus - f_minus) / (2.0 * FD_STEP)
         grads.append(grad)
     return grads

@@ -5,8 +5,6 @@ Each test prints a single pass line once its assertions hold, so
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -18,6 +16,7 @@ from dgn import nn, oracle
 from dgn import prototype as pt
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric
+from tests.helpers import run_cli
 from tests.test_prototype import presence_corpus, random_presence_corpus
 
 SEEDS = (304, 305, 306)
@@ -35,19 +34,12 @@ def benchmark_spec(seed):
     return dgn.SyntheticSpec(
         num_classes=7,
         vocab_size=20,
-        disc_per_class=2,
         grid_cells=7,
         train_per_class=100,
         test_per_class=20,
         channels=32,
         noise=6.0,
         seed=seed,
-    )
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "dgn", *map(str, args)], capture_output=True, text=True, cwd=cwd
     )
 
 
@@ -213,7 +205,7 @@ def test_criterion_6_gradient_check():
         grads = nn.backward(record, target)
         analytic = [grads.gc_weight, grads.main_weight, grads.main_bias,
                     grads.aux_weight, grads.aux_bias]
-        numeric = oracle.fd_gradient(loss_of, params, h=1e-6)
+        numeric = oracle.fd_gradient(loss_of, params)
         for a_, f_ in zip(analytic, numeric):
             assert _gradcheck_relative_error(a_, f_) <= 1e-6
     elapsed = time.monotonic() - start

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -8,16 +5,8 @@ import dgn
 from dgn import nn
 from dgn.model import AblationMode, DgnModel, save_model
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, save_prototype
+from tests.helpers import run_cli
 from tests.test_prototype import TOY_OMEGA, presence_corpus
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "dgn", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
 
 
 def parse_kv(stdout):
@@ -361,6 +350,24 @@ class TestEval:
         assert kv["accuracy"] == "1.000000"
         assert (tmp_path / "r.csv").read_text().splitlines()[-1] == "overall,1.000000"
 
+    def test_overflowing_logits_exit_2_without_report(self, tmp_path):
+        maps = [dgn.LabelMap(np.array([[0]]), 2), dgn.LabelMap(np.array([[1]]), 2)]
+        feats = [dgn.FeatureMap(np.full((1, 1, 1), 10.0)), dgn.FeatureMap(np.ones((1, 1, 1)))]
+        corpus = dgn.Corpus(
+            2, 2, tuple(dgn.Instance(i, m, f) for i, (m, f) in enumerate(zip(maps, feats)))
+        )
+        manifest = dgn.save_corpus(corpus, tmp_path, "test")
+        # finite weights whose product with the features overflows
+        head = nn.ClassifierParams(np.array([[1e308, 0.0]]), np.zeros(2))
+        ckpt = tmp_path / "huge.dgnm"
+        save_model(DgnModel(AblationMode.BASELINE, 1, 1, 2, 0.0, head), ckpt)
+        report = tmp_path / "r.csv"
+        result = run_cli("eval", "--manifest", manifest, "--checkpoint", ckpt, "--out", report)
+        assert result.returncode == 2, result.stderr
+        assert "instance 0: non-finite logits" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not report.exists()
+
     def test_accuracy_printed_to_six_decimals(self, trained_artifacts):
         data, proto, baseline, _ = trained_artifacts
         result = run_cli("eval", "--manifest", data / "test.manifest", "--checkpoint", baseline)
@@ -445,6 +452,25 @@ def test_eval_mode_must_suit_the_checkpoint(criterion_8_checkpoints, tmp_path, c
     expected = [f"accuracy={accuracy}", "instances=6"]
     expected += [f"class_{k}_accuracy={acc}" for k, acc in enumerate(per_class)]
     assert result.stdout.splitlines() == expected + [f"report={report}"]
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_eval_refuses_a_corpus_with_another_class_count(criterion_8_checkpoints, tmp_path, classes):
+    _, _, checkpoints = criterion_8_checkpoints
+    spec = dgn.SyntheticSpec(
+        num_classes=classes, vocab_size=12, grid_cells=4, train_per_class=1,
+        test_per_class=2, channels=8, seed=1,
+    )
+    _, test = dgn.generate_synthetic_corpus(spec)
+    manifest = dgn.save_corpus(test, tmp_path / "data", "test")
+    report = tmp_path / "r.csv"
+    result = run_cli(
+        "eval", "--manifest", manifest, "--checkpoint", checkpoints["baseline"], "--out", report
+    )
+    assert result.returncode == 2, result.stdout
+    assert f"corpus has {classes} classes, the model 3" in result.stderr
+    assert result.stdout == ""
+    assert not report.exists()
 
 
 def test_checkpoint_with_eval_only_mode_byte_exits_2(criterion_8_checkpoints, tmp_path):
@@ -548,3 +574,64 @@ class TestInspect:
         assert result.returncode == 0
         kv = parse_kv(result.stdout)
         assert kv["width"] == "3" and kv["channels"] == "4"
+
+
+def write_inspect_input(kind, root):
+    """One artifact per ``inspect`` branch that writes no file; returns its path,
+    extra flags and the expected exit code."""
+    proto = Prototype(
+        3, TOY_OMEGA, CooccurrenceMode.NON_INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
+    )
+    save_prototype(proto, root / "toy.dgnp")
+    if kind == "unknown magic":
+        (root / "junk.bin").write_bytes(b"JUNKJUNKJUNK")
+        return root / "junk.bin", (), 2
+    if kind == "truncated prototype":
+        (root / "cut.dgnp").write_bytes((root / "toy.dgnp").read_bytes()[:-1])
+        return root / "cut.dgnp", (), 2
+    if kind == "label map over the node cap":
+        dgn.save_label_map(dgn.LabelMap(np.zeros((65, 65), dtype=np.int64), 3), root / "m.dgnl")
+        return root / "m.dgnl", ("--prototype", root / "toy.dgnp"), 2
+    if kind == "label map without prototype":
+        dgn.save_label_map(dgn.LabelMap(np.zeros((2, 2), dtype=np.int64), 3), root / "m.dgnl")
+        return root / "m.dgnl", (), 1
+    if kind == "feature map":
+        dgn.save_feature_map(dgn.FeatureMap(np.ones((2, 3, 4))), root / "f.dgnf")
+        return root / "f.dgnf", (), 0
+    head = nn.ClassifierParams(np.zeros((1, 2)), np.zeros(2))
+    save_model(DgnModel(AblationMode.BASELINE, 1, 1, 2, 0.0, head), root / "m.dgnm")
+    return root / "m.dgnm", (), 0
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "unknown magic",
+        "truncated prototype",
+        "label map over the node cap",
+        "label map without prototype",
+        "feature map",
+        "checkpoint",
+    ],
+)
+def test_inspect_creates_no_directory_it_does_not_write(tmp_path, kind):
+    artifact, flags, code = write_inspect_input(kind, tmp_path)
+    out = tmp_path / "new"
+    result = run_cli("inspect", artifact, *flags, "--out", out)
+    assert result.returncode == code, result.stderr
+    assert not out.exists()
+
+
+def test_inspect_creates_the_directory_it_writes(tmp_path):
+    proto = Prototype(
+        3, TOY_OMEGA, CooccurrenceMode.NON_INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
+    )
+    save_prototype(proto, tmp_path / "toy.dgnp")
+    dgn.save_label_map(dgn.LabelMap(np.array([[0, 1]]), 3), tmp_path / "m.dgnl")
+    assert run_cli("inspect", tmp_path / "toy.dgnp", "--out", tmp_path / "a" / "b").returncode == 0
+    assert (tmp_path / "a" / "b" / "toy.omega.pgm").exists()
+    result = run_cli(
+        "inspect", tmp_path / "m.dgnl", "--prototype", tmp_path / "toy.dgnp", "--out", tmp_path / "c"
+    )
+    assert result.returncode == 0
+    assert (tmp_path / "c" / "m.adjacency.csv").exists()

@@ -146,6 +146,15 @@ def test_corpus_validation():
         )
 
 
+def test_feature_file_with_signalling_nan_rejected(tmp_path):
+    path = tmp_path / "f.dgnf"
+    cp.save_feature_map(cp.FeatureMap(np.ones((1, 1, 2))), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + struct.pack("<I", 0x7F800001))  # float32 signalling NaN
+    with pytest.raises(ValidationError, match="non-finite"):
+        cp.load_feature_map(path)
+
+
 def test_manifest_round_trip(tmp_path):
     maps = [cp.LabelMap(np.array([[0, 1]]), 3), cp.LabelMap(np.array([[2]]), 3)]
     feats = [cp.FeatureMap(np.ones((1, 2, 2))), None]
@@ -169,6 +178,14 @@ def test_manifest_bad_header(tmp_path):
         cp.load_corpus(path)
 
 
+def test_manifest_path_with_nul_byte_rejected(tmp_path):
+    corpus = cp.Corpus(1, 1, (cp.Instance(0, cp.LabelMap(np.array([[0]]), 1)),))
+    manifest = cp.save_corpus(corpus, tmp_path, "train")
+    manifest.write_text(manifest.read_text().replace("train/", "tr\x00in/"))
+    with pytest.raises(FormatError, match="bad manifest row"):
+        cp.load_corpus(manifest)
+
+
 class TestSyntheticCorpus:
     def test_instance_counts_and_classes(self):
         spec = cp.SyntheticSpec(
@@ -186,7 +203,7 @@ class TestSyntheticCorpus:
             test_per_class=4, channels=4, noise=1.0, seed=2,
         )
         train, test = cp.generate_synthetic_corpus(spec)
-        k = spec.disc_per_class
+        k = cp.DISC_PER_CLASS
         for corpus in (train, test):
             for inst in corpus.instances:
                 present = cp.object_presence(inst.label_map)

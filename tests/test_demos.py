@@ -1,11 +1,10 @@
-"""Every demo runs to completion against the installed sources."""
+"""Every demo runs to completion against this checkout's sources."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from tests.helpers import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,8 +16,5 @@ def test_all_four_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    result = run_python(demo)
     assert result.returncode == 0, result.stderr

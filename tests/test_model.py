@@ -148,14 +148,6 @@ class TestTrain:
         with pytest.raises(ValidationError):
             md.train(train_corpus, wrong, TrainConfig(epochs=1), AblationMode.FULL)
 
-    def test_validation_accuracy_recorded_when_requested(self, trained_setup):
-        train_corpus, test_corpus, proto = trained_setup
-        config = TrainConfig(epochs=2, seed=304)
-        _, trace = md.train(
-            train_corpus, proto, config, AblationMode.FULL, eval_corpus=test_corpus
-        )
-        assert all(s.val_accuracy is not None for s in trace)
-
 
 class TestEvaluate:
     def test_perfect_model(self):

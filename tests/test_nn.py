@@ -285,6 +285,6 @@ class TestBackward:
 
             _, _, record = md.forward_parts(model_of(params), v, adjacency)
             analytic = list(nn.backward(record, target))
-            numeric = oracle.fd_gradient(loss_of, params, h=1e-6)
+            numeric = oracle.fd_gradient(loss_of, params)
             for a_, f_ in zip(analytic, numeric):
                 assert _gradcheck_relative_error(a_, f_) <= 1e-6
