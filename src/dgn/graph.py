@@ -41,6 +41,7 @@ class LabelAdjacency:
     prototype: Prototype
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
     omega: np.ndarray  # (k, k) prototype block of the present ids
+    weights: np.ndarray  # (k,) label weights omega_k cnt, all finite
 
     ndim = 2
 
@@ -58,12 +59,12 @@ class LabelAdjacency:
     def _labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(k x n one-hot of node labels, label weights ``omega_k cnt``, zero mask).
 
-        Computed once per graph and shared by ``A @ V`` and ``A.T @ Z``.
+        Computed once per graph, at its first product, and shared by
+        ``A @ V`` and ``A.T @ Z``.
         """
         k = self.omega.shape[0]
         one_hot = (self.inverse == np.arange(k)[:, None]).astype(np.float64)
-        weights = self.omega @ one_hot.sum(axis=1)
-        return one_hot, weights, weights == 0
+        return one_hot, self.weights, self.weights == 0
 
     @property
     def T(self) -> _TransposedLabelAdjacency:
@@ -73,7 +74,10 @@ class LabelAdjacency:
         v = np.asarray(features, dtype=np.float64)
         one_hot, weights, zero = self._labels
         mixed = self.omega @ (one_hot @ v)
-        rows = np.where(zero[:, None], v.mean(axis=0), mixed / np.where(zero, 1.0, weights)[:, None])
+        if zero.any():
+            rows = np.where(zero[:, None], v.mean(axis=0), mixed / np.where(zero, 1.0, weights)[:, None])
+        else:
+            rows = mixed / weights[:, None]
         return rows[self.inverse]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -145,7 +149,10 @@ def row_normalize(affinity: np.ndarray) -> np.ndarray:
         raise ValidationError("affinity must be a non-empty 2-D matrix")
     if (a < 0).any():
         raise ValidationError("affinity entries must be non-negative")
-    sums = a.sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = a.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise ValidationError("affinity row sums must be finite; the entries are too large")
     zero = sums == 0
     out = np.empty_like(a)
     np.divide(a, np.where(zero, 1.0, sums)[:, None], out=out)
@@ -156,7 +163,16 @@ def row_normalize(affinity: np.ndarray) -> np.ndarray:
 def build_graph(
     feature_map: FeatureMap, resized_labels: LabelMap, prototype: Prototype
 ) -> LabelAdjacency:
-    """The adjacency of the graph over the pixels of ``feature_map``."""
+    """The adjacency of the graph over the pixels of ``feature_map``.
+
+    Refuses a prototype whose label weights ``omega_k cnt`` overflow.
+    """
     sem = _checked_ids(flatten(feature_map, resized_labels)[1], prototype)
     present, inverse = np.unique(sem, return_inverse=True)
-    return LabelAdjacency(sem, prototype, inverse, prototype.omega[np.ix_(present, present)])
+    omega = prototype.omega[np.ix_(present, present)]
+    counts = np.bincount(inverse, minlength=present.size).astype(np.float64)
+    with np.errstate(over="ignore"):
+        weights = omega @ counts
+    if not np.isfinite(weights).all():
+        raise ValidationError("label weights omega_k cnt overflow: the prototype's entries are too large")
+    return LabelAdjacency(sem, prototype, inverse, omega, weights)

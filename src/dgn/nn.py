@@ -38,10 +38,15 @@ def propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
     """
     a = adjacency
     v = np.asarray(features, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != v.shape[0]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or v.ndim != 2 or a.shape[0] != v.shape[0]:
         raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")
     degrees = a.sum(axis=1) + 1.0
-    return (v + a @ v) / degrees[:, None]
+    # one node-sized array, finished in place: (A V + V) / deg has the bytes
+    # of (V + A V) / deg, since IEEE addition commutes
+    out = a @ v
+    out += v
+    out /= degrees[:, None]
+    return out
 
 
 def propagate_adjoint(adjacency: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -56,7 +61,9 @@ def propagate_adjoint(adjacency: np.ndarray, y: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or y.ndim != 2 or a.shape[0] != y.shape[0]:
         raise ValidationError(f"shape mismatch: adjacency {a.shape}, gradient {y.shape}")
     z = y / (a.sum(axis=1) + 1.0)[:, None]
-    return z + a.T @ z
+    out = a.T @ z
+    out += z
+    return out
 
 
 def gap(x: np.ndarray) -> np.ndarray:
@@ -139,6 +146,14 @@ class Gradients:
         return (g for g in blocks if g is not None)
 
 
+def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """``d_out[None, :] * (s * (1 - s))`` in one new array, same bytes."""
+    grad = 1.0 - s
+    grad *= s
+    grad *= d_out[None, :]
+    return grad
+
+
 def backward(record: ForwardRecord, target: int) -> Gradients:
     """Exact gradients of loss_main + lam * loss_aux for every parameter.
 
@@ -157,7 +172,7 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
     n = record.features.shape[0]
     d_pooled = record.main_head.weight @ delta_m  # (d,)
     # GAP spreads the pooled gradient evenly; sigmoid' = s * (1 - s)
-    d_pre = (d_pooled / n)[None, :] * (record.hidden * (1.0 - record.hidden))
+    d_pre = _sigmoid_grad(record.hidden, d_pooled / n)
     d_fw = propagate_adjoint(record.adjacency, d_pre)
 
     aux_w_grad = aux_b_grad = None
@@ -168,7 +183,7 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
         aux_w_grad = np.outer(record.aux_pooled, delta_a)
         aux_b_grad = delta_a
         d_aux_pooled = record.aux_head.weight @ delta_a
-        d_fw += (d_aux_pooled / n)[None, :] * (record.aux_hidden * (1.0 - record.aux_hidden))
+        d_fw += _sigmoid_grad(record.aux_hidden, d_aux_pooled / n)
 
     gc_grad = record.features.T @ d_fw
     return Gradients(gc_grad, main_w_grad, main_b_grad, aux_w_grad, aux_b_grad)

@@ -576,6 +576,33 @@ class TestInspect:
         assert kv["width"] == "3" and kv["channels"] == "4"
 
 
+def overflowing_prototype(vocab):
+    """A valid prototype, 1e308 on the diagonal and 0.5 elsewhere, whose row
+    sums and label weights overflow wherever a label covers two nodes."""
+    omega = np.full((vocab, vocab), 0.5)
+    np.fill_diagonal(omega, 1e308)
+    return Prototype(vocab, omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 3)
+
+
+def test_overflowing_label_weights_exit_2_without_output(trained_artifacts, tmp_path):
+    data, _, _, full = trained_artifacts
+    big = tmp_path / "big.dgnp"
+    save_prototype(overflowing_prototype(10), big)
+    result = run_cli(
+        "train", "--manifest", data / "train.manifest", "--prototype", big,
+        "--checkpoint", tmp_path / "x.dgnm",
+    )
+    assert result.returncode == 2, result.stderr
+    assert "overflow" in result.stderr
+    result = run_cli(
+        "eval", "--manifest", data / "test.manifest", "--checkpoint", full,
+        "--prototype", big, "--out", tmp_path / "r.csv",
+    )
+    assert result.returncode == 2, result.stderr
+    assert "overflow" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.dgnp"]
+
+
 def write_inspect_input(kind, root):
     """One artifact per ``inspect`` branch that writes no file; returns its path,
     extra flags and the expected exit code."""
@@ -592,6 +619,10 @@ def write_inspect_input(kind, root):
     if kind == "label map over the node cap":
         dgn.save_label_map(dgn.LabelMap(np.zeros((65, 65), dtype=np.int64), 3), root / "m.dgnl")
         return root / "m.dgnl", ("--prototype", root / "toy.dgnp"), 2
+    if kind == "label map with overflowing row sums":
+        save_prototype(overflowing_prototype(3), root / "big.dgnp")
+        dgn.save_label_map(dgn.LabelMap(np.array([[0, 0, 1, 1]]), 3), root / "m.dgnl")
+        return root / "m.dgnl", ("--prototype", root / "big.dgnp"), 2
     if kind == "label map without prototype":
         dgn.save_label_map(dgn.LabelMap(np.zeros((2, 2), dtype=np.int64), 3), root / "m.dgnl")
         return root / "m.dgnl", (), 1
@@ -609,6 +640,7 @@ def write_inspect_input(kind, root):
         "unknown magic",
         "truncated prototype",
         "label map over the node cap",
+        "label map with overflowing row sums",
         "label map without prototype",
         "feature map",
         "checkpoint",

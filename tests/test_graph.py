@@ -89,6 +89,11 @@ class TestRowNormalize:
         with pytest.raises(ValidationError):
             gr.row_normalize(np.array([[-0.5, 1.0], [0.0, 1.0]]))
 
+    def test_overflowing_row_sum_rejected_without_a_warning(self):
+        # finite entries whose sum is not; warnings are errors under pytest
+        with pytest.raises(ValidationError, match="finite"):
+            gr.row_normalize(np.array([[1e308, 1e308], [0.5, 0.5]]))
+
 
 class TestBuildGraph:
     def test_toy_composition(self):
@@ -107,6 +112,18 @@ class TestBuildGraph:
         labels = LabelMap(np.array([[0, 1], [2, 0]]), 3)
         a = gr.build_graph(fm, labels, proto)
         np.testing.assert_allclose(a, np.full((4, 4), 0.25))
+
+    def test_overflowing_label_weights_rejected_without_a_warning(self):
+        omega = np.full((3, 3), 0.5)
+        omega[0, 0] = omega[1, 1] = 1e308
+        labels = LabelMap(np.array([[0, 0, 1, 1]]), 3)
+        with pytest.raises(ValidationError, match="overflow"):
+            gr.build_graph(FeatureMap(np.ones((1, 4, 2))), labels, toy_prototype(omega))
+        # one node per label: each weight is 1e308 plus 0.5, still finite
+        single = gr.build_graph(
+            FeatureMap(np.ones((1, 2, 2))), LabelMap(np.array([[0, 1]]), 3), toy_prototype(omega)
+        )
+        np.testing.assert_array_equal(single.weights, [1e308 + 0.5, 1e308 + 0.5])
 
     def test_single_node_graph(self):
         a = gr.build_graph(
