@@ -129,6 +129,9 @@ def main(argv=None) -> int:
     except (ValidationError, FormatError, EOFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

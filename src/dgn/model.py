@@ -35,6 +35,7 @@ from .nn import (
     propagate,
     propagate_adjoint,
     sigmoid,
+    softmax,
     softmax_ce,
     xavier_init,
 )
@@ -270,6 +271,23 @@ def _check_graph_args(mode: AblationMode, corpus: Corpus, prototype: Prototype |
             )
 
 
+def _baseline_batch(
+    model: DgnModel, pooled: np.ndarray, targets: np.ndarray
+) -> tuple[list[float], int, list[np.ndarray]]:
+    """Losses, hits and summed gradients of a baseline batch of pooled vectors.
+
+    ``pooled`` is the batch's (B, c) block.  The losses are per instance,
+    and the summed gradients are one ``(c, B) @ (B, k)`` weight product and
+    the column sum of the softmax deltas.
+    """
+    logits = linear(pooled, model.main_head)
+    losses = softmax_ce(logits, targets).tolist()
+    delta = softmax(logits)
+    delta[np.arange(targets.size), targets] -= 1.0
+    hits = int((logits.argmax(axis=1) == targets).sum())
+    return losses, hits, [pooled.T @ delta, delta.sum(axis=0)]
+
+
 def train(
     train_corpus: Corpus,
     prototype: Prototype | None,
@@ -278,9 +296,13 @@ def train(
 ) -> tuple[DgnModel, list[EpochStats]]:
     """Train a model of the given mode; deterministic under ``config.seed``.
 
-    Batches accumulate per-instance gradients and apply one optimizer step
-    per batch (the mean of the per-instance losses).  The learning rate
-    drops by ``DECAY_FACTOR`` at each epoch in ``decay_epochs``.
+    Each batch is one optimizer step on the mean of its per-instance
+    losses.  The baseline pools every instance once, before the first
+    epoch, since pooling carries no weight; a batch step is then one head
+    forward and one gradient product over the batch's (B, c) block.  Graph
+    modes run ``forward_parts`` and ``backward`` per instance and sum the
+    gradients.  The learning rate drops by ``DECAY_FACTOR`` at each epoch
+    in ``decay_epochs``.
     """
     config.validate()
     if mode is AblationMode.EVAL_ONLY_IODP:
@@ -296,6 +318,9 @@ def train(
     params = model.blocks(aux=mode is AblationMode.FULL and config.lam > 0)
     state = AdamState.for_params(params, config.lr, config.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
+    if mode is AblationMode.BASELINE:
+        pooled = np.stack([gap(features) for features, _, _ in data])
+        targets = np.array([target for _, _, target in data])
 
     trace: list[EpochStats] = []
     n_total = len(data)
@@ -307,22 +332,30 @@ def train(
         correct = 0
         for start in range(0, n_total, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad_sums = [np.zeros_like(p) for p in params]
             batch_loss = 0.0
-            for idx in batch:
-                features, adjacency, target = data[idx]
-                logits, aux_logits, record = forward_parts(model, features, adjacency, mode)
-                loss_main = softmax_ce(logits, target)
-                loss_aux = softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
-                loss = total_loss(loss_main, loss_aux, model.lam)
-                # gradients come in block order; zip drops an untrained aux tail
-                for acc, g in zip(grad_sums, backward(record, target)):
-                    acc += g
-                batch_loss += loss
-                sums["loss"] += loss
-                sums["main"] += loss_main
-                sums["aux"] += loss_aux
-                correct += int(np.argmax(logits) == target)
+            if mode is AblationMode.BASELINE:
+                losses, hits, grad_sums = _baseline_batch(model, pooled[batch], targets[batch])
+                for loss in losses:
+                    batch_loss += loss
+                    sums["loss"] += loss
+                    sums["main"] += loss
+                correct += hits
+            else:
+                grad_sums = [np.zeros_like(p) for p in params]
+                for idx in batch:
+                    features, adjacency, target = data[idx]
+                    logits, aux_logits, record = forward_parts(model, features, adjacency, mode)
+                    loss_main = softmax_ce(logits, target)
+                    loss_aux = softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
+                    loss = total_loss(loss_main, loss_aux, model.lam)
+                    # gradients come in block order; zip drops an untrained aux tail
+                    for acc, g in zip(grad_sums, backward(record, target)):
+                        acc += g
+                    batch_loss += loss
+                    sums["loss"] += loss
+                    sums["main"] += loss_main
+                    sums["aux"] += loss_aux
+                    correct += int(np.argmax(logits) == target)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"non-finite loss in epoch {epoch}")
             adam_step(params, [g / batch.size for g in grad_sums], state)

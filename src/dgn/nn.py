@@ -83,26 +83,48 @@ class ClassifierParams:
 
 
 def linear(x: np.ndarray, params: ClassifierParams) -> np.ndarray:
+    """``x @ weight + bias`` for one input vector or a (B, in_dim) block of rows.
+
+    A block goes through numpy's stacked matmul as B one-row products, each
+    the vector-matrix product of a single vector, so every row of the result
+    has the bytes of its per-vector call.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.weight.shape[0],):
+    if x.ndim not in (1, 2) or x.shape[-1] != params.weight.shape[0]:
         raise ValidationError(f"input shape {x.shape} does not match head {params.weight.shape}")
-    return x @ params.weight + params.bias
+    if x.ndim == 1:
+        return x @ params.weight + params.bias
+    return (x[:, None, :] @ params.weight)[:, 0, :] + params.bias
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted; a (B, k) block row by row."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce(logits: np.ndarray, target: int) -> float:
-    """Cross-entropy of softmax(logits) against a class index, max-subtracted."""
+def softmax_ce(logits: np.ndarray, target: int | np.ndarray) -> float | np.ndarray:
+    """Cross-entropy of softmax(logits) against a class index, max-subtracted.
+
+    One (k,) logit vector and an int give a float; a (B, k) block and B
+    targets give the (B,) per-row losses, each with the bytes of its
+    per-row call.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    if not 0 <= target < z.size:
-        raise ValidationError(f"target {target} out of range for {z.size} classes")
-    z = z - z.max()
-    return float(np.log(np.exp(z).sum()) - z[target])
+    if z.ndim == 1:
+        fits = 0 <= target < z.size
+    else:
+        t = np.asarray(target)
+        fits = z.ndim == 2 and t.shape == z.shape[:1] and bool(((t >= 0) & (t < z.shape[1])).all())
+    if not fits:
+        raise ValidationError(f"targets {target} do not fit logits of shape {z.shape}")
+    z = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    if z.ndim == 1:
+        return float(lse - z[target])
+    return lse - z[np.arange(z.shape[0]), target]
 
 
 # ---------------------------------------------------------------------------

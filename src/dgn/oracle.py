@@ -2,8 +2,9 @@
 
 These share only the domain types with the modules they verify: counting is
 a pixel scan into Python sets, statistics are scalar loops, propagation is a
-scalar triple loop, and gradients come from central finite differences.
-They are deliberately unoptimized.
+scalar triple loop, gradients come from central finite differences, and
+training is those gradients fed to a scalar-loop AdamW.  They are
+deliberately unoptimized.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import ValidationError
+from .model import DECAY_FACTOR, AblationMode, TrainConfig
+from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from .prototype import CooccurrenceMode, DispersionMetric, Prototype
 
 # central-difference step of fd_gradient
@@ -132,3 +135,90 @@ def fd_gradient(
             grad[where] = (f_plus - f_minus) / (2.0 * FD_STEP)
         grads.append(grad)
     return grads
+
+
+def _affine_ce(x: Sequence[float], weight: np.ndarray, bias: np.ndarray, target: int) -> float:
+    """Cross-entropy of the softmax of ``x @ weight + bias`` against ``target``."""
+    logits = [
+        sum(float(x[j]) * float(weight[j][k]) for j in range(len(x))) + float(bias[k])
+        for k in range(len(bias))
+    ]
+    top = max(logits)
+    return math.log(sum(math.exp(z - top) for z in logits)) - (logits[target] - top)
+
+
+def _pooled_sigmoid(x: np.ndarray) -> list[float]:
+    n, d = x.shape
+    return [sum(1.0 / (1.0 + math.exp(-float(x[i][m]))) for i in range(n)) / n for m in range(d)]
+
+
+def _naive_loss(
+    params: Sequence[np.ndarray],
+    features: np.ndarray,
+    adjacency: np.ndarray | None,
+    target: int,
+    mode: AblationMode,
+    lam: float,
+) -> float:
+    """One instance's training loss, ``loss_main + lam * loss_aux``, in scalar loops."""
+    n, c = features.shape
+    if mode is AblationMode.BASELINE:
+        pooled = [sum(float(features[i][j]) for i in range(n)) / n for j in range(c)]
+        return _affine_ce(pooled, params[0], params[1], target)
+    w = params[0]
+    fw = np.array(
+        [
+            [sum(float(features[i][j]) * float(w[j][m]) for j in range(c)) for m in range(w.shape[1])]
+            for i in range(n)
+        ]
+    )
+    hidden = _pooled_sigmoid(naive_propagate(adjacency, fw))
+    loss = _affine_ce(hidden, params[1], params[2], target)
+    if mode is AblationMode.FULL:
+        loss += lam * _affine_ce(_pooled_sigmoid(fw), params[3], params[4], target)
+    return loss
+
+
+def naive_train(
+    instances: Sequence[tuple[np.ndarray, np.ndarray | None, int]],
+    params: Sequence[np.ndarray],
+    config: TrainConfig,
+    mode: AblationMode,
+) -> list[np.ndarray]:
+    """Reference for ``model.train``: the trained parameter blocks.
+
+    ``instances`` are (node features V, dense adjacency or None, target);
+    ``params`` are the initial blocks in checkpoint order.  Each batch of
+    ``model.train``'s permutation stream is one AdamW step on the
+    ``fd_gradient`` of the batch-mean loss, with the same learning-rate
+    schedule.  The auxiliary head is stepped only in ``full`` mode with
+    ``lam > 0``; the blocks not stepped come back unchanged.
+    """
+    params = [np.array(p, dtype=np.float64) for p in params]
+    lam = config.lam if mode is AblationMode.FULL else 0.0
+    stepped = 2 if mode is AblationMode.BASELINE else 5 if lam > 0 else 3
+    m = [np.zeros_like(p) for p in params[:stepped]]
+    v = [np.zeros_like(p) for p in params[:stepped]]
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
+    t = 0
+    for epoch in range(1, config.epochs + 1):
+        lr = config.lr * DECAY_FACTOR ** sum(1 for boundary in config.decay_epochs if epoch >= boundary)
+        order = rng.permutation(len(instances))
+        for start in range(0, len(order), config.batch_size):
+            batch = [instances[i] for i in order[start : start + config.batch_size]]
+
+            def batch_loss(trial: list[np.ndarray]) -> float:
+                blocks = trial + params[stepped:]
+                return sum(_naive_loss(blocks, *inst, mode, lam) for inst in batch) / len(batch)
+
+            grads = fd_gradient(batch_loss, params[:stepped])
+            t += 1
+            for p, g, mp, vp in zip(params, grads, m, v):
+                for where in np.ndindex(p.shape):
+                    mp[where] = ADAM_BETA1 * mp[where] + (1.0 - ADAM_BETA1) * g[where]
+                    vp[where] = ADAM_BETA2 * vp[where] + (1.0 - ADAM_BETA2) * g[where] ** 2
+                    m_hat = mp[where] / (1.0 - ADAM_BETA1**t)
+                    v_hat = vp[where] / (1.0 - ADAM_BETA2**t)
+                    decayed = p[where] * (1.0 - lr * config.weight_decay)
+                    p[where] = decayed - lr * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
+    return params

@@ -57,6 +57,16 @@ class TestGen:
         assert result.returncode == 2
         assert result.stderr.strip()
 
+    def test_unallocatable_size_exits_2_without_output(self, tmp_path):
+        # a 10^7 x 10^7 label grid needs ~800 TB, more than any address
+        # space holds, so the allocation fails at once and touches nothing
+        result = run_cli("gen", "--cells", 10_000_000, "--out", tmp_path / "x")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_1(self, tmp_path):

@@ -134,6 +134,51 @@ class TestTrain:
         assert by_epoch[15] == pytest.approx(1e-5)
         assert by_epoch[20] == pytest.approx(1e-6)
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    def test_batched_baseline_step_is_the_mean_of_per_instance_gradients(self, batch_size):
+        rng = np.random.default_rng(batch_size)
+        count, n, c, k = 70, 9, 16, 5
+        features = rng.standard_normal((count, n, c))
+        targets = rng.integers(0, k, size=count)
+        model = md.init_model(AblationMode.BASELINE, c, k, TrainConfig(seed=3))
+        pooled = np.stack([nn.gap(v) for v in features])
+        order = rng.permutation(count)
+        sizes = []
+        # 70 instances: batches of 3 end with 1, batches of 32 end with 6
+        for start in range(0, count, batch_size):
+            batch = order[start : start + batch_size]
+            sizes.append(batch.size)
+            losses, hits, grad_sums = md._baseline_batch(model, pooled[batch], targets[batch])
+            per_instance, expected_hits = [], 0
+            for j, i in enumerate(batch):
+                logits, _, record = md.forward_parts(model, features[i], None)
+                per_instance.append(list(nn.backward(record, int(targets[i]))))
+                assert losses[j] == nn.softmax_ce(logits, int(targets[i]))
+                expected_hits += int(np.argmax(logits) == targets[i])
+            assert hits == expected_hits
+            for block, g in enumerate(grad_sums):
+                mean = sum(grads[block] for grads in per_instance) / batch.size
+                error = np.linalg.norm(g / batch.size - mean) / np.linalg.norm(mean)
+                assert error <= 1e-12
+        assert sizes[-1] == (count % batch_size or batch_size)
+
+    def test_baseline_trace_holds_plain_floats(self, trained_setup):
+        train_corpus, _, _ = trained_setup
+        _, trace = md.train(train_corpus, None, TrainConfig(epochs=2), AblationMode.BASELINE)
+        for s in trace:
+            assert all(type(v) is float for v in (s.lr, s.loss, s.loss_main, s.loss_aux, s.train_accuracy))
+            assert s.loss == s.loss_main and s.loss_aux == 0.0
+
+    def test_non_finite_baseline_loss_raises(self, trained_setup):
+        train_corpus, _, _ = trained_setup
+        first, *rest = train_corpus.instances
+        huge = dgn.corpus.Instance(
+            first.scene_id, first.label_map, dgn.corpus.FeatureMap(first.feature_map.values * 1e307)
+        )
+        corpus = dgn.corpus.Corpus(train_corpus.num_classes, train_corpus.vocab_size, (huge, *rest))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            md.train(corpus, None, TrainConfig(epochs=1), AblationMode.BASELINE)
+
     def test_eval_only_mode_rejected(self, trained_setup):
         train_corpus, _, proto = trained_setup
         with pytest.raises(ValidationError):

@@ -127,6 +127,54 @@ class TestSoftmaxCe:
             assert nn.softmax_ce(logits, int(rng.integers(0, 4))) >= 0.0
 
 
+class TestBatchedHead:
+    """A (B, k) block through the head and loss gives each row's own bytes."""
+
+    SHAPES = [(1, 3, 2), (3, 3, 3), (4, 512, 67), (32, 32, 7), (33, 8, 3)]
+
+    @pytest.mark.parametrize("b, c, k", SHAPES)
+    def test_rows_equal_per_row_calls_byte_for_byte(self, b, c, k):
+        rng = np.random.default_rng(b * 1000 + c + k)
+        head = nn.ClassifierParams(rng.standard_normal((c, k)), rng.standard_normal(k))
+        x = rng.standard_normal((b, c))
+        targets = rng.integers(0, k, size=b)
+        logits = nn.linear(x, head)
+        probs = nn.softmax(logits * 30.0)
+        losses = nn.softmax_ce(logits * 30.0, targets)
+        assert logits.shape == probs.shape == (b, k) and losses.shape == (b,)
+        for i in range(b):
+            row = nn.linear(x[i], head)
+            assert logits[i].tobytes() == row.tobytes()
+            assert probs[i].tobytes() == nn.softmax(row * 30.0).tobytes()
+            assert losses[i].tobytes() == np.float64(nn.softmax_ce(row * 30.0, int(targets[i]))).tobytes()
+
+    def test_single_vector_calls_keep_the_plain_expression_bytes(self):
+        rng = np.random.default_rng(77)
+        head = nn.ClassifierParams(rng.standard_normal((512, 67)), rng.standard_normal(67))
+        x = rng.standard_normal(512)
+        logits = nn.linear(x, head)
+        assert logits.tobytes() == (x @ head.weight + head.bias).tobytes()
+        z = logits - logits.max()
+        e = np.exp(z)
+        assert nn.softmax(logits).tobytes() == (e / e.sum()).tobytes()
+        loss = nn.softmax_ce(logits, 5)
+        assert type(loss) is float
+        assert loss == float(np.log(np.exp(z).sum()) - z[5])
+
+    def test_block_shape_and_targets_checked(self):
+        head = nn.ClassifierParams(np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValidationError):
+            nn.linear(np.ones((4, 2)), head)
+        with pytest.raises(ValidationError):
+            nn.linear(np.ones((2, 4, 3)), head)
+        with pytest.raises(ValidationError):
+            nn.softmax_ce(np.zeros((3, 2)), np.array([0, 1]))
+        with pytest.raises(ValidationError):
+            nn.softmax_ce(np.zeros((2, 2)), np.array([0, 2]))
+        with pytest.raises(ValidationError):
+            nn.softmax_ce(np.zeros((2, 2)), np.array([-1, 0]))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = [np.array([1.0, -2.0])]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import dgn
 from dgn import model as md
 from dgn import nn, oracle
-from dgn.corpus import FeatureMap, LabelMap
+from dgn.corpus import Corpus, FeatureMap, LabelMap, nn_resize
 from dgn.errors import ValidationError
 from dgn.graph import build_graph, extract_local_knowledge
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, build_prototype
@@ -216,3 +217,55 @@ def test_compare_report():
     assert report.max_abs_deviation == 0.5
     assert report.worst_location == (1,)
     assert report.max_rel_deviation == pytest.approx(0.2)
+
+
+def tiny_training_run(lam):
+    """Five instances of four nodes, three channels and three classes, a prototype and a config."""
+    spec = dgn.SyntheticSpec(
+        num_classes=3, vocab_size=8, grid_cells=2, train_per_class=2, test_per_class=1,
+        channels=3, noise=1.0, seed=909,
+    )
+    full_corpus, _ = dgn.generate_synthetic_corpus(spec)
+    proto = build_prototype(full_corpus, CooccurrenceMode.INDEPENDENT)
+    # five instances in batches of two: the last batch is short
+    corpus = Corpus(3, 8, full_corpus.instances[:5])
+    config = md.TrainConfig(
+        epochs=2, batch_size=2, lr=0.05, decay_epochs=(2,), weight_decay=0.1, lam=lam,
+        hidden_dim=2, seed=31,
+    )
+    return corpus, proto, config
+
+
+def dense_instances(corpus, proto):
+    out = []
+    for inst in corpus.instances:
+        fm = inst.feature_map
+        resized = nn_resize(inst.label_map, fm.width, fm.height)
+        adjacency = np.asarray(build_graph(fm, resized, proto))
+        out.append((fm.values.reshape(-1, fm.channels), adjacency, inst.scene_id))
+    return out
+
+
+@pytest.mark.parametrize(
+    "mode, lam, stepped",
+    [
+        (md.AblationMode.BASELINE, 0.5, 2),
+        (md.AblationMode.TRAIN_EVAL_IODP, 0.5, 3),
+        (md.AblationMode.FULL, 0.5, 5),
+        (md.AblationMode.FULL, 0.0, 3),
+    ],
+)
+def test_train_matches_the_training_oracle(mode, lam, stepped):
+    corpus, proto, config = tiny_training_run(lam)
+    initial = md.init_model(mode, 3, 3, config).blocks()
+    trained, _ = md.train(corpus, proto, config, mode)
+    expected = oracle.naive_train(dense_instances(corpus, proto), initial, config, mode)
+    actual = trained.blocks()
+    assert len(actual) == len(expected) == len(initial)
+    for a, e in zip(actual, expected):
+        assert oracle.compare(a, e).max_rel_deviation <= 1e-6
+    # the stepped blocks move well past the tolerance; the others stay put
+    for a, start in zip(actual[:stepped], initial[:stepped]):
+        assert oracle.compare(a, start).max_rel_deviation > 1e-3
+    for a, start in zip(actual[stepped:], initial[stepped:]):
+        np.testing.assert_array_equal(a, start)
