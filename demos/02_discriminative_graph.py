@@ -66,10 +66,11 @@ print("pooled class-channel response:",
       f"{pooled_after[signal_channels].mean():+.3f} after")
 
 # the graph layer is weight-first: D^-1 (A + I) (V W) equals (D^-1 (A + I) V) W,
-# so a trained model propagates V W and never keeps the propagated V
+# so a trained model propagates V W and never keeps the propagated V; the
+# label-space adjacency mixes V W from the label sums P^T V it holds
 w = rng.standard_normal((spec.channels, 4))
 print("\nweight-first layer equals propagate-first:",
-      np.allclose(nn.propagate(adjacency, features @ w), mixed @ w,
+      np.allclose(nn.propagate(adjacency, features, w), mixed @ w,
                   atol=1e-12, rtol=0))
 # the plug-and-play mode pools through the adjoint: gap(M V) = (M^T 1/n)^T V
 weights = nn.propagate_adjoint(adjacency, np.full((n, 1), 1.0 / n))[:, 0]

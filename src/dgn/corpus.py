@@ -261,9 +261,14 @@ def nn_resize(label_map: LabelMap, out_w: int, out_h: int) -> LabelMap:
     return LabelMap(label_map.labels[np.ix_(sy, sx)], label_map.vocab_size)
 
 
+def presence_mask(label_map: LabelMap) -> np.ndarray:
+    """(vocab_size,) bool: which ids occur on at least one pixel, by one bincount."""
+    return np.bincount(label_map.labels.ravel(), minlength=label_map.vocab_size) > 0
+
+
 def object_presence(label_map: LabelMap) -> set[int]:
     """Ids that occur on at least one pixel."""
-    return set(int(v) for v in np.unique(label_map.labels))
+    return set(np.flatnonzero(presence_mask(label_map)).tolist())
 
 
 # ---------------------------------------------------------------------------

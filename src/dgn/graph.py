@@ -7,10 +7,12 @@ row-stochastic adjacency matrix.
 
 That adjacency is ``A = D^-1 P omega P^T``, where ``P`` is the n x L one-hot
 matrix of node object ids, so ``build_graph`` returns it in label space: over
-the k <= min(n, L) ids present, ``A @ V`` costs O(nkc + k^2 c) time and
-O(nc + k^2) memory instead of O(n^2 c) and O(n^2).  The dense n x n
-affinity and adjacency are built only on request, through
-``extract_local_knowledge`` and ``row_normalize``.
+the k <= min(n, L) ids present, a graph-layer product with a c x d weight
+costs O(nkd + k^2 d) time and O(nd + k^2) memory instead of O(n^2 d) and
+O(n^2).  With fewer channels than nodes, the graph holds the label sums
+``P^T V`` of its features, computed once in O(nkc), and a forward product
+costs O(kcd + k^2 d) plus an O(nd) gather.  The dense n x n affinity and adjacency are built only
+on request, through ``extract_local_knowledge`` and ``row_normalize``.
 """
 
 from __future__ import annotations
@@ -29,12 +31,18 @@ from .prototype import Prototype
 class LabelAdjacency:
     """Row-stochastic n x n adjacency held as its k x k prototype block.
 
-    With ``S`` the per-label sums of ``V`` and ``cnt`` the per-label node
-    counts, row i of ``A @ V`` is ``(omega_k S)[l] / (omega_k cnt)[l]`` for
-    the label l of node i.  A row whose affinity sums to 0 is uniform, as in
-    ``row_normalize``, so it yields ``mean(V)``.  Every row sums to exactly 1.
-    ``A.T @ Z`` is the transposed product, in label space too.
-    ``np.asarray`` builds the dense matrix.
+    The graph keeps the node features ``V`` it was built over (a view of the
+    feature map), so the graph layer runs in label space.  With ``w`` the
+    label weights ``omega_k cnt``, row i of ``A V W`` is
+    ``(omega_k P^T V W)[l] / w[l]`` for the label l of node i
+    (:meth:`label_rows`).  When ``V`` has fewer channels than nodes, the
+    graph also holds, from its first product on, the label sums
+    ``S_V = P^T V`` (:attr:`holds_label_sums`): ``P^T V W`` is then
+    ``S_V W``, and ``V^T A^T Y`` is ``S_V^T omega_k (P^T Y / w)``
+    (:meth:`feature_adjoint`).  A row whose affinity sums to 0 is uniform,
+    as in ``row_normalize``, so it yields the node mean of ``V W``.  Every
+    row sums to exactly 1.  ``A.T @ Z`` is the transposed product of any
+    ``Z``, in label space too.  ``np.asarray`` builds the dense matrix.
     """
 
     semantics: np.ndarray  # (n,) object id per node
@@ -42,8 +50,12 @@ class LabelAdjacency:
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
     omega: np.ndarray  # (k, k) prototype block of the present ids
     weights: np.ndarray  # (k,) label weights omega_k cnt, all finite
+    features: np.ndarray  # (n, c) node features V, a view of the feature map
 
     ndim = 2
+    # numpy operators return NotImplemented, so ``A @ V`` raises instead of
+    # silently building the dense matrix through ``__array__``
+    __array_ufunc__ = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -55,30 +67,89 @@ class LabelAdjacency:
             raise ValidationError("a label-space adjacency only sums its rows")
         return np.ones(self.semantics.size)
 
-    @functools.cached_property
-    def _labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(k x n one-hot of node labels, label weights ``omega_k cnt``, zero mask).
+    @property
+    def holds_label_sums(self) -> bool:
+        """Whether the graph holds ``S_V``: only for fewer channels than nodes.
 
-        Computed once per graph, at its first product, and shared by
-        ``A @ V`` and ``A.T @ Z``.
+        Per product with a c x d weight, ``S_V W`` costs kcd where
+        ``P^T (V W)`` costs knd, and the backward's ``S_V^T`` product costs
+        kcd where the node-sized adjoint costs about nd.
+        """
+        n, c = self.features.shape
+        return c < n
+
+    @functools.cached_property
+    def _labels(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """(k x n one-hot of node labels, k x c label sums ``S_V`` or None, zero-weight mask).
+
+        Computed once per graph, at its first product, and shared by every
+        product after it.
         """
         k = self.omega.shape[0]
         one_hot = (self.inverse == np.arange(k)[:, None]).astype(np.float64)
-        return one_hot, self.weights, self.weights == 0
+        sums = one_hot @ self.features if self.holds_label_sums else None
+        return one_hot, sums, self.weights == 0
+
+    def check_features(self, features: np.ndarray) -> None:
+        """Refuse node features other than the ones the graph was built over."""
+        own = self.features
+        if not (
+            features.shape == own.shape
+            and features.strides == own.strides
+            and features.dtype == own.dtype
+            and features.__array_interface__["data"][0] == own.__array_interface__["data"][0]
+        ):
+            raise ValidationError("a label-space graph propagates only the features it was built over")
+
+    def label_rows(self, product: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+        """(k, d): row l is the row of ``A V W`` at every node of label l.
+
+        ``product`` is ``V W`` for the graph's own ``V`` and ``weight`` is
+        ``W``, the identity by default.  The label sums ``P^T V W`` are
+        ``S_V W`` when the graph holds ``S_V``, else ``P^T product``.  A
+        zero-weight label's row is the node mean of ``V W``.
+        """
+        one_hot, sums, zero = self._labels
+        if sums is None:
+            label_sums = one_hot @ product
+        else:
+            label_sums = sums if weight is None else sums @ weight
+        rows = self.omega @ label_sums
+        rows /= np.where(zero, 1.0, self.weights)[:, None]
+        if zero.any():
+            rows[zero] = label_sums.sum(axis=0) / self.semantics.size
+        return rows
+
+    def feature_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """``V^T A^T y``, (c, d), in label space, for a graph that holds ``S_V``.
+
+        It is ``S_V^T omega_k (P^T y / w)``, plus the column sums of ``V``
+        times ``1/n`` of the zero-weight labels' sums of ``y``.
+        """
+        mixed, spread = self._adjoint_sums(y)
+        sums = self._labels[1]
+        out = sums.T @ mixed
+        if spread is not None:
+            out += np.outer(sums.sum(axis=0), spread)
+        return out
+
+    def _adjoint_sums(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The label-space part of ``A^T z``: ``omega_k (P^T z / w)``, (k, d).
+
+        A zero-weight label adds nothing there; its nodes' rows are uniform,
+        so it spreads ``1/n`` of its sums of ``z`` over every node: that
+        spread comes second, or None when no weight is 0.  ``omega_k`` is
+        symmetric, so it serves as its own transpose.
+        """
+        one_hot, _, zero = self._labels
+        sums = one_hot @ np.asarray(z, dtype=np.float64)
+        scaled = np.where(zero[:, None], 0.0, sums / np.where(zero, 1.0, self.weights)[:, None])
+        spread = sums[zero].sum(axis=0) / self.semantics.size if zero.any() else None
+        return self.omega @ scaled, spread
 
     @property
     def T(self) -> _TransposedLabelAdjacency:
         return _TransposedLabelAdjacency(self)
-
-    def __matmul__(self, features: np.ndarray) -> np.ndarray:
-        v = np.asarray(features, dtype=np.float64)
-        one_hot, weights, zero = self._labels
-        mixed = self.omega @ (one_hot @ v)
-        if zero.any():
-            rows = np.where(zero[:, None], v.mean(axis=0), mixed / np.where(zero, 1.0, weights)[:, None])
-        else:
-            rows = mixed / weights[:, None]
-        return rows[self.inverse]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
@@ -91,22 +162,18 @@ class LabelAdjacency:
 class _TransposedLabelAdjacency:
     """``A.T`` of a :class:`LabelAdjacency`, for the product ``A.T @ Z``.
 
-    With ``S`` the per-label sums of ``Z`` and ``w`` the label weights,
-    ``A.T @ Z`` is ``(omega_k (S / w))[inv]`` plus ``1/n`` of the sums of
-    the zero-weight labels, whose rows are uniform; ``omega_k`` is
-    symmetric, so it serves as its own transpose.
+    ``A.T @ Z`` is ``(omega_k (P^T Z / w))[inv]`` plus ``1/n`` of the sums
+    of the zero-weight labels, whose rows are uniform.
     """
 
     adjacency: LabelAdjacency
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         a = self.adjacency
-        one_hot, weights, zero = a._labels
-        sums = one_hot @ np.asarray(z, dtype=np.float64)
-        scaled = np.where(zero[:, None], 0.0, sums / np.where(zero, 1.0, weights)[:, None])
-        out = (a.omega @ scaled)[a.inverse]
-        if zero.any():
-            out += sums[zero].sum(axis=0) / a.semantics.size
+        mixed, spread = a._adjoint_sums(z)
+        out = mixed[a.inverse]
+        if spread is not None:
+            out += spread
         return out
 
 
@@ -167,7 +234,8 @@ def build_graph(
 
     Refuses a prototype whose label weights ``omega_k cnt`` overflow.
     """
-    sem = _checked_ids(flatten(feature_map, resized_labels)[1], prototype)
+    features, semantics = flatten(feature_map, resized_labels)
+    sem = _checked_ids(semantics, prototype)
     present, inverse = np.unique(sem, return_inverse=True)
     omega = prototype.omega[np.ix_(present, present)]
     counts = np.bincount(inverse, minlength=present.size).astype(np.float64)
@@ -175,4 +243,4 @@ def build_graph(
         weights = omega @ counts
     if not np.isfinite(weights).all():
         raise ValidationError("label weights omega_k cnt overflow: the prototype's entries are too large")
-    return LabelAdjacency(sem, prototype, inverse, omega, weights)
+    return LabelAdjacency(sem, prototype, inverse, omega, weights, features)

@@ -191,8 +191,10 @@ def forward_parts(
     ``adjacency`` is a dense row-stochastic array or a
     ``graph.LabelAdjacency``; the baseline path ignores it.  The graph layer
     is weight-first, ``D^-1 (A + I) (V W)``, so the full mode's auxiliary
-    path reuses the same ``V W``.  The eval-only mode pools the propagation
-    through its adjoint, ``gap(M V) = (M^T 1/n)^T V``, one column wide.
+    path reuses the same ``V W``.  A label-space adjacency mixes ``V W`` in
+    label space and refuses features other than its own.
+    The eval-only mode pools the propagation through its adjoint,
+    ``gap(M V) = (M^T 1/n)^T V``, one column wide.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
@@ -211,7 +213,7 @@ def forward_parts(
         return logits, None, record
 
     fw = features @ model.gc_weight
-    hidden = sigmoid(propagate(adjacency, fw))
+    hidden = sigmoid(propagate(adjacency, features, model.gc_weight, fw))
     pooled = gap(hidden)
     logits = linear(pooled, model.main_head)
     record = ForwardRecord(

@@ -28,24 +28,44 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Self-loop-augmented, degree-normalized propagation.
+def propagate(
+    adjacency: np.ndarray,
+    features: np.ndarray,
+    weight: np.ndarray | None = None,
+    product: np.ndarray | None = None,
+) -> np.ndarray:
+    """Self-loop-augmented, degree-normalized propagation of ``V W``.
 
     Adds the identity to the adjacency, then divides each row by its degree;
     for a row-stochastic adjacency every degree is 2, so each node returns
-    the average of its own feature and its neighborhood mixture.  The
-    adjacency is a dense array or a ``graph.LabelAdjacency``.
+    the average of its own feature and its neighborhood mixture.  ``weight``
+    defaults to the identity; ``product`` is ``features @ weight`` when the
+    caller holds it already.  A dense adjacency multiplies ``V W`` at node
+    size.  A ``graph.LabelAdjacency`` mixes ``V W`` in label space
+    (:meth:`~dgn.graph.LabelAdjacency.label_rows`), from the label sums it
+    holds of its own features when it holds them, and refuses any other
+    features.
     """
     a = adjacency
     v = np.asarray(features, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or v.ndim != 2 or a.shape[0] != v.shape[0]:
         raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")
-    degrees = a.sum(axis=1) + 1.0
-    # one node-sized array, finished in place: (A V + V) / deg has the bytes
-    # of (V + A V) / deg, since IEEE addition commutes
-    out = a @ v
-    out += v
-    out /= degrees[:, None]
+    if weight is None:
+        x = v
+    else:
+        x = v @ weight if product is None else product
+    if isinstance(a, np.ndarray):
+        degrees = a.sum(axis=1) + 1.0
+        # one node-sized array, finished in place: (A X + X) / deg has the
+        # bytes of (X + A X) / deg, since IEEE addition commutes
+        out = a @ x
+        out += x
+        out /= degrees[:, None]
+        return out
+    a.check_features(v)
+    out = a.label_rows(x, weight)[a.inverse]
+    out += x
+    out *= 0.5
     return out
 
 
@@ -67,11 +87,15 @@ def propagate_adjoint(adjacency: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def gap(x: np.ndarray) -> np.ndarray:
-    """Global average pooling: columnwise mean over nodes."""
+    """Global average pooling: the column sums over nodes, one GEMV, divided by n.
+
+    Summing first keeps the overflow of the column sums: features whose sum
+    passes the float64 range pool to inf rather than to a finite mean.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValidationError("gap expects a non-empty (n, d) matrix")
-    return x.mean(axis=0)
+    return (np.ones(x.shape[0]) @ x) / x.shape[0]
 
 
 @dataclass(eq=False)
@@ -147,7 +171,7 @@ class ForwardRecord:
     lam: float = 0.0
     adjacency: np.ndarray | None = None  # A, dense or a graph.LabelAdjacency
     gc_weight: np.ndarray | None = None  # shared hidden weight W
-    hidden: np.ndarray | None = None  # sigmoid(propagate(A, V @ W))
+    hidden: np.ndarray | None = None  # sigmoid(propagate(A, V, W))
     aux_hidden: np.ndarray | None = None  # per-node sigmoid(V @ W)
     aux_pooled: np.ndarray | None = None
     aux_head: ClassifierParams | None = None
@@ -179,9 +203,15 @@ def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 def backward(record: ForwardRecord, target: int) -> Gradients:
     """Exact gradients of loss_main + lam * loss_aux for every parameter.
 
-    Both paths start from ``V @ W``, so the shared weight's gradient is one
-    product ``V^T (M^T d_pre + d_aux_pre)``, with ``M^T`` from
-    :func:`propagate_adjoint`.
+    Both paths start from ``V @ W``, so the shared weight's gradient is
+    ``V^T (M^T d_pre + d_aux_pre)``, with ``M^T d_pre`` formed at node size
+    by :func:`propagate_adjoint`.  A ``graph.LabelAdjacency`` that holds
+    its label sums has every degree 2, so with the 2 folded into the
+    pooled-gradient scale, ``y = s (1 - s) (W_head delta / 2n)`` and
+    ``M^T d_pre = y + A^T y``; the gradient is then
+    ``V^T (y + d_aux_pre) + V^T A^T y``, whose second term comes from the
+    label sums (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no
+    node-sized gather.
     """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
@@ -194,8 +224,13 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
     n = record.features.shape[0]
     d_pooled = record.main_head.weight @ delta_m  # (d,)
     # GAP spreads the pooled gradient evenly; sigmoid' = s * (1 - s)
-    d_pre = _sigmoid_grad(record.hidden, d_pooled / n)
-    d_fw = propagate_adjoint(record.adjacency, d_pre)
+    a = record.adjacency
+    if isinstance(a, np.ndarray) or not a.holds_label_sums:
+        d_fw = propagate_adjoint(a, _sigmoid_grad(record.hidden, d_pooled / n))
+        mixed = None
+    else:
+        d_fw = _sigmoid_grad(record.hidden, d_pooled / (2 * n))
+        mixed = a.feature_adjoint(d_fw)
 
     aux_w_grad = aux_b_grad = None
     if record.aux_logits is not None:
@@ -208,6 +243,8 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
         d_fw += _sigmoid_grad(record.aux_hidden, d_aux_pooled / n)
 
     gc_grad = record.features.T @ d_fw
+    if mixed is not None:
+        gc_grad += mixed
     return Gradients(gc_grad, main_w_grad, main_b_grad, aux_w_grad, aux_b_grad)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .corpus import Corpus, object_presence
+from .corpus import Corpus, presence_mask
 from .errors import ValidationError
 
 PROTOTYPE_MAGIC = b"DGNP"
@@ -97,9 +97,7 @@ def count(corpus: Corpus) -> CooccurrenceCounts:
     n_inst = np.zeros(C, dtype=np.int64)
     pair = np.zeros((C, L, L), dtype=np.int64)
     for inst in corpus.instances:
-        present = np.fromiter(object_presence(inst.label_map), dtype=np.int64)
-        indicator = np.zeros(L, dtype=np.int64)
-        indicator[present] = 1
+        indicator = presence_mask(inst.label_map)
         n_inst[inst.scene_id] += 1
         pair[inst.scene_id] += np.outer(indicator, indicator)
     if (n_inst == 0).any():

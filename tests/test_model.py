@@ -1,13 +1,18 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 import dgn
 from dgn import graph as gr
 from dgn import model as md
-from dgn import nn
+from dgn import nn, oracle
 from dgn.errors import ValidationError
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
+from tests.test_acceptance import _gradcheck_relative_error
+from tests.test_oracle import factored_graph
 
 
 def small_corpus(noise=3.0, seed=304, classes=3, per_class=30):
@@ -301,22 +306,77 @@ def test_train_and_evaluate_build_no_dense_matrix(trained_setup, monkeypatch):
 
 
 def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_setup, monkeypatch):
+    # the raw channels go through label space once per graph, as its label
+    # sums; every step after that propagates only the hidden width, never an
+    # n x c product
     train_corpus, test_corpus, proto = trained_setup
     data = md._prepared_inputs(train_corpus, proto, True)
     assert all(isinstance(adjacency, gr.LabelAdjacency) for _, adjacency, _ in data)
-    widths = []
+    summed, widths = [], []
+    labels = gr.LabelAdjacency._labels
 
-    def counted(adjacency, x):
-        widths.append(x.shape[1])
-        return nn.propagate(adjacency, x)
+    def counted_labels(adjacency):
+        summed.append(adjacency)
+        return labels.func(adjacency)
 
+    def counted(adjacency, features, weight=None, product=None):
+        assert weight is not None
+        out = nn.propagate(adjacency, features, weight, product)
+        widths.append(out.shape[1])
+        return out
+
+    cached = functools.cached_property(counted_labels)
+    cached.__set_name__(gr.LabelAdjacency, "_labels")
+    monkeypatch.setattr(gr.LabelAdjacency, "_labels", cached)
     monkeypatch.setattr(md, "propagate", counted)
-    config = TrainConfig(epochs=1, seed=304, hidden_dim=5)  # the corpus has 16 channels
+    config = TrainConfig(epochs=2, seed=304, hidden_dim=5)  # the corpus has 16 channels
+    n_train, n_test = len(train_corpus.instances), len(test_corpus.instances)
     for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
         model, _ = md.train(train_corpus, proto, config, mode)
         md.evaluate(model, test_corpus, proto)
-    # one weight-first propagation per forward, never of the 16 raw channels
-    assert widths == [5] * (2 * (len(train_corpus.instances) + len(test_corpus.instances)))
+    # one label-sum pass per graph, over two epochs and the evaluation ...
+    assert len(summed) == len({id(a) for a in summed}) == 2 * (n_train + n_test)
+    assert all(a._labels[1].shape == (a.omega.shape[0], 16) for a in summed)
+    # ... and one weight-first propagation of the 5 hidden channels per forward
+    assert widths == [5] * (2 * (2 * n_train + n_test))
+
+
+def test_gradients_through_a_zero_weight_label_match_finite_differences():
+    # criterion 6 in both graph modes on a label-space graph whose id 3
+    # relates to nothing, so its nodes take the uniform row
+    rng = np.random.default_rng(1010)
+    omega = rng.random((5, 5))
+    omega = (omega + omega.T) / 2
+    omega[3, :] = omega[:, 3] = 0.0
+    labels = rng.integers(0, 5, size=(3, 3))
+    labels.flat[:2] = 3, 1
+    d, k, target = 2, 3, 1
+    # 3 channels over 9 nodes hold label sums, 12 channels do not
+    for c, mode in itertools.product((3, 12), (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL)):
+        v, adjacency = factored_graph(labels, omega, rng, channels=c)
+        assert adjacency._labels[2].any() and not adjacency._labels[2].all()
+        assert adjacency.holds_label_sums == (c == 3)
+        lam = 0.5 if mode is AblationMode.FULL else 0.0
+        params = [rng.standard_normal(shape) * 0.6 for shape in ((c, d), (d, k), (k,), (d, k), (k,))]
+
+        def model_of(p):
+            return md.DgnModel(
+                mode, c, d, k, lam, nn.ClassifierParams(p[1], p[2]),
+                gc_weight=p[0], aux_head=nn.ClassifierParams(p[3], p[4]),
+            )
+
+        def loss_of(p):
+            logits, aux_logits, _ = md.forward_parts(model_of(p), v, adjacency)
+            loss_aux = nn.softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
+            return md.total_loss(nn.softmax_ce(logits, target), loss_aux, lam)
+
+        _, _, record = md.forward_parts(model_of(params), v, adjacency)
+        analytic = list(nn.backward(record, target))
+        numeric = oracle.fd_gradient(loss_of, params)
+        # train-eval-iodp never reads the aux head: its gradient blocks are absent
+        assert len(analytic) == (5 if mode is AblationMode.FULL else 3)
+        for a_, f_ in zip(analytic, numeric):
+            assert _gradcheck_relative_error(a_, f_) <= 1e-6
 
 
 class TestCheckpoints:
