@@ -167,7 +167,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_iodp(args) -> int:
-    corpus = load_corpus(args.manifest)
+    # the prototype reads label maps only; the feature maps stay on disk
+    corpus = load_corpus(args.manifest, features=False)
     proto = build_prototype(
         corpus, CooccurrenceMode(args.mode), DispersionMetric(args.metric), args.passivate
     )
@@ -243,13 +244,16 @@ def cmd_inspect(args) -> int:
         return _inspect_label_map(path, load_prototype(args.prototype), out_dir)
     if magic == FEATURE_MAGIC:
         fm = load_feature_map(path)
+        # statistics of the float64 cast: a float32 mean rounds, and
+        # mean(dtype=float64) can sum in another order
+        values = fm.values.astype(np.float64)
         print(f"feature_map={path}")
         print(f"width={fm.width}")
         print(f"height={fm.height}")
         print(f"channels={fm.channels}")
-        print(f"min={float(fm.values.min())!r}")
-        print(f"max={float(fm.values.max())!r}")
-        print(f"mean={float(fm.values.mean())!r}")
+        print(f"min={float(values.min())!r}")
+        print(f"max={float(values.max())!r}")
+        print(f"mean={float(values.mean())!r}")
         return 0
     if magic == MODEL_MAGIC:
         return _inspect_model(path)

@@ -4,6 +4,11 @@ A corpus pairs per-pixel object-id grids (label maps) with real-valued
 feature grids at a coarser resolution.  Statistics downstream read object
 presence from the full-resolution label map; graph construction reads the
 map resized to feature resolution with nearest-neighbor sampling.
+
+Feature maps are held in float32, the precision ``.dgnf`` stores, so saving
+and loading is the identity; computation casts them to float64 at use.
+A caller that reads only label maps (the prototype build) loads a corpus
+without its feature maps.
 """
 
 from __future__ import annotations
@@ -66,16 +71,23 @@ class LabelMap:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
-    """Real-valued feature grid, (height, width, channels), float64 in memory."""
+    """Real-valued feature grid, (height, width, channels), float32 in memory.
+
+    Values are cast to float32 on construction, the precision ``.dgnf``
+    stores; a value that is not finite after the cast, such as one beyond
+    the float32 range, is refused.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        # an overflowing cast gives inf, and a signalling NaN warns; both are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = np.asarray(self.values, dtype=np.float32)
         if arr.ndim != 3 or arr.size == 0:
             raise ValidationError("feature map must be a non-empty 3-D grid")
         if not np.isfinite(arr).all():
-            raise ValidationError("feature map contains non-finite values")
+            raise ValidationError("feature map contains non-finite values at float32 precision")
         object.__setattr__(self, "values", np.ascontiguousarray(arr))
 
     @property
@@ -175,9 +187,7 @@ def load_feature_map(path: str | Path) -> FeatureMap:
     width, height, channels = r.u32(), r.u32(), r.u32()
     if width == 0 or height == 0 or channels == 0:
         raise ValidationError(f"{path}: empty feature map")
-    # the cast warns on a signalling NaN; FeatureMap refuses every non-finite value
-    with np.errstate(invalid="ignore"):
-        values = r.array("<f4", width * height * channels).astype(np.float64)
+    values = r.array("<f4", width * height * channels)
     r.done()
     return FeatureMap(values.reshape(height, width, channels))
 
@@ -212,8 +222,12 @@ def save_corpus(corpus: Corpus, out_dir: str | Path, name: str) -> Path:
 _HEADER_RE = re.compile(r"^#DGN-MANIFEST v1 C=(\d+) L=(\d+)$")
 
 
-def load_corpus(manifest_path: str | Path) -> Corpus:
-    """Read a manifest back into memory."""
+def load_corpus(manifest_path: str | Path, features: bool = True) -> Corpus:
+    """Read a manifest back into memory.
+
+    With ``features=False`` every instance's feature map is left unread
+    (None): only the manifest and the label maps are decoded.
+    """
     manifest_path = Path(manifest_path)
     try:
         text = manifest_path.read_text(encoding="utf-8")
@@ -238,7 +252,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         except ValueError:
             raise FormatError(f"{manifest_path}: non-integer scene id in row {ln!r}") from None
         label_map = load_label_map(base / parts[1])
-        feature_map = None if parts[2] == "-" else load_feature_map(base / parts[2])
+        feature_map = None if parts[2] == "-" or not features else load_feature_map(base / parts[2])
         instances.append(Instance(scene_id, label_map, feature_map))
     return Corpus(num_classes, vocab, tuple(instances))
 

@@ -32,7 +32,8 @@ class LabelAdjacency:
     """Row-stochastic n x n adjacency held as its k x k prototype block.
 
     The graph keeps the node features ``V`` it was built over (a view of the
-    feature map), so the graph layer runs in label space.  With ``w`` the
+    feature map's float32 values, cast to float64 in every product), so the
+    graph layer runs in label space.  With ``w`` the
     label weights ``omega_k cnt``, row i of ``A V W`` is
     ``(omega_k P^T V W)[l] / w[l]`` for the label l of node i
     (:meth:`label_rows`).  When ``V`` has fewer channels than nodes, the
@@ -50,7 +51,7 @@ class LabelAdjacency:
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
     omega: np.ndarray  # (k, k) prototype block of the present ids
     weights: np.ndarray  # (k,) label weights omega_k cnt, all finite
-    features: np.ndarray  # (n, c) node features V, a view of the feature map
+    features: np.ndarray  # (n, c) node features V, a float32 view of the feature map
 
     ndim = 2
     # numpy operators return NotImplemented, so ``A @ V`` raises instead of
@@ -91,7 +92,11 @@ class LabelAdjacency:
         return one_hot, sums, self.weights == 0
 
     def check_features(self, features: np.ndarray) -> None:
-        """Refuse node features other than the ones the graph was built over."""
+        """Refuse node features other than the ones the graph was built over.
+
+        ``features`` must be the held array itself (same memory, shape,
+        strides and dtype), not a cast or a copy of it.
+        """
         own = self.features
         if not (
             features.shape == own.shape

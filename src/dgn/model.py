@@ -194,7 +194,9 @@ def forward_parts(
     path reuses the same ``V W``.  A label-space adjacency mixes ``V W`` in
     label space and refuses features other than its own.
     The eval-only mode pools the propagation through its adjoint,
-    ``gap(M V) = (M^T 1/n)^T V``, one column wide.
+    ``gap(M V) = (M^T 1/n)^T V``, one column wide.  ``features`` may be a
+    feature map's float32 array; the graph modes cast it to float64 once
+    and keep the cast in the record for ``backward``.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
@@ -212,12 +214,13 @@ def forward_parts(
         record = ForwardRecord(features, pooled, model.main_head, logits, adjacency=adjacency)
         return logits, None, record
 
-    fw = features @ model.gc_weight
+    v = np.asarray(features, dtype=np.float64)
+    fw = v @ model.gc_weight
     hidden = sigmoid(propagate(adjacency, features, model.gc_weight, fw))
     pooled = gap(hidden)
     logits = linear(pooled, model.main_head)
     record = ForwardRecord(
-        features,
+        v,
         pooled,
         model.main_head,
         logits,

@@ -1,9 +1,12 @@
 """Dense numeric core: propagation, pooling, heads, losses, gradients, Adam.
 
-Everything runs in float64.  The network is small enough (one graph
-convolution plus two affine heads) that hand-derived gradients are simpler
-and more testable than an autodiff layer; the shared hidden weight receives
-the sum of the main-path and auxiliary-path contributions.
+Everything runs in float64.  Node features arrive as the float32 arrays a
+``corpus.FeatureMap`` holds and are cast to float64 at use, which is exact;
+a training step casts them once and ``backward`` reuses the cast.  The
+network is small enough (one graph convolution plus two affine heads) that
+hand-derived gradients are simpler and more testable than an autodiff
+layer; the shared hidden weight receives the sum of the main-path and
+auxiliary-path contributions.
 """
 
 from __future__ import annotations
@@ -44,16 +47,18 @@ def propagate(
     size.  A ``graph.LabelAdjacency`` mixes ``V W`` in label space
     (:meth:`~dgn.graph.LabelAdjacency.label_rows`), from the label sums it
     holds of its own features when it holds them, and refuses any other
-    features.
+    features, checked before ``V`` is cast to float64.
     """
     a = adjacency
-    v = np.asarray(features, dtype=np.float64)
+    v = np.asarray(features)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or v.ndim != 2 or a.shape[0] != v.shape[0]:
         raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")
+    if not isinstance(a, np.ndarray):
+        a.check_features(v)
     if weight is None:
-        x = v
+        x = np.asarray(v, dtype=np.float64)
     else:
-        x = v @ weight if product is None else product
+        x = np.asarray(v, dtype=np.float64) @ weight if product is None else product
     if isinstance(a, np.ndarray):
         degrees = a.sum(axis=1) + 1.0
         # one node-sized array, finished in place: (A X + X) / deg has the
@@ -62,7 +67,6 @@ def propagate(
         out += x
         out /= degrees[:, None]
         return out
-    a.check_features(v)
     out = a.label_rows(x, weight)[a.inverse]
     out += x
     out *= 0.5
@@ -164,7 +168,7 @@ class ForwardRecord:
     head is absent.
     """
 
-    features: np.ndarray  # V, (n, c)
+    features: np.ndarray  # V, (n, c); in graph modes its float64 cast, which backward reuses
     pooled: np.ndarray  # input to the main head
     main_head: ClassifierParams
     main_logits: np.ndarray

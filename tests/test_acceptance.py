@@ -145,17 +145,20 @@ def test_criterion_5_graph_suite():
         adjacency = dgn.row_normalize(affinity)
         np.testing.assert_allclose(adjacency.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
-    v = np.random.default_rng(1055).standard_normal((6, 3))
+    fm = dgn.FeatureMap(np.random.default_rng(1055).standard_normal((2, 3, 3)))
     uniform_proto = pt.Prototype(
         2, np.full((2, 2), 0.4), CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
     )
     adjacency = dgn.build_graph(
-        dgn.FeatureMap(v.reshape(2, 3, 3)),
+        fm,
         dgn.LabelMap(np.random.default_rng(9).integers(0, 2, size=(2, 3)), 2),
         uniform_proto,
     )
+    # the graph propagates the feature map's own (float32) array, in float64
+    v = fm.values.reshape(6, 3)
+    v64 = v.astype(np.float64)
     np.testing.assert_allclose(
-        nn.propagate(adjacency, v), (v + v.mean(axis=0)) / 2, atol=1e-12, rtol=0
+        nn.propagate(adjacency, v), (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0
     )
     passed(5, "graph suite")
 

@@ -1,8 +1,10 @@
+import shutil
+
 import numpy as np
 import pytest
 
 import dgn
-from dgn import nn
+from dgn import cli, nn
 from dgn.model import AblationMode, DgnModel, save_model
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, save_prototype
 from tests.helpers import run_cli
@@ -68,6 +70,20 @@ class TestGen:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_features_beyond_float32_exit_2_without_output(self, tmp_path, capsys):
+        # noise 1e39 is finite in float64 but overflows the float32 a .dgnf stores
+        out = tmp_path / "D"
+        code = cli.main([
+            "gen", "--classes", "2", "--objects", "6", "--per-class", "2", "--cells", "2",
+            "--channels", "2", "--noise", "1e39", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "float32" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_1(self, tmp_path):
         result = run_cli("gen", "--bogus", 3, "--out", tmp_path / "x")
@@ -124,6 +140,25 @@ class TestIodp:
     def test_missing_manifest_exits_2(self, tmp_path):
         result = run_cli("iodp", "--manifest", tmp_path / "nope.manifest", "--out", tmp_path / "p")
         assert result.returncode == 2
+
+    def test_reads_no_feature_map(self, tiny_corpus_dir, tmp_path, capsys):
+        # the prototype reads label maps only: with every .dgnf gone, iodp
+        # still succeeds and writes the same bytes
+        data, _ = tiny_corpus_dir
+        labels_only = tmp_path / "data"
+        shutil.copytree(data, labels_only)
+        deleted = list(labels_only.rglob("*.dgnf"))
+        assert deleted
+        for path in deleted:
+            path.unlink()
+        outputs = {}
+        for name, root in (("all", data), ("labels_only", labels_only)):
+            outputs[name] = tmp_path / f"{name}.dgnp"
+            argv = ["iodp", "--manifest", str(root / "train.manifest"), "--out", str(outputs[name])]
+            assert cli.main(argv) == 0
+        assert outputs["all"].read_bytes() == outputs["labels_only"].read_bytes()
+        captured = capsys.readouterr()
+        assert captured.err == ""
 
 
 @pytest.fixture(scope="module")
@@ -584,6 +619,18 @@ class TestInspect:
         assert result.returncode == 0
         kv = parse_kv(result.stdout)
         assert kv["width"] == "3" and kv["channels"] == "4"
+
+    def test_feature_map_statistics_are_float64(self, tmp_path, capsys):
+        # a float32 mean rounds differently: the summary keeps the float64 one
+        values = np.random.default_rng(21).standard_normal((7, 5, 9)) * 3.0 + 0.1
+        path = tmp_path / "f.dgnf"
+        dgn.save_feature_map(dgn.FeatureMap(values), path)
+        assert cli.main(["inspect", str(path)]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        loaded = dgn.load_feature_map(path).values.astype(np.float64)
+        assert kv["mean"] == repr(float(loaded.mean()))
+        assert kv["min"] == repr(float(loaded.min()))
+        assert kv["max"] == repr(float(loaded.max()))
 
 
 def overflowing_prototype(vocab):

@@ -78,10 +78,9 @@ def test_feature_map_round_trip(tmp_path):
     cp.save_feature_map(fm, path)
     loaded = cp.load_feature_map(path)
     assert (loaded.height, loaded.width, loaded.channels) == (2, 2, 3)
-    # in-memory values are float64 promotions of the stored 32-bit floats
-    np.testing.assert_array_equal(
-        loaded.values, fm.values.astype(np.float32).astype(np.float64)
-    )
+    # a feature map holds the stored precision, so loading is the identity
+    assert loaded.values.dtype == fm.values.dtype == np.float32
+    np.testing.assert_array_equal(loaded.values, fm.values)
     second = tmp_path / "f2.dgnf"
     cp.save_feature_map(loaded, second)
     assert path.read_bytes() == second.read_bytes()
@@ -92,6 +91,52 @@ def test_feature_map_rejects_non_finite():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValidationError):
         cp.FeatureMap(bad)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max, 2.0**128])
+def test_feature_map_refuses_values_beyond_float32(value):
+    # finite in float64, but the float32 cast overflows to inf
+    values = np.zeros((1, 2, 2))
+    values[0, 1, 0] = value
+    with pytest.raises(ValidationError, match="float32"):
+        cp.FeatureMap(values)
+
+
+def test_feature_map_keeps_the_float32_extremes():
+    top = float(np.finfo(np.float32).max)
+    fm = cp.FeatureMap(np.array([[[top, -top, 1e-45, -0.0]]]))
+    assert fm.values.dtype == np.float32
+    assert fm.values.tolist() == [[[top, -top, float(np.float32(1e-45)), -0.0]]]
+    assert np.signbit(fm.values[0, 0, 3])
+
+
+def test_generated_corpus_survives_save_and_load(tmp_path):
+    spec = cp.SyntheticSpec(3, 10, grid_cells=3, train_per_class=4, test_per_class=2, channels=5)
+    for corpus, name in zip(cp.generate_synthetic_corpus(spec), ("train", "test")):
+        loaded = cp.load_corpus(cp.save_corpus(corpus, tmp_path, name))
+        assert (loaded.num_classes, loaded.vocab_size) == (corpus.num_classes, corpus.vocab_size)
+        assert len(loaded.instances) == len(corpus.instances)
+        for got, want in zip(loaded.instances, corpus.instances):
+            assert got.scene_id == want.scene_id
+            assert np.array_equal(got.label_map.labels, want.label_map.labels)
+            assert got.feature_map.values.dtype == want.feature_map.values.dtype
+            assert np.array_equal(got.feature_map.values, want.feature_map.values)
+
+
+def test_load_corpus_can_skip_feature_maps(tmp_path):
+    spec = cp.SyntheticSpec(2, 6, grid_cells=2, train_per_class=3, test_per_class=1, channels=3)
+    train, _ = cp.generate_synthetic_corpus(spec)
+    manifest = cp.save_corpus(train, tmp_path, "train")
+    for path in (tmp_path / "train").glob("*.dgnf"):
+        path.write_bytes(b"not a feature map")
+    loaded = cp.load_corpus(manifest, features=False)
+    assert loaded.feature_shape is None
+    assert [i.scene_id for i in loaded.instances] == [i.scene_id for i in train.instances]
+    for got, want in zip(loaded.instances, train.instances):
+        assert got.feature_map is None
+        assert np.array_equal(got.label_map.labels, want.label_map.labels)
+    with pytest.raises(FormatError):
+        cp.load_corpus(manifest)
 
 
 class TestNnResize:

@@ -153,9 +153,12 @@ def test_uniform_adjacency_propagation_matches_half_mean_shift():
     # constant positive relations: propagation averages each node with the
     # columnwise mean, i.e. (V + mean(V)) / 2
     rng = np.random.default_rng(8)
-    v = rng.standard_normal((5, 3))
+    fm = FeatureMap(rng.standard_normal((1, 5, 3)))
     proto = toy_prototype(np.full((2, 2), 0.3))
     labels = LabelMap(rng.integers(0, 2, size=(1, 5)), 2)
-    a = gr.build_graph(FeatureMap(v.reshape(1, 5, 3)), labels, proto)
+    a = gr.build_graph(fm, labels, proto)
+    # the graph propagates the feature map's own (float32) array, in float64
+    v = fm.values.reshape(5, 3)
     out = nn.propagate(a, v)
-    np.testing.assert_allclose(out, (v + v.mean(axis=0)) / 2, atol=1e-12, rtol=0)
+    v64 = v.astype(np.float64)
+    np.testing.assert_allclose(out, (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0)

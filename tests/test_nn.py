@@ -93,6 +93,9 @@ def test_gap():
     np.testing.assert_allclose(
         nn.gap(np.array([[s75], [s50]])), [0.650819], atol=1e-6, rtol=0
     )
+    # column sums that pass the float64 range pool to inf, not to a finite mean
+    with np.errstate(over="ignore"):
+        assert nn.gap(np.full((2, 1), 1e308)).tolist() == [np.inf]
 
 
 def test_linear():

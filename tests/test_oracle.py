@@ -93,8 +93,10 @@ class TestFactoredPropagation:
         assert zero_affinity_rows(adjacency) == 4
         assert_factored_matches_dense(v, adjacency)
         lone = labels.reshape(-1) == 1
+        # v is the feature map's own (float32) array; the expectation is in float64
+        v64 = v.astype(np.float64)
         np.testing.assert_allclose(
-            nn.propagate(adjacency, v)[lone], (v[lone] + v.mean(axis=0)) / 2,
+            nn.propagate(adjacency, v)[lone], (v64[lone] + v64.mean(axis=0)) / 2,
             atol=1e-15, rtol=0,
         )
 

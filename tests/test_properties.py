@@ -1,7 +1,10 @@
 """Property-based checks of the structural invariants."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,6 +21,30 @@ label_grids = hnp.arrays(
 )
 
 dims = st.integers(min_value=1, max_value=9)
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_SUBNORMAL = float(np.float32(1e-45))
+
+float32_grids = hnp.arrays(
+    dtype=np.float32,
+    shape=hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5),
+    elements=st.floats(width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+@given(float32_grids)
+@example(np.array([[[-0.0, 0.0, F32_SUBNORMAL, -F32_SUBNORMAL, F32_MAX, -F32_MAX]]], dtype=np.float32))
+@settings(max_examples=50, deadline=None)
+def test_feature_map_save_and_load_is_the_identity(values):
+    fm = cp.FeatureMap(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.dgnf"
+        cp.save_feature_map(fm, path)
+        loaded = cp.load_feature_map(path)
+    assert loaded.values.dtype == np.float32
+    # bit for bit, so -0.0 keeps its sign
+    assert loaded.values.shape == values.shape
+    assert loaded.values.tobytes() == values.tobytes()
 
 
 @given(label_grids, dims, dims)
