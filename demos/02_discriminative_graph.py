@@ -43,7 +43,8 @@ print("affinity row of a common node (attention concentrates on the",
 common_row = dgn.extract_local_knowledge(adjacency.semantics, proto)[np.flatnonzero(~disc)[0]]
 print(np.round(common_row, 2).reshape(spec.grid_cells, spec.grid_cells))
 dense = np.asarray(adjacency)
-print(f"label-space block {adjacency.omega.shape[0]}x{adjacency.omega.shape[1]},",
+k = adjacency.mix.shape[0]
+print(f"label-space block mix {k}x{k} (A = P mix P^T),",
       f"dense adjacency {dense.shape[0]}x{dense.shape[1]}")
 print("every adjacency row sums to one:", np.allclose(dense.sum(axis=1), 1.0))
 print("label-space propagation equals the dense one:",

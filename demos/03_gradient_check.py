@@ -8,9 +8,9 @@ the same product ``V W``, so the shared weight's gradient is
 dense adjacency ``M^T d_pre`` is formed at node size.  On the label-space
 adjacency that ``build_graph`` returns every degree is 2, so with
 ``y = d_pre / 2`` the gradient is ``V^T (y + d_aux) + V^T A^T y``, and
-``V^T A^T y = S_V^T omega_k (P^T y / w)`` comes from the label sums
-``S_V = P^T V`` the graph holds; a label whose weight ``w`` is 0 takes the
-uniform row.  Every gradient below is hand-derived; the finite-difference
+``V^T A^T y = S_V^T (mix^T (P^T y))`` comes from the label sums
+``S_V = P^T V`` the graph holds, where ``A = P mix P^T``; a label that
+relates to nothing has the uniform row of ``mix``.  Every gradient below is hand-derived; the finite-difference
 oracle knows nothing about the chain rule, it only evaluates the loss at
 perturbed parameters.  The demo exits 1 if any deviation passes 1e-6.
 """

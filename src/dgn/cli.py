@@ -280,6 +280,10 @@ def _inspect_prototype(path: Path, out_dir: Path) -> int:
 
 def _inspect_label_map(path: Path, proto, out_dir: Path) -> int:
     label_map = load_label_map(path)
+    if proto.vocab_size != label_map.vocab_size:
+        raise ValidationError(
+            f"{path}: prototype vocab {proto.vocab_size} != label map vocab {label_map.vocab_size}"
+        )
     semantics = label_map.labels.reshape(-1)
     if semantics.size > INSPECT_MAX_NODES:
         raise ValidationError(

@@ -5,14 +5,16 @@ the prototype entry for their object ids, gathered from the label map at
 feature resolution.  Row normalization turns the gathered weights into a
 row-stochastic adjacency matrix.
 
-That adjacency is ``A = D^-1 P omega P^T``, where ``P`` is the n x L one-hot
-matrix of node object ids, so ``build_graph`` returns it in label space: over
-the k <= min(n, L) ids present, a graph-layer product with a c x d weight
-costs O(nkd + k^2 d) time and O(nd + k^2) memory instead of O(n^2 d) and
-O(n^2).  With fewer channels than nodes, the graph holds the label sums
-``P^T V`` of its features, computed once in O(nkc), and a forward product
-costs O(kcd + k^2 d) plus an O(nd) gather.  The dense n x n affinity and adjacency are built only
-on request, through ``extract_local_knowledge`` and ``row_normalize``.
+That adjacency is ``A = P mix P^T``, where ``P`` is the n x k one-hot matrix
+of the k <= min(n, L) object ids present and ``mix`` is the k x k prototype
+block of those ids, row-normalized over the nodes, so ``build_graph``
+returns it in label space: a graph-layer product with a c x d weight costs
+O(nkd + k^2 d) time and O(nd + k^2) memory instead of O(n^2 d) and O(n^2).
+With fewer channels than nodes, the graph holds the label sums ``P^T V`` of
+its features, computed once in O(nkc), and a forward product costs
+O(kcd + k^2 d) plus an O(nd) gather.  The dense n x n affinity and adjacency
+are built only on request, through ``extract_local_knowledge`` and
+``row_normalize``.
 """
 
 from __future__ import annotations
@@ -29,28 +31,27 @@ from .prototype import Prototype
 
 @dataclass(frozen=True, eq=False)
 class LabelAdjacency:
-    """Row-stochastic n x n adjacency held as its k x k prototype block.
+    """Row-stochastic n x n adjacency ``P mix P^T`` held as its k x k block.
 
+    With ``w`` the label weights ``omega_k cnt``, ``mix[l, m]`` is
+    ``omega_k[l, m] / w[l]``; a label whose weight is 0 relates to nothing,
+    and its row is ``1/n`` throughout, the uniform row of ``row_normalize``.
     The graph keeps the node features ``V`` it was built over (a view of the
     feature map's float32 values, cast to float64 in every product), so the
-    graph layer runs in label space.  With ``w`` the
-    label weights ``omega_k cnt``, row i of ``A V W`` is
-    ``(omega_k P^T V W)[l] / w[l]`` for the label l of node i
+    graph layer runs in label space: ``A V W`` is ``(mix P^T V W)[inverse]``
     (:meth:`label_rows`).  When ``V`` has fewer channels than nodes, the
     graph also holds, from its first product on, the label sums
     ``S_V = P^T V`` (:attr:`holds_label_sums`): ``P^T V W`` is then
-    ``S_V W``, and ``V^T A^T Y`` is ``S_V^T omega_k (P^T Y / w)``
-    (:meth:`feature_adjoint`).  A row whose affinity sums to 0 is uniform,
-    as in ``row_normalize``, so it yields the node mean of ``V W``.  Every
-    row sums to exactly 1.  ``A.T @ Z`` is the transposed product of any
-    ``Z``, in label space too.  ``np.asarray`` builds the dense matrix.
+    ``S_V W``, and ``V^T A^T y`` is ``S_V^T mix^T P^T y``
+    (:meth:`feature_adjoint`).  ``A.T @ Z`` is ``(mix^T P^T Z)[inverse]``.
+    ``np.asarray`` builds the dense matrix from the prototype, not from
+    ``mix``.
     """
 
     semantics: np.ndarray  # (n,) object id per node
     prototype: Prototype
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
-    omega: np.ndarray  # (k, k) prototype block of the present ids
-    weights: np.ndarray  # (k,) label weights omega_k cnt, all finite
+    mix: np.ndarray  # (k, k) row-normalized prototype block of the present ids
     features: np.ndarray  # (n, c) node features V, a float32 view of the feature map
 
     ndim = 2
@@ -80,16 +81,16 @@ class LabelAdjacency:
         return c < n
 
     @functools.cached_property
-    def _labels(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """(k x n one-hot of node labels, k x c label sums ``S_V`` or None, zero-weight mask).
+    def _labels(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(k x n one-hot ``P^T`` of node labels, k x c label sums ``S_V`` or None).
 
         Computed once per graph, at its first product, and shared by every
         product after it.
         """
-        k = self.omega.shape[0]
+        k = self.mix.shape[0]
         one_hot = (self.inverse == np.arange(k)[:, None]).astype(np.float64)
         sums = one_hot @ self.features if self.holds_label_sums else None
-        return one_hot, sums, self.weights == 0
+        return one_hot, sums
 
     def check_features(self, features: np.ndarray) -> None:
         """Refuse node features other than the ones the graph was built over.
@@ -111,46 +112,17 @@ class LabelAdjacency:
 
         ``product`` is ``V W`` for the graph's own ``V`` and ``weight`` is
         ``W``, the identity by default.  The label sums ``P^T V W`` are
-        ``S_V W`` when the graph holds ``S_V``, else ``P^T product``.  A
-        zero-weight label's row is the node mean of ``V W``.
+        ``S_V W`` when the graph holds ``S_V``, else ``P^T product``.
         """
-        one_hot, sums, zero = self._labels
+        one_hot, sums = self._labels
         if sums is None:
-            label_sums = one_hot @ product
-        else:
-            label_sums = sums if weight is None else sums @ weight
-        rows = self.omega @ label_sums
-        rows /= np.where(zero, 1.0, self.weights)[:, None]
-        if zero.any():
-            rows[zero] = label_sums.sum(axis=0) / self.semantics.size
-        return rows
+            return self.mix @ (one_hot @ product)
+        return self.mix @ (sums if weight is None else sums @ weight)
 
     def feature_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``V^T A^T y``, (c, d), in label space, for a graph that holds ``S_V``.
-
-        It is ``S_V^T omega_k (P^T y / w)``, plus the column sums of ``V``
-        times ``1/n`` of the zero-weight labels' sums of ``y``.
-        """
-        mixed, spread = self._adjoint_sums(y)
-        sums = self._labels[1]
-        out = sums.T @ mixed
-        if spread is not None:
-            out += np.outer(sums.sum(axis=0), spread)
-        return out
-
-    def _adjoint_sums(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The label-space part of ``A^T z``: ``omega_k (P^T z / w)``, (k, d).
-
-        A zero-weight label adds nothing there; its nodes' rows are uniform,
-        so it spreads ``1/n`` of its sums of ``z`` over every node: that
-        spread comes second, or None when no weight is 0.  ``omega_k`` is
-        symmetric, so it serves as its own transpose.
-        """
-        one_hot, _, zero = self._labels
-        sums = one_hot @ np.asarray(z, dtype=np.float64)
-        scaled = np.where(zero[:, None], 0.0, sums / np.where(zero, 1.0, self.weights)[:, None])
-        spread = sums[zero].sum(axis=0) / self.semantics.size if zero.any() else None
-        return self.omega @ scaled, spread
+        """``V^T A^T y`` = ``S_V^T mix^T P^T y``, (c, d), for a graph that holds ``S_V``."""
+        one_hot, sums = self._labels
+        return sums.T @ (self.mix.T @ (one_hot @ y))
 
     @property
     def T(self) -> _TransposedLabelAdjacency:
@@ -165,21 +137,13 @@ class LabelAdjacency:
 
 @dataclass(frozen=True, eq=False)
 class _TransposedLabelAdjacency:
-    """``A.T`` of a :class:`LabelAdjacency`, for the product ``A.T @ Z``.
-
-    ``A.T @ Z`` is ``(omega_k (P^T Z / w))[inv]`` plus ``1/n`` of the sums
-    of the zero-weight labels, whose rows are uniform.
-    """
+    """``A.T`` of a :class:`LabelAdjacency`, for the product ``A.T @ Z = (mix^T P^T Z)[inverse]``."""
 
     adjacency: LabelAdjacency
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         a = self.adjacency
-        mixed, spread = a._adjoint_sums(z)
-        out = mixed[a.inverse]
-        if spread is not None:
-            out += spread
-        return out
+        return (a.mix.T @ (a._labels[0] @ z))[a.inverse]
 
 
 def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +206,14 @@ def build_graph(
     features, semantics = flatten(feature_map, resized_labels)
     sem = _checked_ids(semantics, prototype)
     present, inverse = np.unique(sem, return_inverse=True)
-    omega = prototype.omega[np.ix_(present, present)]
+    mix = prototype.omega[np.ix_(present, present)]
     counts = np.bincount(inverse, minlength=present.size).astype(np.float64)
     with np.errstate(over="ignore"):
-        weights = omega @ counts
+        weights = mix @ counts
     if not np.isfinite(weights).all():
         raise ValidationError("label weights omega_k cnt overflow: the prototype's entries are too large")
-    return LabelAdjacency(sem, prototype, inverse, omega, weights, features)
+    # the row of a zero-weight label is all 0; it becomes the uniform row
+    zero = weights == 0
+    mix /= np.where(zero, 1.0, weights)[:, None]
+    mix[zero] = 1.0 / sem.size
+    return LabelAdjacency(sem, prototype, inverse, mix, features)

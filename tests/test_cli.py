@@ -249,6 +249,18 @@ class TestTrain:
         assert result.returncode == 2
         assert not ckpt.exists()
 
+    def test_inspect_vocab_mismatch_exits_2_without_output(self, tmp_path, capsys):
+        # the pair that train refuses: a label map of vocab 6, a prototype of vocab 9
+        proto = Prototype(
+            9, np.full((9, 9), 0.5), CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 3
+        )
+        save_prototype(proto, tmp_path / "wrong.dgnp")
+        dgn.save_label_map(dgn.LabelMap(np.array([[0, 5], [2, 1]]), 6), tmp_path / "m.dgnl")
+        code = cli.main(["inspect", str(tmp_path / "m.dgnl"), "--prototype", str(tmp_path / "wrong.dgnp")])
+        assert code == 2
+        assert "prototype vocab 9 != label map vocab 6" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.dgnl", "wrong.dgnp"]
+
 
 def write_defective_prototype(path, vocab, defect):
     """A .dgnp file whose omega payload is patched after a valid save."""

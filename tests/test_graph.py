@@ -123,7 +123,7 @@ class TestBuildGraph:
         single = gr.build_graph(
             FeatureMap(np.ones((1, 2, 2))), LabelMap(np.array([[0, 1]]), 3), toy_prototype(omega)
         )
-        np.testing.assert_array_equal(single.weights, [1e308 + 0.5, 1e308 + 0.5])
+        np.testing.assert_array_equal(single.mix, np.array([[1e308, 0.5], [0.5, 1e308]]) / (1e308 + 0.5))
 
     def test_single_node_graph(self):
         a = gr.build_graph(

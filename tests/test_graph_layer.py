@@ -1,12 +1,13 @@
 """The graph layer's in-place and label-space forms keep their bytes and never alias.
 
-``nn.propagate``, ``nn.propagate_adjoint``, the label-space products of a
-``LabelAdjacency`` and ``nn.backward`` build their results in place, the
-label-space ones from the label sums ``S_V`` the graph holds.  Each is
-compared byte for byte with the expression form of the same arithmetic,
-written out below, and checked to leave its inputs untouched and return
-arrays of its own.  The label-space layer is also checked against the dense
-adjacency and the scalar-loop oracle.
+``nn.propagate``, ``nn.propagate_adjoint`` and ``nn.backward`` build their
+results in place.  A ``LabelAdjacency`` is ``A = P mix P^T``, and its
+products are chains through its k x k block ``mix``, the label-space ones
+from the label sums ``S_V = P^T V`` the graph holds.  Each is compared byte
+for byte with the expression form of the same arithmetic, written out
+below, and checked to leave its inputs untouched and return arrays of its
+own.  The label-space layer is also checked against the dense adjacency and
+the scalar-loop oracle.
 """
 
 import numpy as np
@@ -16,50 +17,31 @@ from dgn import model as md
 from dgn import nn, oracle
 from dgn.errors import ValidationError
 from dgn.model import AblationMode
-from tests.test_oracle import factored_graph
+from tests.test_oracle import factored_graph, zero_affinity_rows
 
 # ---------------------------------------------------------------------------
 # the expression forms, one new array per operation
 
 
-def expr_labels(a):
-    """(one-hot, label weights, zero-weight mask, label sums of the graph's features or None)."""
-    k = a.omega.shape[0]
-    one_hot = (a.inverse == np.arange(k)[:, None]).astype(np.float64)
-    weights = a.omega @ one_hot.sum(axis=1)
-    n, c = a.features.shape
-    return one_hot, weights, weights == 0, one_hot @ a.features if c < n else None
+def expr_one_hot(a):
+    """``P^T``, the k x n one-hot of node labels."""
+    return (a.inverse == np.arange(a.mix.shape[0])[:, None]).astype(np.float64)
 
 
 def expr_label_rows(a, v, w):
-    one_hot, weights, zero, sums = expr_labels(a)
-    if sums is None:
-        label_sums = one_hot @ (v if w is None else v @ w)
-    else:
-        label_sums = sums if w is None else sums @ w
-    mixed = a.omega @ label_sums
-    fill = label_sums.sum(axis=0) / a.semantics.size
-    return np.where(zero[:, None], fill, mixed / np.where(zero, 1.0, weights)[:, None])
-
-
-def expr_label_adjoint_sums(a, z):
-    one_hot, weights, zero, _ = expr_labels(a)
-    sums = one_hot @ z
-    scaled = np.where(zero[:, None], 0.0, sums / np.where(zero, 1.0, weights)[:, None])
-    return a.omega @ scaled, sums[zero].sum(axis=0) / a.semantics.size, zero.any()
+    """``mix P^T V W``, from the label sums ``S_V`` when the graph holds them."""
+    if not a.holds_label_sums:
+        return a.mix @ (expr_one_hot(a) @ (v if w is None else v @ w))
+    sums = expr_one_hot(a) @ a.features
+    return a.mix @ (sums if w is None else sums @ w)
 
 
 def expr_label_rmatmul(a, z):
-    mixed, spread, any_zero = expr_label_adjoint_sums(a, z)
-    out = mixed[a.inverse]
-    return out + spread if any_zero else out
+    return (a.mix.T @ (expr_one_hot(a) @ z))[a.inverse]
 
 
 def expr_feature_adjoint(a, y):
-    mixed, spread, any_zero = expr_label_adjoint_sums(a, y)
-    sums = expr_labels(a)[3]
-    out = sums.T @ mixed
-    return out + np.outer(sums.sum(axis=0), spread) if any_zero else out
+    return (expr_one_hot(a) @ a.features).T @ (a.mix.T @ (expr_one_hot(a) @ y))
 
 
 def products(a, v, w):
@@ -156,7 +138,7 @@ LABEL_CASES = [name for name in CASES if name != "dense"]
 def graph_case(name, seed):
     v, a = CASES[name](np.random.default_rng(seed))
     if name != "dense":
-        assert a._labels[2].any() == ("zero" in name)
+        assert (zero_affinity_rows(a) > 0) == ("zero" in name)
     return v, a
 
 
@@ -179,7 +161,7 @@ def adjacency_arrays(a):
     if isinstance(a, np.ndarray):
         return [a]
     held = [x for x in a._labels if x is not None]
-    return [a.semantics, a.inverse, a.omega, a.weights, a.features, *held, a.prototype.omega]
+    return [a.semantics, a.inverse, a.mix, a.features, *held, a.prototype.omega]
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +263,13 @@ def test_label_space_layer_matches_the_dense_path_and_the_oracle(name, seed):
 @pytest.mark.parametrize("name", LABEL_CASES)
 def test_held_label_sums_are_the_one_hot_times_the_features(name):
     v, a = graph_case(name, 5)
-    one_hot, sums, _ = a._labels
+    one_hot, sums = a._labels
     np.testing.assert_array_equal(one_hot.sum(axis=0), 1.0)
     assert np.shares_memory(a.features, v)
     # label sums pay off only with fewer channels than nodes
     assert a.holds_label_sums == (v.shape[1] < v.shape[0]) == ("wide" not in name)
     if a.holds_label_sums:
-        assert sums.shape == (a.omega.shape[0], v.shape[1])
+        assert sums.shape == (a.mix.shape[0], v.shape[1])
         np.testing.assert_array_equal(sums, one_hot @ v)
     else:
         assert sums is None

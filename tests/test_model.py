@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -12,7 +13,7 @@ from dgn.errors import ValidationError
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
 from tests.test_acceptance import _gradcheck_relative_error
-from tests.test_oracle import factored_graph
+from tests.test_oracle import factored_graph, zero_affinity_rows
 
 
 def small_corpus(noise=3.0, seed=304, classes=3, per_class=30):
@@ -336,7 +337,7 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
         md.evaluate(model, test_corpus, proto)
     # one label-sum pass per graph, over two epochs and the evaluation ...
     assert len(summed) == len({id(a) for a in summed}) == 2 * (n_train + n_test)
-    assert all(a._labels[1].shape == (a.omega.shape[0], 16) for a in summed)
+    assert all(a._labels[1].shape == (a.mix.shape[0], 16) for a in summed)
     # ... and one weight-first propagation of the 5 hidden channels per forward
     assert widths == [5] * (2 * (2 * n_train + n_test))
 
@@ -354,7 +355,7 @@ def test_gradients_through_a_zero_weight_label_match_finite_differences():
     # 3 channels over 9 nodes hold label sums, 12 channels do not
     for c, mode in itertools.product((3, 12), (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL)):
         v, adjacency = factored_graph(labels, omega, rng, channels=c)
-        assert adjacency._labels[2].any() and not adjacency._labels[2].all()
+        assert 0 < zero_affinity_rows(adjacency) < adjacency.shape[0]
         assert adjacency.holds_label_sums == (c == 3)
         lam = 0.5 if mode is AblationMode.FULL else 0.0
         params = [rng.standard_normal(shape) * 0.6 for shape in ((c, d), (d, k), (k,), (d, k), (k,))]
@@ -377,6 +378,31 @@ def test_gradients_through_a_zero_weight_label_match_finite_differences():
         assert len(analytic) == (5 if mode is AblationMode.FULL else 3)
         for a_, f_ in zip(analytic, numeric):
             assert _gradcheck_relative_error(a_, f_) <= 1e-6
+
+
+def test_both_label_sum_regimes_train_the_same_blocks(monkeypatch):
+    # a zero-weight label, a decay epoch, weight decay and a short last batch
+    # (14 instances in batches of 4): holding the label sums S_V or not is
+    # exact either way, so only rounding may separate the trained blocks
+    spec = dgn.SyntheticSpec(
+        num_classes=2, vocab_size=6, grid_cells=3, train_per_class=7, test_per_class=1,
+        channels=4, noise=2.0, seed=1212,
+    )
+    train_corpus, _ = dgn.generate_synthetic_corpus(spec)
+    proto = dgn.build_prototype(train_corpus, CooccurrenceMode.INDEPENDENT)
+    omega = proto.omega.copy()
+    omega[4, :] = omega[:, 4] = 0.0  # id 4 is a common object
+    proto = dataclasses.replace(proto, omega=omega)
+    graphs = [a for _, a, _ in md._prepared_inputs(train_corpus, proto, True)]
+    assert any(zero_affinity_rows(a) for a in graphs)
+    config = TrainConfig(epochs=3, batch_size=4, decay_epochs=(2,), weight_decay=1e-3, seed=1212)
+    for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
+        trained = []
+        for held in (True, False):
+            monkeypatch.setattr(gr.LabelAdjacency, "holds_label_sums", property(lambda a, h=held: h))
+            trained.append(md.train(train_corpus, proto, config, mode)[0].blocks())
+        for held, node_sized in zip(*trained):
+            assert np.abs(held - node_sized).max() <= 1e-10 * np.abs(node_sized).max()
 
 
 class TestCheckpoints:

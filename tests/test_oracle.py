@@ -76,6 +76,13 @@ def zero_affinity_rows(adjacency):
     return int((affinity.sum(axis=1) == 0).sum())
 
 
+def assert_block_matches_dense(adjacency):
+    """``P mix P^T`` is the dense adjacency built from the prototype."""
+    a = adjacency
+    blown_up = a.mix[np.ix_(a.inverse, a.inverse)]
+    assert oracle.compare(blown_up, np.asarray(a)).max_abs_deviation <= 1e-15
+
+
 def assert_factored_matches_dense(v, adjacency):
     fast = nn.propagate(adjacency, v)
     slow = oracle.naive_propagate(np.asarray(adjacency), v)
@@ -91,6 +98,7 @@ class TestFactoredPropagation:
         labels = np.array([[0, 1, 1], [1, 0, 1]])
         v, adjacency = factored_graph(labels, omega, rng)
         assert zero_affinity_rows(adjacency) == 4
+        assert_block_matches_dense(adjacency)
         assert_factored_matches_dense(v, adjacency)
         lone = labels.reshape(-1) == 1
         # v is the feature map's own (float32) array; the expectation is in float64
@@ -110,7 +118,7 @@ class TestFactoredPropagation:
         rng = np.random.default_rng(14)
         omega = rng.random((12, 12))
         v, adjacency = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
-        assert adjacency.omega.shape == (3, 3)
+        assert adjacency.mix.shape == (3, 3)
         assert_factored_matches_dense(v, adjacency)
 
     def test_random_cases(self):
@@ -121,6 +129,7 @@ class TestFactoredPropagation:
             labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
             v, adjacency = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
             np.testing.assert_array_equal(adjacency.sum(axis=1), 1.0)
+            assert_block_matches_dense(adjacency)
             assert_factored_matches_dense(v, adjacency)
 
 
