@@ -10,11 +10,11 @@ of the k <= min(n, L) object ids present and ``mix`` is the k x k prototype
 block of those ids, row-normalized over the nodes, so ``build_graph``
 returns it in label space: a graph-layer product with a c x d weight costs
 O(nkd + k^2 d) time and O(nd + k^2) memory instead of O(n^2 d) and O(n^2).
-With fewer channels than nodes, the graph holds the label sums ``P^T V`` of
-its features, computed once in O(nkc), and a forward product costs
-O(kcd + k^2 d) plus an O(nd) gather.  The dense n x n affinity and adjacency
-are built only on request, through ``extract_local_knowledge`` and
-``row_normalize``.
+With fewer channels than nodes, the graph holds the label sums ``P^T V``,
+computed in O(nkc) by the first product that reads them, and a forward
+product costs O(kcd + k^2 d) plus an O(nd) gather.  The dense n x n
+affinity and adjacency are built only on request, through
+``extract_local_knowledge`` and ``row_normalize``.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ class LabelAdjacency:
     feature map's float32 values, cast to float64 in every product), so the
     graph layer runs in label space: ``A V W`` is ``(mix P^T V W)[inverse]``
     (:meth:`label_rows`).  When ``V`` has fewer channels than nodes, the
-    graph also holds, from its first product on, the label sums
-    ``S_V = P^T V`` (:attr:`holds_label_sums`): ``P^T V W`` is then
-    ``S_V W``, and ``V^T A^T y`` is ``S_V^T mix^T P^T y``
-    (:meth:`feature_adjoint`).  ``A.T @ Z`` is ``(mix^T P^T Z)[inverse]``.
+    first product that reads them caches the label sums ``S_V = P^T V``
+    (:attr:`holds_label_sums`): ``P^T V W`` is then ``S_V W``, and
+    ``V^T A^T y`` is ``S_V^T mix^T P^T y`` (:meth:`feature_adjoint`).
+    ``A.T @ Z``, eval-only pooling's product, is ``(mix^T P^T Z)[inverse]``.
     ``np.asarray`` builds the dense matrix from the prototype, not from
     ``mix``.
     """
@@ -81,16 +81,15 @@ class LabelAdjacency:
         return c < n
 
     @functools.cached_property
-    def _labels(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(k x n one-hot ``P^T`` of node labels, k x c label sums ``S_V`` or None).
-
-        Computed once per graph, at its first product, and shared by every
-        product after it.
-        """
+    def _one_hot(self) -> np.ndarray:
+        """The k x n one-hot ``P^T`` of node labels, computed at the graph's first product."""
         k = self.mix.shape[0]
-        one_hot = (self.inverse == np.arange(k)[:, None]).astype(np.float64)
-        sums = one_hot @ self.features if self.holds_label_sums else None
-        return one_hot, sums
+        return (self.inverse == np.arange(k)[:, None]).astype(np.float64)
+
+    @functools.cached_property
+    def _label_sums(self) -> np.ndarray:
+        """The k x c label sums ``S_V = P^T V``, read only when :attr:`holds_label_sums`."""
+        return self._one_hot @ self.features
 
     def check_features(self, features: np.ndarray) -> None:
         """Refuse node features other than the ones the graph was built over.
@@ -114,15 +113,14 @@ class LabelAdjacency:
         ``W``, the identity by default.  The label sums ``P^T V W`` are
         ``S_V W`` when the graph holds ``S_V``, else ``P^T product``.
         """
-        one_hot, sums = self._labels
-        if sums is None:
-            return self.mix @ (one_hot @ product)
+        if not self.holds_label_sums:
+            return self.mix @ (self._one_hot @ product)
+        sums = self._label_sums
         return self.mix @ (sums if weight is None else sums @ weight)
 
     def feature_adjoint(self, y: np.ndarray) -> np.ndarray:
         """``V^T A^T y`` = ``S_V^T mix^T P^T y``, (c, d), for a graph that holds ``S_V``."""
-        one_hot, sums = self._labels
-        return sums.T @ (self.mix.T @ (one_hot @ y))
+        return self._label_sums.T @ (self.mix.T @ (self._one_hot @ y))
 
     @property
     def T(self) -> _TransposedLabelAdjacency:
@@ -143,7 +141,7 @@ class _TransposedLabelAdjacency:
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         a = self.adjacency
-        return (a.mix.T @ (a._labels[0] @ z))[a.inverse]
+        return (a.mix.T @ (a._one_hot @ z))[a.inverse]
 
 
 def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:

@@ -103,8 +103,8 @@ class DgnModel:
         """Every parameter block, in checkpoint order.
 
         The order is shared hidden weight, main weight, main bias, aux weight,
-        aux bias, skipping blocks the model does not have; ``aux=False``
-        leaves out the auxiliary head.  ``nn.Gradients`` iterates alike.
+        aux bias, skipping blocks the model does not have, as ``nn.backward``
+        returns gradients; ``aux=False`` leaves out the auxiliary head.
         """
         out = [] if self.gc_weight is None else [self.gc_weight]
         out += [self.main_head.weight, self.main_head.bias]

@@ -182,20 +182,6 @@ class ForwardRecord:
     aux_logits: np.ndarray | None = None
 
 
-@dataclass(eq=False)
-class Gradients:
-    gc_weight: np.ndarray | None
-    main_weight: np.ndarray
-    main_bias: np.ndarray
-    aux_weight: np.ndarray | None
-    aux_bias: np.ndarray | None
-
-    def __iter__(self):
-        """The present gradients, in the model's parameter block order."""
-        blocks = (self.gc_weight, self.main_weight, self.main_bias, self.aux_weight, self.aux_bias)
-        return (g for g in blocks if g is not None)
-
-
 def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     """``d_out[None, :] * (s * (1 - s))`` in one new array, same bytes."""
     grad = 1.0 - s
@@ -204,8 +190,11 @@ def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return grad
 
 
-def backward(record: ForwardRecord, target: int) -> Gradients:
+def backward(record: ForwardRecord, target: int) -> list[np.ndarray]:
     """Exact gradients of loss_main + lam * loss_aux for every parameter.
+
+    Returns them in ``DgnModel.blocks()`` order, skipping blocks the record
+    does not hold: hidden weight, main weight and bias, aux weight and bias.
 
     Both paths start from ``V @ W``, so the shared weight's gradient is
     ``V^T (M^T d_pre + d_aux_pre)``, with ``M^T d_pre`` formed at node size
@@ -219,11 +208,9 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
     """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
-    main_w_grad = np.outer(record.pooled, delta_m)
-    main_b_grad = delta_m
-
+    heads = [np.outer(record.pooled, delta_m), delta_m]
     if record.gc_weight is None:
-        return Gradients(None, main_w_grad, main_b_grad, None, None)
+        return heads
 
     n = record.features.shape[0]
     d_pooled = record.main_head.weight @ delta_m  # (d,)
@@ -236,20 +223,18 @@ def backward(record: ForwardRecord, target: int) -> Gradients:
         d_fw = _sigmoid_grad(record.hidden, d_pooled / (2 * n))
         mixed = a.feature_adjoint(d_fw)
 
-    aux_w_grad = aux_b_grad = None
     if record.aux_logits is not None:
         delta_a = softmax(record.aux_logits)
         delta_a[target] -= 1.0
         delta_a *= record.lam
-        aux_w_grad = np.outer(record.aux_pooled, delta_a)
-        aux_b_grad = delta_a
+        heads += [np.outer(record.aux_pooled, delta_a), delta_a]
         d_aux_pooled = record.aux_head.weight @ delta_a
         d_fw += _sigmoid_grad(record.aux_hidden, d_aux_pooled / n)
 
     gc_grad = record.features.T @ d_fw
     if mixed is not None:
         gc_grad += mixed
-    return Gradients(gc_grad, main_w_grad, main_b_grad, aux_w_grad, aux_b_grad)
+    return [gc_grad, *heads]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from .corpus import Corpus, presence_mask
 from .errors import ValidationError
 
 PROTOTYPE_MAGIC = b"DGNP"
+# counting and the posterior hold C x L x L arrays of 8-byte entries; refuse
+# beyond this many entries (1 GiB per array) rather than allocate without bound
+COUNT_MAX_ENTRIES = 2**27
 
 
 class CooccurrenceMode(enum.Enum):
@@ -94,6 +97,11 @@ def count(corpus: Corpus) -> CooccurrenceCounts:
     if not corpus.instances:
         raise ValidationError("cannot count an empty corpus")
     C, L = corpus.num_classes, corpus.vocab_size
+    if C * L * L > COUNT_MAX_ENTRIES:
+        raise ValidationError(
+            f"C={C} classes and L={L} objects would need {C * L * L * 8} bytes per "
+            f"C x L x L count array; iodp allows at most {COUNT_MAX_ENTRIES} entries"
+        )
     n_inst = np.zeros(C, dtype=np.int64)
     pair = np.zeros((C, L, L), dtype=np.int64)
     for inst in corpus.instances:

@@ -1,9 +1,14 @@
-"""Child-process helpers: run Python or the ``dgn`` CLI against this checkout's sources."""
+"""Run Python in a child process, or the ``dgn`` CLI in this one, against this checkout's sources."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
+
+from dgn import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -25,5 +30,24 @@ def run_python(*args, cwd=None):
     )
 
 
-def run_cli(*args, cwd=None):
-    return run_python("-m", "dgn", *args, cwd=cwd)
+def run_cli(*args):
+    """Run ``dgn *args`` through ``cli.main`` in this process, as ``python -m dgn`` would.
+
+    Returns a ``CompletedProcess`` with the exit status, from ``main``'s
+    return value or from ``SystemExit``, and the captured stdout and
+    stderr.  An uncaught exception leaves its traceback on stderr and exit
+    status 1, as the interpreter gives them.  The suite's
+    ``filterwarnings = error`` makes warnings errors, as the child's
+    ``PYTHONWARNINGS=error`` does.
+    """
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(["dgn", *argv], code, out.getvalue(), err.getvalue())

@@ -16,7 +16,7 @@ from dgn import nn, oracle
 from dgn import prototype as pt
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric
-from tests.helpers import run_cli
+from tests.helpers import run_python
 from tests.test_prototype import presence_corpus, random_presence_corpus
 
 SEEDS = (304, 305, 306)
@@ -205,9 +205,8 @@ def test_criterion_6_gradient_check():
             )
 
         _, _, record = md.forward_parts(model_of(params), v, a)
-        grads = nn.backward(record, target)
-        analytic = [grads.gc_weight, grads.main_weight, grads.main_bias,
-                    grads.aux_weight, grads.aux_bias]
+        analytic = nn.backward(record, target)
+        assert len(analytic) == 5
         numeric = oracle.fd_gradient(loss_of, params)
         for a_, f_ in zip(analytic, numeric):
             assert _gradcheck_relative_error(a_, f_) <= 1e-6
@@ -235,7 +234,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         "--channels", 8, "--noise", 2.0, "--seed", 304,
     ]
     for name in ("a", "b"):
-        result = run_cli(*gen_flags, "--out", tmp_path / name)
+        result = run_python("-m", "dgn", *gen_flags, "--out", tmp_path / name)
         assert result.returncode == 0, result.stderr
     files_a = sorted(p for p in (tmp_path / "a").rglob("*") if p.is_file())
     files_b = sorted(p for p in (tmp_path / "b").rglob("*") if p.is_file())
@@ -244,16 +243,17 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert fa.read_bytes() == fb.read_bytes(), fa.name
 
     proto = tmp_path / "p.dgnp"
-    assert run_cli(
-        "iodp", "--manifest", tmp_path / "a" / "train.manifest", "--out", proto
+    assert run_python(
+        "-m", "dgn", "iodp", "--manifest", tmp_path / "a" / "train.manifest", "--out", proto
     ).returncode == 0
     outputs = []
     for name in ("one", "two"):
         ckpt = tmp_path / f"{name}.dgnm"
         trace = tmp_path / f"{name}.trace.csv"
-        result = run_cli(
-            "train", "--manifest", tmp_path / "a" / "train.manifest", "--prototype", proto,
-            "--epochs", 5, "--seed", 304, "--checkpoint", ckpt, "--out", trace,
+        result = run_python(
+            "-m", "dgn", "train", "--manifest", tmp_path / "a" / "train.manifest",
+            "--prototype", proto, "--epochs", 5, "--seed", 304, "--checkpoint", ckpt,
+            "--out", trace,
         )
         assert result.returncode == 0, result.stderr
         outputs.append((ckpt.read_bytes(), trace.read_bytes()))

@@ -141,6 +141,21 @@ class TestIodp:
         result = run_cli("iodp", "--manifest", tmp_path / "nope.manifest", "--out", tmp_path / "p")
         assert result.returncode == 2
 
+    def test_pair_counts_past_the_limit_exit_2_without_output(self, tmp_path):
+        # C=2 classes over L=65536 objects would count 2 * 65536^2 pairs, 64 GiB
+        # per int64 array; iodp refuses before it allocates any of them
+        corpus = presence_corpus(2, 65536, [(0, {0}), (1, {1})])
+        manifest = dgn.save_corpus(corpus, tmp_path, "train")
+        out = tmp_path / "p.dgnp"
+        result = run_cli("iodp", "--manifest", manifest, "--out", out)
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: C=2 classes and L=65536 objects would need 68719476736 bytes per "
+            "C x L x L count array; iodp allows at most 134217728 entries\n"
+        )
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_reads_no_feature_map(self, tiny_corpus_dir, tmp_path, capsys):
         # the prototype reads label maps only: with every .dgnf gone, iodp
         # still succeeds and writes the same bytes

@@ -314,11 +314,11 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
     data = md._prepared_inputs(train_corpus, proto, True)
     assert all(isinstance(adjacency, gr.LabelAdjacency) for _, adjacency, _ in data)
     summed, widths = [], []
-    labels = gr.LabelAdjacency._labels
+    label_sums = gr.LabelAdjacency._label_sums
 
-    def counted_labels(adjacency):
+    def counted_label_sums(adjacency):
         summed.append(adjacency)
-        return labels.func(adjacency)
+        return label_sums.func(adjacency)
 
     def counted(adjacency, features, weight=None, product=None):
         assert weight is not None
@@ -326,9 +326,9 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
         widths.append(out.shape[1])
         return out
 
-    cached = functools.cached_property(counted_labels)
-    cached.__set_name__(gr.LabelAdjacency, "_labels")
-    monkeypatch.setattr(gr.LabelAdjacency, "_labels", cached)
+    cached = functools.cached_property(counted_label_sums)
+    cached.__set_name__(gr.LabelAdjacency, "_label_sums")
+    monkeypatch.setattr(gr.LabelAdjacency, "_label_sums", cached)
     monkeypatch.setattr(md, "propagate", counted)
     config = TrainConfig(epochs=2, seed=304, hidden_dim=5)  # the corpus has 16 channels
     n_train, n_test = len(train_corpus.instances), len(test_corpus.instances)
@@ -337,9 +337,29 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
         md.evaluate(model, test_corpus, proto)
     # one label-sum pass per graph, over two epochs and the evaluation ...
     assert len(summed) == len({id(a) for a in summed}) == 2 * (n_train + n_test)
-    assert all(a._labels[1].shape == (a.mix.shape[0], 16) for a in summed)
+    assert all(a._label_sums.shape == (a.mix.shape[0], 16) for a in summed)
     # ... and one weight-first propagation of the 5 hidden channels per forward
     assert widths == [5] * (2 * (2 * n_train + n_test))
+
+
+def test_eval_only_pooling_computes_no_label_sums(trained_setup, tmp_path, monkeypatch):
+    # eval-only pooling is A.T @ Z, which reads the one-hot P^T only: graphs
+    # with fewer channels than nodes hold label sums, yet none is computed
+    train_corpus, test_corpus, proto = trained_setup
+    config = TrainConfig(epochs=1, seed=304)
+    md.save_model(md.train(train_corpus, None, config, AblationMode.BASELINE)[0], tmp_path / "b.dgnm")
+    baseline = md.load_model(tmp_path / "b.dgnm")
+    graphs = []
+
+    def recorded(*args):
+        graphs.append(gr.build_graph(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(md, "build_graph", recorded)
+    md.evaluate(baseline, test_corpus, proto, AblationMode.EVAL_ONLY_IODP)
+    assert len(graphs) == len(test_corpus.instances)
+    assert all(a.holds_label_sums for a in graphs)
+    assert all("_one_hot" in vars(a) and "_label_sums" not in vars(a) for a in graphs)
 
 
 def test_gradients_through_a_zero_weight_label_match_finite_differences():

@@ -291,20 +291,21 @@ class TestBackward:
     def test_lambda_zero_zeroes_aux_gradients(self):
         rec = self._record(0.0, np.random.default_rng(5))
         grads = nn.backward(rec, 1)
-        np.testing.assert_array_equal(grads.aux_weight, np.zeros_like(grads.aux_weight))
-        np.testing.assert_array_equal(grads.aux_bias, np.zeros_like(grads.aux_bias))
+        # blocks: hidden weight, main weight, main bias, aux weight, aux bias
+        np.testing.assert_array_equal(grads[3], np.zeros_like(grads[3]))
+        np.testing.assert_array_equal(grads[4], np.zeros_like(grads[4]))
         # shared-weight gradient reduces to the main-path term
         rec_main = self._record(0.25, np.random.default_rng(5))
         rec_main.aux_logits = None
         main_only = nn.backward(rec_main, 1)
-        np.testing.assert_array_equal(grads.gc_weight, main_only.gc_weight)
+        np.testing.assert_array_equal(grads[0], main_only[0])
 
     def test_doubling_lambda_doubles_aux_gradient(self):
         g1 = nn.backward(self._record(0.25, np.random.default_rng(6)), 2)
         g2 = nn.backward(self._record(0.5, np.random.default_rng(6)), 2)
-        np.testing.assert_array_equal(g2.aux_weight, 2.0 * g1.aux_weight)
-        np.testing.assert_array_equal(g2.aux_bias, 2.0 * g1.aux_bias)
-        np.testing.assert_array_equal(g1.main_weight, g2.main_weight)
+        np.testing.assert_array_equal(g2[3], 2.0 * g1[3])
+        np.testing.assert_array_equal(g2[4], 2.0 * g1[4])
+        np.testing.assert_array_equal(g1[1], g2[1])
 
     def test_gradient_check_through_label_space_adjacency(self):
         # criterion 6 with a label-space adjacency whose ids 3 and 4 relate to

@@ -230,11 +230,14 @@ def test_compare_report():
     assert report.max_rel_deviation == pytest.approx(0.2)
 
 
-def tiny_training_run(lam):
-    """Five instances of four nodes, three channels and three classes, a prototype and a config."""
+def tiny_training_run(lam, channels=3):
+    """Five four-node instances of three classes, their prototype and a config.
+
+    Three channels hold label sums (c < n); five take the wide path (c >= n).
+    """
     spec = dgn.SyntheticSpec(
         num_classes=3, vocab_size=8, grid_cells=2, train_per_class=2, test_per_class=1,
-        channels=3, noise=1.0, seed=909,
+        channels=channels, noise=1.0, seed=909,
     )
     full_corpus, _ = dgn.generate_synthetic_corpus(spec)
     proto = build_prototype(full_corpus, CooccurrenceMode.INDEPENDENT)
@@ -257,7 +260,7 @@ def dense_instances(corpus, proto):
     return out
 
 
-@pytest.mark.parametrize(
+TRAINING_CONFIGURATIONS = pytest.mark.parametrize(
     "mode, lam, stepped",
     [
         (md.AblationMode.BASELINE, 0.5, 2),
@@ -266,9 +269,23 @@ def dense_instances(corpus, proto):
         (md.AblationMode.FULL, 0.0, 3),
     ],
 )
+
+
+@TRAINING_CONFIGURATIONS
 def test_train_matches_the_training_oracle(mode, lam, stepped):
-    corpus, proto, config = tiny_training_run(lam)
-    initial = md.init_model(mode, 3, 3, config).blocks()
+    check_training_oracle(mode, lam, stepped, channels=3)
+
+
+@TRAINING_CONFIGURATIONS
+def test_train_matches_the_training_oracle_in_the_wide_regime(mode, lam, stepped):
+    check_training_oracle(mode, lam, stepped, channels=5)
+
+
+def check_training_oracle(mode, lam, stepped, channels):
+    corpus, proto, config = tiny_training_run(lam, channels)
+    h, w, c = corpus.feature_shape
+    assert (c < h * w) == (channels == 3)  # label sums held, else the wide path
+    initial = md.init_model(mode, channels, 3, config).blocks()
     trained, _ = md.train(corpus, proto, config, mode)
     expected = oracle.naive_train(dense_instances(corpus, proto), initial, config, mode)
     actual = trained.blocks()
