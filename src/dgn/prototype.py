@@ -21,9 +21,12 @@ from .corpus import Corpus, presence_mask
 from .errors import ValidationError
 
 PROTOTYPE_MAGIC = b"DGNP"
-# counting and the posterior hold C x L x L arrays of 8-byte entries; refuse
-# beyond this many entries (1 GiB per array) rather than allocate without bound
+# the pair counts are one C x L x L array of 8-byte entries; refuse beyond
+# this many entries (1 GiB) rather than allocate without bound
 COUNT_MAX_ENTRIES = 2**27
+# the posterior is built for as many prototype rows at a time as fit this
+# many float64 entries (1 MiB), at least one row
+POSTERIOR_BLOCK_ENTRIES = 2**17
 
 
 class CooccurrenceMode(enum.Enum):
@@ -55,7 +58,9 @@ class CooccurrenceCounts:
     """Presence counts per scene class.
 
     ``pair_presence[c, i, j]`` is the number of class-c instances containing
-    both i and j; its diagonal equals ``presence[c]``.
+    both i and j; its diagonal equals ``presence[c]``.  It is the one
+    C x L x L array of the prototype build: the posterior reads it one block
+    of rows, shape (C, rows, L), at a time.
     """
 
     num_classes: int
@@ -93,7 +98,12 @@ class Prototype:
 
 
 def count(corpus: Corpus) -> CooccurrenceCounts:
-    """Tally per-class object and object-pair presence at full resolution."""
+    """Tally per-class object and object-pair presence at full resolution.
+
+    ``pair_presence[c]`` is ``X_c^T X_c`` for the class's (instances, L)
+    presence matrix ``X_c``; the float64 product is exact, every sum being an
+    integer below 2**53.
+    """
     if not corpus.instances:
         raise ValidationError("cannot count an empty corpus")
     C, L = corpus.num_classes, corpus.vocab_size
@@ -102,38 +112,42 @@ def count(corpus: Corpus) -> CooccurrenceCounts:
             f"C={C} classes and L={L} objects would need {C * L * L * 8} bytes per "
             f"C x L x L count array; iodp allows at most {COUNT_MAX_ENTRIES} entries"
         )
-    n_inst = np.zeros(C, dtype=np.int64)
-    pair = np.zeros((C, L, L), dtype=np.int64)
-    for inst in corpus.instances:
-        indicator = presence_mask(inst.label_map)
-        n_inst[inst.scene_id] += 1
-        pair[inst.scene_id] += np.outer(indicator, indicator)
+    scene = np.fromiter((inst.scene_id for inst in corpus.instances), np.int64, len(corpus.instances))
+    n_inst = np.bincount(scene, minlength=C)
     if (n_inst == 0).any():
         missing = int(np.flatnonzero(n_inst == 0)[0])
         raise ValidationError(f"scene class {missing} has no instances")
+    present = np.stack([presence_mask(inst.label_map) for inst in corpus.instances])
+    pair = np.empty((C, L, L), dtype=np.int64)
+    for c in range(C):
+        x = present[scene == c].astype(np.float64)
+        pair[c] = x.T @ x
     presence = pair[:, np.arange(L), np.arange(L)].copy()
     return CooccurrenceCounts(C, L, n_inst, presence, pair)
 
 
-def class_posterior(counts: CooccurrenceCounts, mode: CooccurrenceMode) -> np.ndarray:
-    """Class posterior of every object pair under a uniform prior, (C, L, L).
+def class_posterior(
+    counts: CooccurrenceCounts, mode: CooccurrenceMode, rows: slice = slice(None)
+) -> np.ndarray:
+    """Class posterior of the object pairs in ``rows`` under a uniform prior, (C, rows, L).
 
     The pair likelihood per class is the joint presence rate
     (NON_INDEPENDENT) or the product of the two marginal rates (INDEPENDENT);
     with equal priors the posterior is that likelihood normalized over
     classes.  The class axis is sorted, so every reduction over it is
-    bit-identical under scene-id permutation.  A pair with no evidence in
-    any class has posterior 0 in every class.
+    bit-identical under scene-id permutation, and each entry's bytes do not
+    depend on ``rows``.  A pair with no evidence in any class has posterior
+    0 in every class.
     """
-    # one (C, L, L) array, updated in place: fresh arrays of that size cost
-    # page faults, and the in-place forms give the same bytes
+    # one (C, rows, L) array, updated in place: the in-place forms give the
+    # same bytes as fresh arrays
     n = counts.instances_per_class.astype(np.float64)[:, None, None]
     if mode is CooccurrenceMode.NON_INDEPENDENT:
-        lik = counts.pair_presence.astype(np.float64)
+        lik = counts.pair_presence[:, rows].astype(np.float64)
         lik /= n
     else:
         marg = counts.presence.astype(np.float64)
-        lik = marg[:, :, None] * marg[:, None, :]
+        lik = marg[:, rows, None] * marg[:, None, :]
         lik /= n * n
     lik.sort(axis=0)
     evidence = lik.sum(axis=0)
@@ -152,21 +166,31 @@ def build_prototype(
 
     Each entry is the range, population standard deviation or coefficient of
     variation (std over the mean 1/C) of the pair's class posterior,
-    square-rooted when ``passivated``; 0 for a pair with no evidence.
+    square-rooted when ``passivated``; 0 for a pair with no evidence.  The
+    posterior is built one block of rows at a time and each block's
+    dispersion written straight into ``omega``; every reduction runs over the
+    class axis, so the bytes do not depend on the block size.
     """
     counts = count(corpus)
-    C = counts.num_classes
-    post = class_posterior(counts, mode)
-    if metric is DispersionMetric.RANGE:
-        theta = post[-1] - post[0]
-    else:
-        deviation = post - post.mean(axis=0)
-        np.square(deviation, out=deviation)
-        theta = np.sqrt(np.mean(deviation, axis=0))
-        if metric is DispersionMetric.COEFF_VAR:
-            theta = theta * C
-    omega = np.sqrt(theta) if passivated else theta
-    return Prototype(counts.vocab_size, omega, mode, metric, passivated, C)
+    C, L = counts.num_classes, counts.vocab_size
+    block = max(1, POSTERIOR_BLOCK_ENTRIES // (C * L))
+    omega = np.empty((L, L))
+    for start in range(0, L, block):
+        rows = slice(start, start + block)
+        post = class_posterior(counts, mode, rows)
+        theta = omega[rows]
+        if metric is DispersionMetric.RANGE:
+            np.subtract(post[-1], post[0], out=theta)
+        else:
+            post -= post.mean(axis=0)
+            np.square(post, out=post)
+            np.mean(post, axis=0, out=theta)
+            np.sqrt(theta, out=theta)
+            if metric is DispersionMetric.COEFF_VAR:
+                theta *= C
+        if passivated:
+            np.sqrt(theta, out=theta)
+    return Prototype(L, omega, mode, metric, passivated, C)
 
 
 def save_prototype(prototype: Prototype, path: str | Path) -> None:

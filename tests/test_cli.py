@@ -1,4 +1,5 @@
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ class TestIodp:
         )
         assert result.stdout == ""
         assert not out.exists()
+
+    def test_missing_class_exits_2_before_counting_pairs(self, tmp_path):
+        # class 2 of 3 has no instance; at L=2048 the pair counts would take
+        # 100 MB, and iodp refuses before it allocates them
+        corpus = presence_corpus(3, 2048, [(0, {0, 1}), (1, {2})])
+        manifest = dgn.save_corpus(corpus, tmp_path, "train")
+        out = tmp_path / "p.dgnp"
+        tracemalloc.start()
+        try:
+            result = run_cli("iodp", "--manifest", manifest, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.returncode == 2
+        assert result.stderr == "error: scene class 2 has no instances\n"
+        assert result.stdout == ""
+        assert not out.exists()
+        assert peak < 8 * 2**20
 
     def test_reads_no_feature_map(self, tiny_corpus_dir, tmp_path, capsys):
         # the prototype reads label maps only: with every .dgnf gone, iodp

@@ -12,7 +12,7 @@ from dgn import corpus as cp
 from dgn import graph as gr
 from dgn import nn, oracle
 from dgn import prototype as pt
-from tests.test_prototype import presence_corpus
+from tests.test_prototype import omega_in_blocks_of, presence_corpus
 
 label_grids = hnp.arrays(
     dtype=np.int64,
@@ -216,3 +216,28 @@ def test_sigmoid_bounded(x):
     s = nn.sigmoid(x)
     assert (s >= 0).all() and (s <= 1).all()
     assert np.isfinite(s).all()
+
+
+@st.composite
+def block_corpora(draw):
+    """1-4 classes over 1-12 objects, 1-4 instances per class, any presence sets."""
+    C = draw(st.integers(min_value=1, max_value=4))
+    L = draw(st.integers(min_value=1, max_value=12))
+    objects = st.sets(st.integers(min_value=0, max_value=L - 1), min_size=1)
+    groups = [
+        (scene, draw(objects))
+        for scene in range(C)
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    return presence_corpus(C, L, groups)
+
+
+@given(block_corpora())
+@settings(max_examples=25, deadline=None)
+def test_prototype_bytes_do_not_depend_on_the_block_size(corpus):
+    for mode in pt.CooccurrenceMode:
+        for metric in pt.DispersionMetric:
+            for passivated in (True, False):
+                one_row = omega_in_blocks_of(1, corpus, mode, metric, passivated)
+                whole = omega_in_blocks_of(corpus.vocab_size, corpus, mode, metric, passivated)
+                assert one_row.tobytes() == whole.tobytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,35 @@ class TestCounts:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
             pt.count(Corpus(1, 3, ()))
+
+    def test_pair_counts_are_sums_of_instance_outer_products(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            C, L = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+            groups = []
+            for scene in range(C):
+                # class 0 holds one instance; object L - 1 occurs in none
+                for _ in range(1 if scene == 0 else int(rng.integers(1, 6))):
+                    size = int(rng.integers(1, L))
+                    groups.append((scene, set(rng.choice(L - 1, size=size, replace=False).tolist())))
+            corpus = presence_corpus(C, L, [groups[i] for i in rng.permutation(len(groups))])
+            expected = np.zeros((C, L, L), dtype=np.int64)
+            for inst in corpus.instances:
+                x = np.zeros(L, dtype=np.int64)
+                x[np.unique(inst.label_map.labels)] = 1
+                expected[inst.scene_id] += np.outer(x, x)
+            counts = pt.count(corpus)
+            assert counts.pair_presence.dtype == np.int64
+            assert counts.presence.dtype == np.int64
+            np.testing.assert_array_equal(counts.pair_presence, expected)
+            np.testing.assert_array_equal(
+                counts.pair_presence[:, np.arange(L), np.arange(L)], counts.presence
+            )
+            np.testing.assert_array_equal(
+                counts.instances_per_class, np.bincount([g[0] for g in groups], minlength=C)
+            )
+            assert counts.instances_per_class[0] == 1
+            assert not counts.pair_presence[:, L - 1].any()
 
 
 def counted_pair_corpus(num_classes, per_class, together):
@@ -256,6 +286,58 @@ class TestBuildPrototype:
             seen = total > 0
             np.testing.assert_allclose(total[seen], 1.0, atol=1e-12, rtol=0)
             np.testing.assert_array_equal(post[:, ~seen], 0.0)
+
+
+def omega_in_blocks_of(rows, corpus, mode, metric, passivated):
+    """``build_prototype``'s omega with the posterior built ``rows`` prototype rows at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pt, "POSTERIOR_BLOCK_ENTRIES", rows * corpus.num_classes * corpus.vocab_size)
+        return pt.build_prototype(corpus, mode, metric, passivated).omega
+
+
+# class 1 has one instance; objects 0 and 4 never share a class (zero
+# evidence in both modes) and object 6 occurs nowhere
+BLOCK_CORPUS_GROUPS = [
+    (0, {0, 1, 2}), (0, {0, 3}), (0, {1, 2}),
+    (1, {4}),
+    (2, {2, 3, 5}), (2, {5}), (2, {1, 5}),
+]
+
+
+class TestBlocks:
+    """The posterior is built one block of prototype rows at a time."""
+
+    @pytest.mark.parametrize("passivated", [True, False])
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_block_size_does_not_change_the_bytes(self, mode, metric, passivated):
+        corpus = presence_corpus(3, 7, BLOCK_CORPUS_GROUPS)
+        whole = omega_in_blocks_of(7, corpus, mode, metric, passivated)
+        assert whole[0, 4] == 0.0 and not whole[6].any()
+        # one row per block, and blocks of two that leave a short last block
+        for rows in (1, 2):
+            assert omega_in_blocks_of(rows, corpus, mode, metric, passivated).tobytes() == whole.tobytes()
+        assert pt.build_prototype(corpus, mode, metric, passivated).omega.tobytes() == whole.tobytes()
+
+    def test_prototype_build_peaks_below_one_and_a_half_pair_arrays(self):
+        # each C x L x L array is 10.2 MB: the pair counts are the only one
+        C, L = 8, 400
+        rng = np.random.default_rng(31)
+        groups = [
+            (scene, set(rng.choice(L, size=200, replace=False).tolist()))
+            for scene in range(C)
+            for _ in range(3)
+        ]
+        corpus = presence_corpus(C, L, groups)
+        pair_bytes = C * L * L * 8
+        for mode in Mode:
+            tracemalloc.start()
+            try:
+                pt.build_prototype(corpus, mode, Metric.COEFF_VAR, True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert pair_bytes <= peak < 1.5 * pair_bytes, (mode, peak / pair_bytes)
 
 
 def random_presence_corpus(rng, max_classes=5, max_vocab=8, max_instances=20):
