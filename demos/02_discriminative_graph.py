@@ -8,8 +8,8 @@ averages each node with its relation-weighted neighborhood: nodes of inert
 class evidence and averages noise away.
 
 ``build_graph`` returns the adjacency in label space (one prototype block over
-the object ids present); ``np.asarray`` builds the dense n x n matrix to look
-at, and ``extract_local_knowledge`` the raw affinity.
+the object ids present); its ``dense()`` builds the n x n matrix to look at,
+and ``extract_local_knowledge`` the raw affinity.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ print("affinity row of a common node (attention concentrates on the",
       "discriminative columns):")
 common_row = dgn.extract_local_knowledge(adjacency.semantics, proto)[np.flatnonzero(~disc)[0]]
 print(np.round(common_row, 2).reshape(spec.grid_cells, spec.grid_cells))
-dense = np.asarray(adjacency)
+dense = adjacency.dense()
 k = adjacency.mix.shape[0]
 print(f"label-space block mix {k}x{k} (A = P mix P^T),",
       f"dense adjacency {dense.shape[0]}x{dense.shape[1]}")

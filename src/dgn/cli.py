@@ -166,6 +166,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _require_output_dirs(*paths) -> None:
+    """Refuse, before any work, an output whose directory does not exist."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValidationError(f"{path}: output directory {Path(path).parent} does not exist")
+
+
 def cmd_iodp(args) -> int:
     # the prototype reads label maps only; the feature maps stay on disk
     corpus = load_corpus(args.manifest, features=False)
@@ -187,6 +194,8 @@ def cmd_train(args) -> int:
     if mode is not AblationMode.BASELINE and not args.prototype:
         print(f"dgn train: error: --mode {args.mode} requires --prototype", file=sys.stderr)
         return 1
+    trace_path = args.out or f"{args.checkpoint}.trace.csv"
+    _require_output_dirs(args.checkpoint, trace_path)
     corpus = load_corpus(args.manifest)
     proto = load_prototype(args.prototype) if args.prototype else None
     config = TrainConfig(
@@ -200,7 +209,6 @@ def cmd_train(args) -> int:
     )
     model, trace = train(corpus, proto, config, mode)
     save_model(model, args.checkpoint)
-    trace_path = args.out or f"{args.checkpoint}.trace.csv"
     lines = [",".join(f.name for f in dataclasses.fields(EpochStats))]
     lines += [",".join(map(repr, dataclasses.astuple(s))) for s in trace]
     fileio.atomic_write_text(trace_path, "\n".join(lines) + "\n")
@@ -213,6 +221,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_output_dirs(args.out)
     corpus = load_corpus(args.manifest)
     model = load_model(args.checkpoint)
     proto = load_prototype(args.prototype) if args.prototype else None
@@ -238,10 +247,12 @@ def cmd_inspect(args) -> int:
     if magic == PROTOTYPE_MAGIC:
         return _inspect_prototype(path, out_dir)
     if magic == LABEL_MAGIC:
+        # a damaged file whose magic reads as a label map's is a data error
+        label_map = load_label_map(path)
         if not args.prototype:
             print("error: inspecting a label map's graph requires --prototype", file=sys.stderr)
             return 1
-        return _inspect_label_map(path, load_prototype(args.prototype), out_dir)
+        return _inspect_label_map(path, label_map, load_prototype(args.prototype), out_dir)
     if magic == FEATURE_MAGIC:
         fm = load_feature_map(path)
         # statistics of the float64 cast: a float32 mean rounds, and
@@ -278,8 +289,7 @@ def _inspect_prototype(path: Path, out_dir: Path) -> int:
     return 0
 
 
-def _inspect_label_map(path: Path, proto, out_dir: Path) -> int:
-    label_map = load_label_map(path)
+def _inspect_label_map(path: Path, label_map, proto, out_dir: Path) -> int:
     if proto.vocab_size != label_map.vocab_size:
         raise ValidationError(
             f"{path}: prototype vocab {proto.vocab_size} != label map vocab {label_map.vocab_size}"

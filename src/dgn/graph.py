@@ -5,16 +5,14 @@ the prototype entry for their object ids, gathered from the label map at
 feature resolution.  Row normalization turns the gathered weights into a
 row-stochastic adjacency matrix.
 
-That adjacency is ``A = P mix P^T``, where ``P`` is the n x k one-hot matrix
-of the k <= min(n, L) object ids present and ``mix`` is the k x k prototype
-block of those ids, row-normalized over the nodes, so ``build_graph``
-returns it in label space: a graph-layer product with a c x d weight costs
-O(nkd + k^2 d) time and O(nd + k^2) memory instead of O(n^2 d) and O(n^2).
-With fewer channels than nodes, the graph holds the label sums ``P^T V``,
-computed in O(nkc) by the first product that reads them, and a forward
-product costs O(kcd + k^2 d) plus an O(nd) gather.  The dense n x n
-affinity and adjacency are built only on request, through
-``extract_local_knowledge`` and ``row_normalize``.
+``build_graph`` returns that adjacency in label space, as a
+:class:`LabelAdjacency` over the k <= min(n, L) object ids present: a
+graph-layer product with a c x d weight costs O(nkd + k^2 d) time and
+O(nd + k^2) memory instead of O(n^2 d) and O(n^2), and O(kcd + k^2 d) plus
+an O(nd) gather once the graph holds its label sums ``P^T V``.  The dense
+n x n affinity and adjacency are built only on request, through
+``extract_local_knowledge`` and ``row_normalize``, which
+:meth:`LabelAdjacency.dense` chains.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from .prototype import Prototype
 class LabelAdjacency:
     """Row-stochastic n x n adjacency ``P mix P^T`` held as its k x k block.
 
+    ``P`` is the n x k one-hot matrix of the node ids among the k present.
     With ``w`` the label weights ``omega_k cnt``, ``mix[l, m]`` is
     ``omega_k[l, m] / w[l]``; a label whose weight is 0 relates to nothing,
     and its row is ``1/n`` throughout, the uniform row of ``row_normalize``.
@@ -43,9 +42,10 @@ class LabelAdjacency:
     first product that reads them caches the label sums ``S_V = P^T V``
     (:attr:`holds_label_sums`): ``P^T V W`` is then ``S_V W``, and
     ``V^T A^T y`` is ``S_V^T mix^T P^T y`` (:meth:`feature_adjoint`).
-    ``A.T @ Z``, eval-only pooling's product, is ``(mix^T P^T Z)[inverse]``.
-    ``np.asarray`` builds the dense matrix from the prototype, not from
-    ``mix``.
+    ``A^T y``, which eval-only pooling and the wide backward read, is
+    ``(mix^T P^T y)[inverse]`` (:meth:`adjoint_rows`).  The graph is not an
+    array: ``A @ V`` and ``A + 1`` raise, and :meth:`dense` is the one way
+    to the n x n matrix.
     """
 
     semantics: np.ndarray  # (n,) object id per node
@@ -53,21 +53,6 @@ class LabelAdjacency:
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
     mix: np.ndarray  # (k, k) row-normalized prototype block of the present ids
     features: np.ndarray  # (n, c) node features V, a float32 view of the feature map
-
-    ndim = 2
-    # numpy operators return NotImplemented, so ``A @ V`` raises instead of
-    # silently building the dense matrix through ``__array__``
-    __array_ufunc__ = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.semantics.size, self.semantics.size)
-
-    def sum(self, axis: int) -> np.ndarray:
-        """Row sums (``axis=1``), all exactly 1."""
-        if axis != 1:
-            raise ValidationError("a label-space adjacency only sums its rows")
-        return np.ones(self.semantics.size)
 
     @property
     def holds_label_sums(self) -> bool:
@@ -118,30 +103,17 @@ class LabelAdjacency:
         sums = self._label_sums
         return self.mix @ (sums if weight is None else sums @ weight)
 
+    def adjoint_rows(self, y: np.ndarray) -> np.ndarray:
+        """(k, d): ``mix^T P^T y``, row l of ``A^T y`` at every node of label l."""
+        return self.mix.T @ (self._one_hot @ y)
+
     def feature_adjoint(self, y: np.ndarray) -> np.ndarray:
         """``V^T A^T y`` = ``S_V^T mix^T P^T y``, (c, d), for a graph that holds ``S_V``."""
-        return self._label_sums.T @ (self.mix.T @ (self._one_hot @ y))
+        return self._label_sums.T @ self.adjoint_rows(y)
 
-    @property
-    def T(self) -> _TransposedLabelAdjacency:
-        return _TransposedLabelAdjacency(self)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("the dense adjacency is always built anew")
-        dense = row_normalize(extract_local_knowledge(self.semantics, self.prototype))
-        return dense if dtype is None else dense.astype(dtype, copy=False)
-
-
-@dataclass(frozen=True, eq=False)
-class _TransposedLabelAdjacency:
-    """``A.T`` of a :class:`LabelAdjacency`, for the product ``A.T @ Z = (mix^T P^T Z)[inverse]``."""
-
-    adjacency: LabelAdjacency
-
-    def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        a = self.adjacency
-        return (a.mix.T @ (a._one_hot @ z))[a.inverse]
+    def dense(self) -> np.ndarray:
+        """The n x n adjacency, built anew from the prototype rather than from ``mix``."""
+        return row_normalize(extract_local_knowledge(self.semantics, self.prototype))
 
 
 def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:

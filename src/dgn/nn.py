@@ -51,10 +51,10 @@ def propagate(
     """
     a = adjacency
     v = np.asarray(features)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or v.ndim != 2 or a.shape[0] != v.shape[0]:
-        raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")
     if not isinstance(a, np.ndarray):
         a.check_features(v)
+    elif a.ndim != 2 or a.shape[0] != a.shape[1] or v.ndim != 2 or a.shape[0] != v.shape[0]:
+        raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")
     if weight is None:
         x = np.asarray(v, dtype=np.float64)
     else:
@@ -76,16 +76,25 @@ def propagate(
 def propagate_adjoint(adjacency: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``M^T y`` for the map ``M = D^-1 (I + A)`` that ``propagate`` applies.
 
-    With ``z = y / deg`` it is ``z + A^T z``; a ``graph.LabelAdjacency``
-    supplies ``A^T`` in label space, as a dense array does through ``.T``.
-    So ``<propagate(A, V), Y> = <V, propagate_adjoint(A, Y)>``.
+    With ``z = y / deg`` it is ``z + A^T z``, so ``<propagate(A, V), Y> =
+    <V, propagate_adjoint(A, Y)>``.  A ``graph.LabelAdjacency`` has every
+    degree 2 and supplies ``A^T z`` in label space
+    (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`).
     """
     a = adjacency
     y = np.asarray(y, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or y.ndim != 2 or a.shape[0] != y.shape[0]:
-        raise ValidationError(f"shape mismatch: adjacency {a.shape}, gradient {y.shape}")
-    z = y / (a.sum(axis=1) + 1.0)[:, None]
-    out = a.T @ z
+    if isinstance(a, np.ndarray):
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or y.ndim != 2 or a.shape[0] != y.shape[0]:
+            raise ValidationError(f"shape mismatch: adjacency {a.shape}, gradient {y.shape}")
+        z = y / (a.sum(axis=1) + 1.0)[:, None]
+        out = a.T @ z
+    else:
+        if y.ndim != 2 or y.shape[0] != a.inverse.size:
+            raise ValidationError(f"shape mismatch: {a.inverse.size} nodes, gradient {y.shape}")
+        # every degree of a row-stochastic adjacency is 2; y * 0.5 has the
+        # bytes of y / 2.0
+        z = y * 0.5
+        out = a.adjoint_rows(z)[a.inverse]
     out += z
     return out
 

@@ -2,9 +2,10 @@
 
 These share only the domain types with the modules they verify: counting is
 a pixel scan into Python sets, statistics are scalar loops, propagation is a
-scalar triple loop, gradients come from central finite differences, and
-training is those gradients fed to a scalar-loop AdamW.  They are
-deliberately unoptimized.
+scalar triple loop, gradients come from central finite differences,
+training is those gradients fed to a scalar-loop AdamW, and evaluation is
+the scalar-loop forward over the dense adjacency.  They are deliberately
+unoptimized.
 """
 
 from __future__ import annotations
@@ -137,12 +138,16 @@ def fd_gradient(
     return grads
 
 
-def _affine_ce(x: Sequence[float], weight: np.ndarray, bias: np.ndarray, target: int) -> float:
-    """Cross-entropy of the softmax of ``x @ weight + bias`` against ``target``."""
-    logits = [
+def _affine(x: Sequence[float], weight: np.ndarray, bias: np.ndarray) -> list[float]:
+    """``x @ weight + bias`` in scalar sums."""
+    return [
         sum(float(x[j]) * float(weight[j][k]) for j in range(len(x))) + float(bias[k])
         for k in range(len(bias))
     ]
+
+
+def _ce(logits: Sequence[float], target: int) -> float:
+    """Cross-entropy of the softmax of ``logits`` against ``target``."""
     top = max(logits)
     return math.log(sum(math.exp(z - top) for z in logits)) - (logits[target] - top)
 
@@ -152,31 +157,32 @@ def _pooled_sigmoid(x: np.ndarray) -> list[float]:
     return [sum(1.0 / (1.0 + math.exp(-float(x[i][m]))) for i in range(n)) / n for m in range(d)]
 
 
-def _naive_loss(
-    params: Sequence[np.ndarray],
-    features: np.ndarray,
-    adjacency: np.ndarray | None,
-    target: int,
-    mode: AblationMode,
-    lam: float,
-) -> float:
-    """One instance's training loss, ``loss_main + lam * loss_aux``, in scalar loops."""
+def _naive_forward(
+    params: Sequence[np.ndarray], features: np.ndarray, adjacency: np.ndarray | None, mode: AblationMode
+) -> tuple[list[float], list[float] | None]:
+    """One instance's main-head logits in ``mode``, in scalar loops, and in ``full`` the aux head's."""
     n, c = features.shape
-    if mode is AblationMode.BASELINE:
-        pooled = [sum(float(features[i][j]) for i in range(n)) / n for j in range(c)]
-        return _affine_ce(pooled, params[0], params[1], target)
-    w = params[0]
-    fw = np.array(
-        [
-            [sum(float(features[i][j]) * float(w[j][m]) for j in range(c)) for m in range(w.shape[1])]
-            for i in range(n)
-        ]
-    )
-    hidden = _pooled_sigmoid(naive_propagate(adjacency, fw))
-    loss = _affine_ce(hidden, params[1], params[2], target)
-    if mode is AblationMode.FULL:
-        loss += lam * _affine_ce(_pooled_sigmoid(fw), params[3], params[4], target)
-    return loss
+    if mode in (AblationMode.BASELINE, AblationMode.EVAL_ONLY_IODP):
+        x = features if mode is AblationMode.BASELINE else naive_propagate(adjacency, features)
+        pooled = [sum(float(x[i][j]) for i in range(n)) / n for j in range(c)]
+        return _affine(pooled, params[0], params[1]), None
+    # V W, row by row, as an affine map with zero bias
+    fw = np.array([_affine(features[i], params[0], [0.0] * params[0].shape[1]) for i in range(n)])
+    logits = _affine(_pooled_sigmoid(naive_propagate(adjacency, fw)), params[1], params[2])
+    aux = _affine(_pooled_sigmoid(fw), params[3], params[4]) if mode is AblationMode.FULL else None
+    return logits, aux
+
+
+def naive_evaluate(
+    instances: Sequence[tuple[np.ndarray, np.ndarray | None, int]],
+    params: Sequence[np.ndarray],
+    mode: AblationMode,
+) -> np.ndarray:
+    """Reference for ``model.evaluate``'s scores: the (N, k) main-head logits.
+
+    ``instances`` and ``params`` are as for :func:`naive_train`.
+    """
+    return np.array([_naive_forward(params, v, a, mode)[0] for v, a, _ in instances])
 
 
 def naive_train(
@@ -208,8 +214,12 @@ def naive_train(
             batch = [instances[i] for i in order[start : start + config.batch_size]]
 
             def batch_loss(trial: list[np.ndarray]) -> float:
-                blocks = trial + params[stepped:]
-                return sum(_naive_loss(blocks, *inst, mode, lam) for inst in batch) / len(batch)
+                total = 0.0
+                for features, adjacency, target in batch:
+                    logits, aux = _naive_forward(trial + params[stepped:], features, adjacency, mode)
+                    loss = _ce(logits, target)
+                    total += loss if aux is None else loss + lam * _ce(aux, target)
+                return total / len(batch)
 
             grads = fd_gradient(batch_loss, params[:stepped])
             t += 1

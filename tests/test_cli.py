@@ -770,3 +770,76 @@ def test_inspect_creates_the_directory_it_writes(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "c" / "m.adjacency.csv").exists()
+
+
+def magic_read_as_a_label_map(data: bytes, damage: str) -> bytes:
+    """``data`` with its magic's last byte turned into the ``L`` of ``DGNL``."""
+    buf = bytearray(data)
+    if damage == "flip":
+        buf[3] ^= 1  # DGNM -> DGNL
+    else:
+        buf[3] = ord("L")
+    return bytes(buf)
+
+
+@pytest.mark.parametrize(
+    "artifact, damage",
+    [
+        ("full.dgnm", "flip"),
+        ("baseline.dgnm", "flip"),
+        ("full.dgnm", "overwrite"),
+        ("p.dgnp", "overwrite"),
+        ("data/train/00000.dgnf", "overwrite"),
+    ],
+)
+def test_damaged_magic_reading_as_a_label_map_exits_2(trained_artifacts, tmp_path, artifact, damage):
+    data, proto, _, _ = trained_artifacts
+    source = proto.parent / artifact if not artifact.startswith("data/") else data / artifact[5:]
+    damaged = tmp_path / source.name
+    damaged.write_bytes(magic_read_as_a_label_map(source.read_bytes(), damage))
+    assert damaged.read_bytes()[:4] == b"DGNL"
+    result = run_cli("inspect", damaged, "--out", tmp_path / "out")
+    assert result.returncode == 2, result.stderr
+    assert "requires --prototype" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+class TestMissingOutputDirectory:
+    """An output in a directory that does not exist is refused before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("work began before the outputs were checked")
+
+        for name in ("load_corpus", "train", "evaluate"):
+            monkeypatch.setattr(cli, name, refused)
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [("m.dgnm", "nodir/t.csv"), ("nodir/m.dgnm", None)],
+        ids=["missing trace directory", "missing checkpoint directory"],
+    )
+    def test_train(self, trained_artifacts, tmp_path, no_work, outputs):
+        data, proto, _, _ = trained_artifacts
+        checkpoint, trace = outputs
+        argv = [
+            "train", "--manifest", data / "train.manifest", "--prototype", proto,
+            "--epochs", 1, "--checkpoint", tmp_path / checkpoint,
+        ]
+        result = run_cli(*argv, *(("--out", tmp_path / trace) if trace else ()))
+        assert result.returncode == 2, result.stderr
+        assert "output directory" in result.stderr and "does not exist" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval(self, trained_artifacts, tmp_path, no_work):
+        data, proto, _, full = trained_artifacts
+        result = run_cli(
+            "eval", "--manifest", data / "test.manifest", "--checkpoint", full,
+            "--prototype", proto, "--out", tmp_path / "nodir" / "r.csv",
+        )
+        assert result.returncode == 2, result.stderr
+        assert "output directory" in result.stderr and "does not exist" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgn import cli
@@ -82,6 +82,10 @@ def damage(data: bytes, kind: str, position: int, value: int) -> bytes:
     position=st.integers(0, 2**20),
     value=st.integers(0, 255),
 )
+# magics that read as a label map's: DGNM with bit 0 of byte 3 flipped, and
+# byte 3 of any artifact overwritten with "L"
+@example(kind="flip", position=24, value=0)
+@example(kind="overwrite", position=3, value=ord("L"))
 def test_damaged_artifact_exits_0_or_2_without_output(
     pristine, artifact, command, kind, position, value
 ):

@@ -104,14 +104,14 @@ class TestBuildGraph:
         np.testing.assert_array_equal(
             gr.extract_local_knowledge(a.semantics, a.prototype), [[1.0, 1.0], [1.0, 0.0]]
         )
-        np.testing.assert_allclose(a, [[0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_allclose(a.dense(), [[0.5, 0.5], [1.0, 0.0]])
 
     def test_uniform_relations_give_uniform_adjacency(self):
         proto = toy_prototype(np.full((3, 3), 0.7))
         fm = FeatureMap(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
         labels = LabelMap(np.array([[0, 1], [2, 0]]), 3)
         a = gr.build_graph(fm, labels, proto)
-        np.testing.assert_allclose(a, np.full((4, 4), 0.25))
+        np.testing.assert_allclose(a.dense(), np.full((4, 4), 0.25))
 
     def test_overflowing_label_weights_rejected_without_a_warning(self):
         omega = np.full((3, 3), 0.5)
@@ -129,7 +129,7 @@ class TestBuildGraph:
         a = gr.build_graph(
             FeatureMap(np.ones((1, 1, 2))), LabelMap(np.array([[0]]), 3), toy_prototype()
         )
-        np.testing.assert_array_equal(a, [[1.0]])
+        np.testing.assert_array_equal(a.dense(), [[1.0]])
 
     def test_node_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -147,6 +147,31 @@ class TestBuildGraph:
             atol=1e-15,
             rtol=0,
         )
+
+
+def test_the_graph_cannot_be_densified_by_accident(monkeypatch):
+    rng = np.random.default_rng(9)
+    fm = FeatureMap(rng.standard_normal((2, 3, 4)))
+    a = gr.build_graph(fm, LabelMap(rng.integers(0, 3, size=(2, 3)), 3), toy_prototype())
+    v = fm.values.reshape(6, 4)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("built a dense n x n matrix")
+
+    monkeypatch.setattr(gr, "extract_local_knowledge", dense)
+    monkeypatch.setattr(gr, "row_normalize", dense)
+    # numpy sees a 0-d object array, so products and sums raise before any
+    # dense matrix exists
+    for accident in (lambda: a @ v, lambda: v @ a, lambda: a + 1, lambda: np.matmul(a, v)):
+        with pytest.raises((TypeError, ValueError)):
+            accident()
+    assert np.asarray(a).shape == ()
+    for f in (nn.propagate, nn.propagate_adjoint):
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            f(np.asarray(a), v)
+    # dense() is the one way to the n x n matrix
+    with pytest.raises(AssertionError, match="dense"):
+        a.dense()
 
 
 def test_uniform_adjacency_propagation_matches_half_mean_shift():

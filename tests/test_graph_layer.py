@@ -36,8 +36,9 @@ def expr_label_rows(a, v, w):
     return a.mix @ (sums if w is None else sums @ w)
 
 
-def expr_label_rmatmul(a, z):
-    return (a.mix.T @ (expr_one_hot(a) @ z))[a.inverse]
+def expr_adjoint_rows(a, z):
+    """``mix^T P^T z``."""
+    return a.mix.T @ (expr_one_hot(a) @ z)
 
 
 def expr_feature_adjoint(a, y):
@@ -48,14 +49,14 @@ def products(a, v, w):
     """A dense adjacency's node-sized products; a label-space one's label-space products."""
     if isinstance(a, np.ndarray):
         return [a @ v, a.T @ v]
-    out = [a.label_rows(v), a.label_rows(v @ w, w), a.T @ v]
+    out = [a.label_rows(v), a.label_rows(v @ w, w), a.adjoint_rows(v)]
     return out + [a.feature_adjoint(v @ w)] if a.holds_label_sums else out
 
 
 def expr_products(a, v, w):
     if isinstance(a, np.ndarray):
         return [a @ v, a.T @ v]
-    out = [expr_label_rows(a, v, None), expr_label_rows(a, v, w), expr_label_rmatmul(a, v)]
+    out = [expr_label_rows(a, v, None), expr_label_rows(a, v, w), expr_adjoint_rows(a, v)]
     return out + [expr_feature_adjoint(a, v @ w)] if a.holds_label_sums else out
 
 
@@ -67,8 +68,12 @@ def expr_propagate(a, v, w=None):
 
 
 def expr_propagate_adjoint(a, y):
-    z = y / (a.sum(axis=1) + 1.0)[:, None]
-    return z + (a.T @ z if isinstance(a, np.ndarray) else expr_label_rmatmul(a, z))
+    if isinstance(a, np.ndarray):
+        z = y / (a.sum(axis=1) + 1.0)[:, None]
+        return z + a.T @ z
+    # a row-stochastic adjacency: every degree is 2
+    z = y / 2.0
+    return z + expr_adjoint_rows(a, z)[a.inverse]
 
 
 def expr_backward(record, target):
@@ -235,6 +240,16 @@ def test_propagation_refuses_features_that_are_not_a_matrix():
     for f in (nn.propagate, nn.propagate_adjoint):
         with pytest.raises(ValidationError, match="shape mismatch"):
             f(a, np.ones(3))
+    # a label-space graph refuses a gradient that is not one row per node,
+    # and features that are not its own
+    for name in LABEL_CASES:
+        v, a = graph_case(name, 8)
+        n = v.shape[0]
+        for y in (np.ones(n), np.ones((n - 1, 4)), np.ones((n + 1, 4)), np.ones((n, 4, 1))):
+            with pytest.raises(ValidationError, match="shape mismatch"):
+                nn.propagate_adjoint(a, y)
+        with pytest.raises(ValidationError, match="features it was built over"):
+            nn.propagate(a, v[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +264,7 @@ def relative_error(actual, expected):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_label_space_layer_matches_the_dense_path_and_the_oracle(name, seed):
     v, a = graph_case(name, seed)
-    dense = np.asarray(a)
+    dense = a.dense()
     w = hidden_weight(v, seed)
     forward = nn.propagate(a, v, w)
     assert relative_error(forward, nn.propagate(dense, v, w)) <= 1e-12

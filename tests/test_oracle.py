@@ -80,12 +80,12 @@ def assert_block_matches_dense(adjacency):
     """``P mix P^T`` is the dense adjacency built from the prototype."""
     a = adjacency
     blown_up = a.mix[np.ix_(a.inverse, a.inverse)]
-    assert oracle.compare(blown_up, np.asarray(a)).max_abs_deviation <= 1e-15
+    assert oracle.compare(blown_up, a.dense()).max_abs_deviation <= 1e-15
 
 
 def assert_factored_matches_dense(v, adjacency):
     fast = nn.propagate(adjacency, v)
-    slow = oracle.naive_propagate(np.asarray(adjacency), v)
+    slow = oracle.naive_propagate(adjacency.dense(), v)
     assert oracle.compare(fast, slow).max_abs_deviation <= 1e-12
 
 
@@ -128,7 +128,7 @@ class TestFactoredPropagation:
             omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
             labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
             v, adjacency = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
-            np.testing.assert_array_equal(adjacency.sum(axis=1), 1.0)
+            np.testing.assert_allclose(adjacency.dense().sum(axis=1), 1.0, atol=1e-15, rtol=0)
             assert_block_matches_dense(adjacency)
             assert_factored_matches_dense(v, adjacency)
 
@@ -137,7 +137,7 @@ def assert_adjoint_matches_dense(v, adjacency, rng):
     """``propagate_adjoint`` in label space against the scalar loop's transpose."""
     n, c = v.shape
     y = rng.standard_normal((n, c))
-    dense = np.asarray(adjacency)
+    dense = adjacency.dense()
     adjoint = nn.propagate_adjoint(adjacency, y)
     # <M V, Y> = <V, M^T Y>
     assert abs(np.sum(oracle.naive_propagate(dense, v) * y) - np.sum(v * adjoint)) <= 1e-12
@@ -151,7 +151,7 @@ def assert_eval_only_pool_matches_dense(v, adjacency):
     c = v.shape[1]
     baseline = md.DgnModel.assemble(md.AblationMode.BASELINE, c, c, 2, 0.0, np.zeros)
     _, _, record = md.forward_parts(baseline, v, adjacency, md.AblationMode.EVAL_ONLY_IODP)
-    slow = nn.gap(oracle.naive_propagate(np.asarray(adjacency), v))
+    slow = nn.gap(oracle.naive_propagate(adjacency.dense(), v))
     assert oracle.compare(record.pooled, slow).max_abs_deviation <= 1e-12
 
 
@@ -255,7 +255,7 @@ def dense_instances(corpus, proto):
     for inst in corpus.instances:
         fm = inst.feature_map
         resized = nn_resize(inst.label_map, fm.width, fm.height)
-        adjacency = np.asarray(build_graph(fm, resized, proto))
+        adjacency = build_graph(fm, resized, proto).dense()
         out.append((fm.values.reshape(-1, fm.channels), adjacency, inst.scene_id))
     return out
 
@@ -297,3 +297,39 @@ def check_training_oracle(mode, lam, stepped, channels):
         assert oracle.compare(a, start).max_rel_deviation > 1e-3
     for a, start in zip(actual[stepped:], initial[stepped:]):
         np.testing.assert_array_equal(a, start)
+
+
+# checkpoint (mode, lam) -> the eval modes that can score it: the 8 supported pairs
+EVAL_PAIRS = [
+    (md.AblationMode.BASELINE, 0.5, md.AblationMode.BASELINE),
+    (md.AblationMode.BASELINE, 0.5, md.AblationMode.EVAL_ONLY_IODP),
+    (md.AblationMode.TRAIN_EVAL_IODP, 0.5, md.AblationMode.TRAIN_EVAL_IODP),
+    (md.AblationMode.TRAIN_EVAL_IODP, 0.5, md.AblationMode.FULL),
+    (md.AblationMode.FULL, 0.5, md.AblationMode.FULL),
+    (md.AblationMode.FULL, 0.5, md.AblationMode.TRAIN_EVAL_IODP),
+    (md.AblationMode.FULL, 0.0, md.AblationMode.FULL),
+    (md.AblationMode.FULL, 0.0, md.AblationMode.TRAIN_EVAL_IODP),
+]
+
+
+@pytest.mark.parametrize("channels", [3, 5], ids=["label sums held", "wide"])
+@pytest.mark.parametrize("checkpoint_mode, lam, eval_mode", EVAL_PAIRS)
+def test_evaluate_matches_the_evaluation_oracle(checkpoint_mode, lam, eval_mode, channels):
+    corpus, proto, config = tiny_training_run(lam, channels)
+    model, _ = md.train(corpus, proto, config, checkpoint_mode)
+    assert eval_mode in md._EVAL_MODES[checkpoint_mode]
+    logits = oracle.naive_evaluate(dense_instances(corpus, proto), model.blocks(), eval_mode)
+    graphs = md._prepared_inputs(corpus, proto, eval_mode is not md.AblationMode.BASELINE)
+    assert all(a is None or a.holds_label_sums == (channels == 3) for _, a, _ in graphs)
+    for (v, a, _), expected in zip(graphs, logits):
+        fast = md.forward_parts(model, v, a, eval_mode)[0]
+        assert oracle.compare(fast, expected).max_abs_deviation <= 1e-12 * np.abs(expected).max()
+    # argmax ties go to the lowest class, as np.argmax breaks them
+    totals, hits = np.zeros(3), np.zeros(3)
+    for row, (_, _, target) in zip(logits.tolist(), graphs):
+        totals[target] += 1
+        hits[target] += row.index(max(row)) == target
+    report = md.evaluate(model, corpus, proto, eval_mode)
+    assert report.accuracy == hits.sum() / totals.sum()
+    per_class = np.where(totals > 0, hits / np.maximum(totals, 1), 0.0)
+    np.testing.assert_array_equal(report.per_class, per_class)

@@ -200,7 +200,7 @@ def test_label_space_adjoint_identity(grid, c, sparsity, seed):
     adjacency = gr.build_graph(features, cp.LabelMap(grid, 7), proto)
     v = features.values.reshape(h * w, c)
     y = rng.standard_normal(v.shape)
-    lhs = np.sum(oracle.naive_propagate(np.asarray(adjacency), v) * y)
+    lhs = np.sum(oracle.naive_propagate(adjacency.dense(), v) * y)
     rhs = np.sum(v * nn.propagate_adjoint(adjacency, y))
     assert abs(lhs - rhs) <= 1e-12
 
