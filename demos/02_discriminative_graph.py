@@ -8,14 +8,15 @@ averages each node with its relation-weighted neighborhood: nodes of inert
 class evidence and averages noise away.
 
 ``build_graph`` returns the adjacency in label space (one prototype block over
-the object ids present); its ``dense()`` builds the n x n matrix to look at,
-and ``extract_local_knowledge`` the raw affinity.
+the object ids present); its ``dense()`` builds the n x n matrix to look at
+and to check against the scalar-loop oracle, and ``extract_local_knowledge``
+the raw affinity.
 """
 
 import numpy as np
 
 import dgn
-from dgn import nn
+from dgn import nn, oracle
 
 rng = np.random.default_rng(0)
 
@@ -47,9 +48,9 @@ k = adjacency.mix.shape[0]
 print(f"label-space block mix {k}x{k} (A = P mix P^T),",
       f"dense adjacency {dense.shape[0]}x{dense.shape[1]}")
 print("every adjacency row sums to one:", np.allclose(dense.sum(axis=1), 1.0))
-print("label-space propagation equals the dense one:",
+print("label-space propagation equals the scalar loop over the dense adjacency:",
       np.allclose(nn.propagate(adjacency, features),
-                  nn.propagate(dense, features), atol=1e-12, rtol=0))
+                  oracle.naive_propagate(dense, features), atol=1e-12, rtol=0))
 
 # propagation pulls class signal into the common nodes
 mixed = nn.propagate(adjacency, features)

@@ -4,15 +4,21 @@
 The network is one graph-convolution layer feeding a pooled main head, plus
 an auxiliary head on the shared-weight per-node path.  Both paths start from
 the same product ``V W``, so the shared weight's gradient is
-``V^T (M^T d_pre + d_aux)`` through the propagation's adjoint ``M^T``.  On a
-dense adjacency ``M^T d_pre`` is formed at node size.  On the label-space
-adjacency that ``build_graph`` returns every degree is 2, so with
-``y = d_pre / 2`` the gradient is ``V^T (y + d_aux) + V^T A^T y``, and
-``V^T A^T y = S_V^T (mix^T (P^T y))`` comes from the label sums
-``S_V = P^T V`` the graph holds, where ``A = P mix P^T``; a label that
-relates to nothing has the uniform row of ``mix``.  Every gradient below is hand-derived; the finite-difference
-oracle knows nothing about the chain rule, it only evaluates the loss at
-perturbed parameters.  The demo exits 1 if any deviation passes 1e-6.
+``V^T (M^T d_pre + d_aux)`` through the propagation's adjoint ``M^T``.  The
+adjacency that ``build_graph`` returns is ``A = P mix P^T``, with every
+degree 2, and a label that relates to nothing has the uniform row of
+``mix``.  The demo checks both label-sum regimes:
+
+* a graph with fewer channels than nodes holds the label sums
+  ``S_V = P^T V``; with ``y = d_pre / 2`` the gradient is
+  ``V^T (y + d_aux) + V^T A^T y``, and ``V^T A^T y = S_V^T (mix^T (P^T y))``;
+* a graph as wide as its channels holds none, and forms
+  ``M^T d_pre = z + (mix^T (P^T z))[inverse]``, ``z = d_pre / 2``, at node
+  size.
+
+Every gradient below is hand-derived; the finite-difference oracle knows
+nothing about the chain rule, it only evaluates the loss at perturbed
+parameters.  The demo exits 1 if any deviation passes 1e-6.
 """
 
 import sys
@@ -29,19 +35,24 @@ rng = np.random.default_rng(42)
 c, d, C, lam = 3, 4, 3, 0.25
 target = 1
 
-# a dense row-stochastic adjacency over 5 nodes
-dense_features = rng.standard_normal((5, c))
-dense = rng.random((5, 5))
-dense /= dense.sum(axis=1, keepdims=True)
-
-# a label-space graph over a 2x3 feature map; id 2 relates to no present id,
-# so its label weight is 0 and its nodes take the uniform row
+# id 2 relates to no present id, so its label weight is 0 and its nodes take
+# the uniform row
 omega = np.array([[0.9, 0.3, 0.0], [0.3, 0.5, 0.0], [0.0, 0.0, 0.0]])
 proto = dgn.Prototype(3, omega, dgn.CooccurrenceMode.INDEPENDENT, dgn.DispersionMetric.COEFF_VAR, True, C)
-feature_map = dgn.FeatureMap(rng.standard_normal((2, 3, c)))
-label_map = dgn.LabelMap(np.array([[0, 1, 2], [1, 0, 0]]), 3)
-graph = dgn.build_graph(feature_map, label_map, proto)
-graph_features = feature_map.values.reshape(6, c)
+
+
+def graph_over(labels):
+    """The node features of a random feature map and its graph over ``labels``."""
+    feature_map = dgn.FeatureMap(rng.standard_normal((*labels.shape, c)))
+    graph = dgn.build_graph(feature_map, dgn.LabelMap(labels, 3), proto)
+    return feature_map.values.reshape(labels.size, c), graph
+
+
+# a 2x3 map holds the label sums of its 3 channels; a 1x3 map is as wide as
+# its channels and holds none
+held_features, held = graph_over(np.array([[0, 1, 2], [1, 0, 0]]))
+wide_features, wide = graph_over(np.array([[0, 1, 1]]))
+assert held.holds_label_sums and not wide.holds_label_sums
 
 params = [
     rng.standard_normal((c, d)) * 0.5,   # shared hidden weight
@@ -63,8 +74,8 @@ def model_of(p):
 
 worst = 0.0
 for title, features, adjacency in (
-    ("dense adjacency, 5 nodes", dense_features, dense),
-    ("label-space graph, 6 nodes, one zero-weight label", graph_features, graph),
+    ("6 nodes, one zero-weight label, label sums held", held_features, held),
+    ("3 nodes as wide as its channels, no label sums", wide_features, wide),
 ):
 
     def loss_of(p):

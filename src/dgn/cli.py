@@ -174,6 +174,7 @@ def _require_output_dirs(*paths) -> None:
 
 
 def cmd_iodp(args) -> int:
+    _require_output_dirs(args.out)
     # the prototype reads label maps only; the feature maps stay on disk
     corpus = load_corpus(args.manifest, features=False)
     proto = build_prototype(

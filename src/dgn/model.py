@@ -23,7 +23,7 @@ import numpy as np
 from . import fileio
 from .corpus import Corpus, nn_resize
 from .errors import ValidationError
-from .graph import build_graph
+from .graph import LabelAdjacency, build_graph
 from .nn import (
     AdamState,
     ClassifierParams,
@@ -183,20 +183,20 @@ def total_loss(loss_main: float, loss_aux: float, lam: float) -> float:
 def forward_parts(
     model: DgnModel,
     features: np.ndarray,
-    adjacency: np.ndarray | None,
+    adjacency: LabelAdjacency | None,
     mode: AblationMode | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, ForwardRecord]:
     """Forward pass from a node-feature matrix and its (optional) adjacency.
 
-    ``adjacency`` is a dense row-stochastic array or a
-    ``graph.LabelAdjacency``; the baseline path ignores it.  The graph layer
-    is weight-first, ``D^-1 (A + I) (V W)``, so the full mode's auxiliary
-    path reuses the same ``V W``.  A label-space adjacency mixes ``V W`` in
-    label space and refuses features other than its own.
-    The eval-only mode pools the propagation through its adjoint,
-    ``gap(M V) = (M^T 1/n)^T V``, one column wide.  ``features`` may be a
-    feature map's float32 array; the graph modes cast it to float64 once
-    and keep the cast in the record for ``backward``.
+    ``adjacency`` is the ``graph.LabelAdjacency`` that ``build_graph``
+    made over ``features``; the baseline path ignores it, and the graph
+    modes refuse any other adjacency and features other than the graph's
+    own.  The graph layer is weight-first, ``(A + I) (V W) / 2`` with
+    ``A V W`` mixed in label space, so the full mode's auxiliary path reuses
+    the same ``V W``.  The eval-only mode pools the propagation through its
+    adjoint, ``gap(M V) = (M^T 1/n)^T V``, one column wide.  ``features``
+    may be a feature map's float32 array; the graph modes cast it to float64
+    once and keep the cast in the record for ``backward``.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
@@ -248,7 +248,7 @@ def forward_parts(
 
 def _prepared_inputs(
     corpus: Corpus, prototype: Prototype | None, needs_graph: bool
-) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
+) -> list[tuple[np.ndarray, LabelAdjacency | None, int]]:
     shape = corpus.feature_shape
     if shape is None:
         raise ValidationError("corpus carries no feature maps")

@@ -1,4 +1,4 @@
-"""Dense numeric core: propagation, pooling, heads, losses, gradients, Adam.
+"""Numeric core: propagation, pooling, heads, losses, gradients, Adam.
 
 Everything runs in float64.  Node features arrive as the float32 arrays a
 ``corpus.FeatureMap`` holds and are cast to float64 at use, which is exact;
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .graph import LabelAdjacency
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -32,69 +33,56 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def propagate(
-    adjacency: np.ndarray,
+    adjacency: LabelAdjacency,
     features: np.ndarray,
     weight: np.ndarray | None = None,
     product: np.ndarray | None = None,
 ) -> np.ndarray:
     """Self-loop-augmented, degree-normalized propagation of ``V W``.
 
-    Adds the identity to the adjacency, then divides each row by its degree;
-    for a row-stochastic adjacency every degree is 2, so each node returns
-    the average of its own feature and its neighborhood mixture.  ``weight``
-    defaults to the identity; ``product`` is ``features @ weight`` when the
-    caller holds it already.  A dense adjacency multiplies ``V W`` at node
-    size.  A ``graph.LabelAdjacency`` mixes ``V W`` in label space
-    (:meth:`~dgn.graph.LabelAdjacency.label_rows`), from the label sums it
-    holds of its own features when it holds them, and refuses any other
-    features, checked before ``V`` is cast to float64.
+    Adds the identity to the row-stochastic adjacency ``A`` of a
+    ``graph.LabelAdjacency``, so every degree is 2 and each node returns the
+    average of its own feature and its neighborhood mixture,
+    ``(V W + A V W) / 2``.  ``weight`` defaults to the identity; ``product``
+    is ``features @ weight`` when the caller holds it already.  ``A V W`` is
+    mixed in label space (:meth:`~dgn.graph.LabelAdjacency.label_rows`),
+    from the label sums the graph holds of its own features when it holds
+    them.  Any other adjacency, and features other than the graph's own, are
+    refused before ``V`` is cast to float64.
     """
     a = adjacency
+    if not isinstance(a, LabelAdjacency):
+        raise ValidationError(f"the adjacency must be a graph.LabelAdjacency, not {type(a).__name__}")
     v = np.asarray(features)
-    if not isinstance(a, np.ndarray):
-        a.check_features(v)
-    elif a.ndim != 2 or a.shape[0] != a.shape[1] or v.ndim != 2 or a.shape[0] != v.shape[0]:
-        raise ValidationError(f"shape mismatch: adjacency {a.shape}, features {v.shape}")
+    a.check_features(v)
     if weight is None:
         x = np.asarray(v, dtype=np.float64)
     else:
         x = np.asarray(v, dtype=np.float64) @ weight if product is None else product
-    if isinstance(a, np.ndarray):
-        degrees = a.sum(axis=1) + 1.0
-        # one node-sized array, finished in place: (A X + X) / deg has the
-        # bytes of (X + A X) / deg, since IEEE addition commutes
-        out = a @ x
-        out += x
-        out /= degrees[:, None]
-        return out
     out = a.label_rows(x, weight)[a.inverse]
     out += x
     out *= 0.5
     return out
 
 
-def propagate_adjoint(adjacency: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``M^T y`` for the map ``M = D^-1 (I + A)`` that ``propagate`` applies.
+def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
+    """``M^T y`` for the map ``M = (I + A) / 2`` that ``propagate`` applies.
 
-    With ``z = y / deg`` it is ``z + A^T z``, so ``<propagate(A, V), Y> =
-    <V, propagate_adjoint(A, Y)>``.  A ``graph.LabelAdjacency`` has every
-    degree 2 and supplies ``A^T z`` in label space
-    (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`).
+    With ``z = y / 2`` it is ``z + A^T z``, so ``<propagate(A, V), Y> =
+    <V, propagate_adjoint(A, Y)>``; ``A^T z`` comes from label space
+    (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`).  Any adjacency other
+    than a ``graph.LabelAdjacency`` is refused.
     """
     a = adjacency
+    if not isinstance(a, LabelAdjacency):
+        raise ValidationError(f"the adjacency must be a graph.LabelAdjacency, not {type(a).__name__}")
     y = np.asarray(y, dtype=np.float64)
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or y.ndim != 2 or a.shape[0] != y.shape[0]:
-            raise ValidationError(f"shape mismatch: adjacency {a.shape}, gradient {y.shape}")
-        z = y / (a.sum(axis=1) + 1.0)[:, None]
-        out = a.T @ z
-    else:
-        if y.ndim != 2 or y.shape[0] != a.inverse.size:
-            raise ValidationError(f"shape mismatch: {a.inverse.size} nodes, gradient {y.shape}")
-        # every degree of a row-stochastic adjacency is 2; y * 0.5 has the
-        # bytes of y / 2.0
-        z = y * 0.5
-        out = a.adjoint_rows(z)[a.inverse]
+    if y.ndim != 2 or y.shape[0] != a.inverse.size:
+        raise ValidationError(f"shape mismatch: {a.inverse.size} nodes, gradient {y.shape}")
+    # every degree of a row-stochastic adjacency is 2; y * 0.5 has the bytes
+    # of y / 2.0
+    z = y * 0.5
+    out = a.adjoint_rows(z)[a.inverse]
     out += z
     return out
 
@@ -182,7 +170,7 @@ class ForwardRecord:
     main_head: ClassifierParams
     main_logits: np.ndarray
     lam: float = 0.0
-    adjacency: np.ndarray | None = None  # A, dense or a graph.LabelAdjacency
+    adjacency: LabelAdjacency | None = None  # A
     gc_weight: np.ndarray | None = None  # shared hidden weight W
     hidden: np.ndarray | None = None  # sigmoid(propagate(A, V, W))
     aux_hidden: np.ndarray | None = None  # per-node sigmoid(V @ W)
@@ -207,10 +195,10 @@ def backward(record: ForwardRecord, target: int) -> list[np.ndarray]:
 
     Both paths start from ``V @ W``, so the shared weight's gradient is
     ``V^T (M^T d_pre + d_aux_pre)``, with ``M^T d_pre`` formed at node size
-    by :func:`propagate_adjoint`.  A ``graph.LabelAdjacency`` that holds
-    its label sums has every degree 2, so with the 2 folded into the
-    pooled-gradient scale, ``y = s (1 - s) (W_head delta / 2n)`` and
-    ``M^T d_pre = y + A^T y``; the gradient is then
+    by :func:`propagate_adjoint`.  When the graph holds its label sums, the
+    degree 2 is folded into the pooled-gradient scale,
+    ``y = s (1 - s) (W_head delta / 2n)``, and ``M^T d_pre = y + A^T y``;
+    the gradient is then
     ``V^T (y + d_aux_pre) + V^T A^T y``, whose second term comes from the
     label sums (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no
     node-sized gather.
@@ -225,7 +213,7 @@ def backward(record: ForwardRecord, target: int) -> list[np.ndarray]:
     d_pooled = record.main_head.weight @ delta_m  # (d,)
     # GAP spreads the pooled gradient evenly; sigmoid' = s * (1 - s)
     a = record.adjacency
-    if isinstance(a, np.ndarray) or not a.holds_label_sums:
+    if not a.holds_label_sums:
         d_fw = propagate_adjoint(a, _sigmoid_grad(record.hidden, d_pooled / n))
         mixed = None
     else:

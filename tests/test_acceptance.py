@@ -17,6 +17,7 @@ from dgn import prototype as pt
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric
 from tests.helpers import run_python
+from tests.test_oracle import graph_over, random_graph
 from tests.test_prototype import presence_corpus, random_presence_corpus
 
 SEEDS = (304, 305, 306)
@@ -178,9 +179,8 @@ def test_criterion_6_gradient_check():
         d = int(rng.integers(1, 5))
         C = int(rng.integers(2, 4))
         lam = lams[trial % 3]
-        v = rng.standard_normal((n, c))
-        a = rng.random((n, n))
-        a /= a.sum(axis=1, keepdims=True)
+        # a sparse random prototype over 2-6 ids and a 1 x n map of them
+        v, a = random_graph(rng, int(rng.integers(2, 7)), (1, n), c, sparse=True)
         target = int(rng.integers(0, C))
         params = [
             rng.standard_normal((c, d)) * 0.6,
@@ -216,8 +216,11 @@ def test_criterion_6_gradient_check():
 
 
 def test_criterion_7_gcn_numerics():
-    a = np.array([[0.5, 0.5], [1.0, 0.0]])
-    v = np.array([[1.0], [0.0]])
+    # two nodes of distinct ids over omega = [[1, 1], [1, 0]]: the graph is
+    # exactly [[0.5, 0.5], [1, 0]]
+    omega = np.array([[1.0, 1.0], [1.0, 0.0]])
+    v, a = graph_over(np.array([[[1.0], [0.0]]]), np.array([[0, 1]]), omega)
+    np.testing.assert_array_equal(a.dense(), [[0.5, 0.5], [1.0, 0.0]])
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, 1, 1, 2, 0.0, np.ones)
     propagated = nn.propagate(a, v)
     _, _, record = md.forward_parts(model, v, a)

@@ -833,6 +833,17 @@ class TestMissingOutputDirectory:
         assert result.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_iodp(self, tiny_corpus_dir, tmp_path, no_work):
+        data, _ = tiny_corpus_dir
+        result = run_cli(
+            "iodp", "--manifest", data / "train.manifest",
+            "--out", tmp_path / "nodir" / "p.dgnp",
+        )
+        assert result.returncode == 2, result.stderr
+        assert "output directory" in result.stderr and "does not exist" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_eval(self, trained_artifacts, tmp_path, no_work):
         data, proto, _, full = trained_artifacts
         result = run_cli(

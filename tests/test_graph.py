@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dgn import graph as gr
+from dgn import model as md
 from dgn import nn
 from dgn.corpus import FeatureMap, LabelMap
 from dgn.errors import ValidationError
@@ -166,9 +167,14 @@ def test_the_graph_cannot_be_densified_by_accident(monkeypatch):
         with pytest.raises((TypeError, ValueError)):
             accident()
     assert np.asarray(a).shape == ()
-    for f in (nn.propagate, nn.propagate_adjoint):
-        with pytest.raises(ValidationError, match="shape mismatch"):
-            f(np.asarray(a), v)
+    # nor is the graph layer: an array in its place, dense or not, is refused
+    model = md.DgnModel.assemble(md.AblationMode.FULL, 4, 2, 2, 0.5, np.ones)
+    for array in (np.asarray(a), np.full((6, 6), 1.0 / 6)):
+        for f in (nn.propagate, nn.propagate_adjoint):
+            with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+                f(array, v)
+        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+            md.forward_parts(model, v, array)
     # dense() is the one way to the n x n matrix
     with pytest.raises(AssertionError, match="dense"):
         a.dense()

@@ -6,8 +6,8 @@ products are chains through its k x k block ``mix``, the label-space ones
 from the label sums ``S_V = P^T V`` the graph holds.  Each is compared byte
 for byte with the expression form of the same arithmetic, written out
 below, and checked to leave its inputs untouched and return arrays of its
-own.  The label-space layer is also checked against the dense adjacency and
-the scalar-loop oracle.
+own.  The label-space layer is also checked against the scalar-loop oracle
+and a dense-matrix backward over the graph's dense form.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from dgn import model as md
 from dgn import nn, oracle
 from dgn.errors import ValidationError
 from dgn.model import AblationMode
-from tests.test_oracle import factored_graph, zero_affinity_rows
+from tests.test_oracle import factored_graph, random_graph, zero_affinity_rows
 
 # ---------------------------------------------------------------------------
 # the expression forms, one new array per operation
@@ -46,31 +46,22 @@ def expr_feature_adjoint(a, y):
 
 
 def products(a, v, w):
-    """A dense adjacency's node-sized products; a label-space one's label-space products."""
-    if isinstance(a, np.ndarray):
-        return [a @ v, a.T @ v]
+    """The graph's label-space products."""
     out = [a.label_rows(v), a.label_rows(v @ w, w), a.adjoint_rows(v)]
     return out + [a.feature_adjoint(v @ w)] if a.holds_label_sums else out
 
 
 def expr_products(a, v, w):
-    if isinstance(a, np.ndarray):
-        return [a @ v, a.T @ v]
     out = [expr_label_rows(a, v, None), expr_label_rows(a, v, w), expr_adjoint_rows(a, v)]
     return out + [expr_feature_adjoint(a, v @ w)] if a.holds_label_sums else out
 
 
 def expr_propagate(a, v, w=None):
     x = v if w is None else v @ w
-    if isinstance(a, np.ndarray):
-        return (x + a @ x) / (a.sum(axis=1) + 1.0)[:, None]
     return (x + expr_label_rows(a, v, w)[a.inverse]) / 2.0
 
 
 def expr_propagate_adjoint(a, y):
-    if isinstance(a, np.ndarray):
-        z = y / (a.sum(axis=1) + 1.0)[:, None]
-        return z + a.T @ z
     # a row-stochastic adjacency: every degree is 2
     z = y / 2.0
     return z + expr_adjoint_rows(a, z)[a.inverse]
@@ -83,7 +74,7 @@ def expr_backward(record, target):
     a = record.adjacency
     d_pooled = record.main_head.weight @ delta_m
     slope = record.hidden * (1.0 - record.hidden)
-    if isinstance(a, np.ndarray) or not a.holds_label_sums:
+    if not a.holds_label_sums:
         d_fw = expr_propagate_adjoint(a, (d_pooled / n)[None, :] * slope)
         mixed = None
     else:
@@ -102,14 +93,8 @@ def expr_backward(record, target):
 
 
 # ---------------------------------------------------------------------------
-# adjacencies: dense with arbitrary degrees, label space with and without
-# zero-weight labels
-
-
-def dense_case(rng):
-    n, c = 7, 3
-    # not row-stochastic, so the degrees are not 2 and every division rounds
-    return rng.standard_normal((n, c)), rng.random((n, n)) * 3.0
+# label-space adjacencies: a random sparse prototype over a random map, and
+# fixed maps with and without zero-weight labels
 
 
 def label_case(rng, zero_labels, channels=3):
@@ -130,19 +115,21 @@ def single_label_case(rng):
 
 
 CASES = {
-    "dense": dense_case,
+    # 4-16 nodes over 1-8 ids, any of which may relate to nothing
+    "random prototype and map": lambda rng: random_graph(
+        rng, int(rng.integers(1, 9)), tuple(rng.integers(2, 5, size=2)), channels=3, sparse=True
+    ),
     "label space": lambda rng: label_case(rng, zero_labels=False),
     "label space, zero-weight labels": lambda rng: label_case(rng, zero_labels=True),
     "label space, single label": single_label_case,
     # 16 channels over 12 nodes: the graph holds no label sums
     "label space, zero-weight labels, wide": lambda rng: label_case(rng, zero_labels=True, channels=16),
 }
-LABEL_CASES = [name for name in CASES if name != "dense"]
 
 
 def graph_case(name, seed):
     v, a = CASES[name](np.random.default_rng(seed))
-    if name != "dense":
+    if name.startswith("label space"):
         assert (zero_affinity_rows(a) > 0) == ("zero" in name)
     return v, a
 
@@ -163,8 +150,6 @@ def hidden_weight(v, seed):
 
 
 def adjacency_arrays(a):
-    if isinstance(a, np.ndarray):
-        return [a]
     held = [a._one_hot, a._label_sums] if a.holds_label_sums else [a._one_hot]
     return [a.semantics, a.inverse, a.mix, a.features, *held, a.prototype.omega]
 
@@ -235,14 +220,24 @@ class TestNoAliasing:
 
 
 def test_propagation_refuses_features_that_are_not_a_matrix():
-    # a 1-D feature vector would otherwise broadcast against the degrees
-    a = np.full((3, 3), 0.5)
-    for f in (nn.propagate, nn.propagate_adjoint):
-        with pytest.raises(ValidationError, match="shape mismatch"):
-            f(a, np.ones(3))
+    # a dense array is not a graph: the layer and every graph mode refuse it
+    v, a = graph_case("label space", 8)
+    n, c = v.shape
+    full = md.DgnModel.assemble(AblationMode.FULL, c, 4, 3, 0.5, np.ones)
+    baseline = md.DgnModel.assemble(AblationMode.BASELINE, c, c, 3, 0.0, np.ones)
+    for dense in (a.dense(), np.full((n, n), 1.0 / n), np.asarray(a)):
+        for f in (nn.propagate, nn.propagate_adjoint):
+            with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+                f(dense, v)
+        for model, mode in (
+            (full, AblationMode.TRAIN_EVAL_IODP), (full, AblationMode.FULL),
+            (baseline, AblationMode.EVAL_ONLY_IODP),
+        ):
+            with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+                md.forward_parts(model, v, dense, mode)
     # a label-space graph refuses a gradient that is not one row per node,
     # and features that are not its own
-    for name in LABEL_CASES:
+    for name in CASES:
         v, a = graph_case(name, 8)
         n = v.shape[0]
         for y in (np.ones(n), np.ones((n - 1, 4)), np.ones((n + 1, 4)), np.ones((n, 4, 1))):
@@ -253,29 +248,46 @@ def test_propagation_refuses_features_that_are_not_a_matrix():
 
 
 # ---------------------------------------------------------------------------
-# the label-space layer against the dense adjacency and the oracle
+# the label-space layer against the oracle and the dense matrices
 
 
 def relative_error(actual, expected):
     return float(np.abs(actual - expected).max() / np.abs(expected).max())
 
 
-@pytest.mark.parametrize("name", LABEL_CASES)
+def dense_hidden_weight_gradient(record, dense, target):
+    """``V^T (M^T d_pre + d_aux_pre)`` with ``M = D^-1 (I + A)`` the dense matrix of the layer."""
+    n = record.features.shape[0]
+    delta_m = nn.softmax(record.main_logits)
+    delta_m[target] -= 1.0
+    slope = record.hidden * (1.0 - record.hidden)
+    d_pre = (record.main_head.weight @ delta_m / n)[None, :] * slope
+    m = (np.eye(n) + dense) / (dense.sum(axis=1) + 1.0)[:, None]
+    d_fw = m.T @ d_pre
+    if record.aux_logits is not None:
+        delta_a = nn.softmax(record.aux_logits)
+        delta_a[target] -= 1.0
+        aux_slope = record.aux_hidden * (1.0 - record.aux_hidden)
+        d_fw = d_fw + (record.aux_head.weight @ (record.lam * delta_a) / n)[None, :] * aux_slope
+    return record.features.T @ d_fw
+
+
+@pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_label_space_layer_matches_the_dense_path_and_the_oracle(name, seed):
     v, a = graph_case(name, seed)
     dense = a.dense()
     w = hidden_weight(v, seed)
     forward = nn.propagate(a, v, w)
-    assert relative_error(forward, nn.propagate(dense, v, w)) <= 1e-12
     assert relative_error(forward, oracle.naive_propagate(dense, v @ w)) <= 1e-12
-    for label_record, dense_record in zip(records(v, a, seed), records(v, dense, seed)):
+    for record in records(v, a, seed):
         for target in range(3):
-            label_grad = nn.backward(label_record, target)[0]
-            assert relative_error(label_grad, nn.backward(dense_record, target)[0]) <= 1e-12
+            label_grad = nn.backward(record, target)[0]
+            expected = dense_hidden_weight_gradient(record, dense, target)
+            assert relative_error(label_grad, expected) <= 1e-12
 
 
-@pytest.mark.parametrize("name", LABEL_CASES)
+@pytest.mark.parametrize("name", CASES)
 def test_held_label_sums_are_the_one_hot_times_the_features(name):
     v, a = graph_case(name, 5)
     one_hot = a._one_hot
@@ -298,7 +310,7 @@ def test_held_label_sums_are_the_one_hot_times_the_features(name):
         assert "_label_sums" not in vars(a)
 
 
-@pytest.mark.parametrize("name", LABEL_CASES)
+@pytest.mark.parametrize("name", CASES)
 def test_features_that_are_not_the_graphs_own_are_refused(name):
     v, a = graph_case(name, 6)
     w = hidden_weight(v, 6)

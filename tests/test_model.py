@@ -47,22 +47,24 @@ class TestForward:
         model = md.DgnModel(
             AblationMode.FULL, 3, 4, 2, 0.25, head, gc_weight=w, aux_head=twin
         )
-        v = rng.standard_normal((1, 3))
+        v, adjacency = factored_graph(np.array([[0]]), np.ones((1, 1)), rng)
         # single node: adjacency [[1]], propagation returns V itself
-        propagated = nn.propagate(np.array([[1.0]]), v)
+        np.testing.assert_array_equal(adjacency.dense(), [[1.0]])
+        propagated = nn.propagate(adjacency, v)
         np.testing.assert_allclose(propagated, v, atol=1e-15, rtol=0)
-        logits, aux_logits, _ = md.forward_parts(model, v, np.array([[1.0]]))
+        logits, aux_logits, _ = md.forward_parts(model, v, adjacency)
         np.testing.assert_allclose(logits, aux_logits, atol=1e-15, rtol=0)
 
     def test_eval_only_matches_baseline_on_half_mean_shift(self):
         rng = np.random.default_rng(1)
-        v = rng.standard_normal((6, 4))
+        # uniform relations: every row of the adjacency is 1/6, and
+        # propagation equals (V + mean(V)) / 2
+        v, adjacency = factored_graph(rng.integers(0, 3, size=(2, 3)), np.full((3, 3), 0.4), rng, 4)
+        np.testing.assert_allclose(adjacency.dense(), np.full((6, 6), 1.0 / 6), atol=1e-15, rtol=0)
         head = nn.ClassifierParams(rng.standard_normal((4, 3)), rng.standard_normal(3))
         baseline = md.DgnModel(AblationMode.BASELINE, 4, 4, 3, 0.0, head)
-        # uniform relations: propagation equals (V + mean(V)) / 2
-        plug_logits, _, _ = md.forward_parts(
-            baseline, v, np.full((6, 6), 1.0 / 6), AblationMode.EVAL_ONLY_IODP
-        )
+        plug_logits, _, _ = md.forward_parts(baseline, v, adjacency, AblationMode.EVAL_ONLY_IODP)
+        v = v.astype(np.float64)
         shifted = (v + v.mean(axis=0)) / 2
         base_logits, _, _ = md.forward_parts(baseline, shifted, None)
         np.testing.assert_allclose(plug_logits, base_logits, atol=1e-12, rtol=0)
@@ -77,8 +79,7 @@ class TestForward:
         config = TrainConfig(seed=1)
         model = md.init_model(AblationMode.FULL, 3, 2, config)
         rng = np.random.default_rng(2)
-        v = rng.standard_normal((4, 3))
-        adjacency = np.full((4, 4), 0.25)
+        v, adjacency = factored_graph(rng.integers(0, 3, size=(2, 2)), np.full((3, 3), 0.4), rng)
         _, _, record = md.forward_parts(model, v, adjacency)
         assert record.gc_weight is model.gc_weight
         # the aux path reads the same array: mutating it changes both paths
@@ -473,8 +474,9 @@ class TestCheckpoints:
             assert path.read_bytes().endswith(payload)
             inst = train_corpus.instances[0]
             features = inst.feature_map.values.reshape(-1, model.in_channels)
-            n = features.shape[0]
-            _, _, record = md.forward_parts(model, features, np.zeros((n, n)))
+            resized = dgn.nn_resize(inst.label_map, inst.feature_map.width, inst.feature_map.height)
+            graph = gr.build_graph(inst.feature_map, resized, proto)
+            _, _, record = md.forward_parts(model, features, graph)
             grads = list(nn.backward(record, inst.scene_id))
             expected = [a.shape for a in arrays]
             if mode is not AblationMode.FULL:

@@ -10,7 +10,7 @@ from dgn.errors import ValidationError
 from dgn.model import AblationMode
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
 from tests.test_acceptance import _gradcheck_relative_error
-from tests.test_oracle import factored_graph
+from tests.test_oracle import factored_graph, graph_over, random_graph
 
 
 def graph_layer(adjacency, features, weight):
@@ -24,13 +24,17 @@ def graph_layer(adjacency, features, weight):
 
 class TestGcnForward:
     def test_single_zero_node_outputs_half(self):
-        propagated, out = graph_layer(np.array([[1.0]]), np.array([[0.0]]), np.array([[2.5]]))
+        v, a = graph_over(np.zeros((1, 1, 1)), np.array([[0]]), np.ones((1, 1)))
+        np.testing.assert_array_equal(a.dense(), [[1.0]])
+        propagated, out = graph_layer(a, v, np.array([[2.5]]))
         assert propagated[0, 0] == 0.0
         assert out[0, 0] == 0.5
 
     def test_worked_two_node_example(self):
-        a = np.array([[0.5, 0.5], [1.0, 0.0]])
-        v = np.array([[1.0], [0.0]])
+        # two nodes of distinct ids over omega = [[1, 1], [1, 0]]
+        omega = np.array([[1.0, 1.0], [1.0, 0.0]])
+        v, a = graph_over(np.array([[[1.0], [0.0]]]), np.array([[0, 1]]), omega)
+        np.testing.assert_array_equal(a.dense(), [[0.5, 0.5], [1.0, 0.0]])
         # with the unit weight the propagation is the pre-activation
         pre, out = graph_layer(a, v, np.array([[1.0]]))
         np.testing.assert_array_equal(pre.ravel(), [0.75, 0.5])
@@ -39,9 +43,7 @@ class TestGcnForward:
 
     def test_zero_weight_saturates_at_half(self):
         rng = np.random.default_rng(0)
-        a = rng.random((4, 4))
-        a /= a.sum(1, keepdims=True)
-        v = rng.standard_normal((4, 3))
+        v, a = random_graph(rng, 4, (2, 2), channels=3)
         _, out = graph_layer(a, v, np.zeros((3, 2)))
         np.testing.assert_array_equal(out, np.full((4, 2), 0.5))
 
@@ -58,17 +60,15 @@ class TestGcnForward:
 
     def test_propagation_is_convex_combination(self):
         rng = np.random.default_rng(1)
-        a = rng.random((6, 6))
-        a /= a.sum(1, keepdims=True)
-        v = rng.standard_normal((6, 4))
+        v, a = random_graph(rng, 4, (2, 3), channels=4)
         out = nn.propagate(a, v)
         assert np.abs(out).max() <= np.abs(v).max() + 1e-12
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(2)
-        a = rng.random((5, 5))
-        a /= a.sum(1, keepdims=True)
-        v = rng.standard_normal((5, 3)) * 3
+        omega = rng.random((4, 4))
+        labels = rng.integers(0, 4, size=(1, 5))
+        v, a = graph_over(rng.standard_normal((1, 5, 3)) * 3, labels, (omega + omega.T) / 2)
         _, out = graph_layer(a, v, rng.standard_normal((3, 3)))
         assert (out > 0).all() and (out < 1).all()
 
@@ -262,15 +262,14 @@ class TestXavierInit:
 
 class TestBackward:
     def _record(self, lam, rng):
-        n, c, d, C = 5, 3, 4, 3
-        v = rng.standard_normal((n, c))
-        a = rng.random((n, n))
-        a /= a.sum(1, keepdims=True)
+        c, d, C = 3, 4, 3
+        v, a = random_graph(rng, 4, (1, 5), channels=c)
         w = rng.standard_normal((c, d)) * 0.4
-        hidden = nn.sigmoid(nn.propagate(a, v @ w))
+        hidden = nn.sigmoid(nn.propagate(a, v, w))
         pooled = nn.gap(hidden)
         main = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
         aux = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
+        v = v.astype(np.float64)  # the record keeps the float64 cast, as forward_parts does
         aux_hidden = nn.sigmoid(v @ w)
         aux_pooled = nn.gap(aux_hidden)
         return nn.ForwardRecord(

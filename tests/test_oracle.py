@@ -1,10 +1,16 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dgn
+from dgn import graph as gr
 from dgn import model as md
 from dgn import nn, oracle
-from dgn.corpus import Corpus, FeatureMap, LabelMap, nn_resize
+from dgn.corpus import Corpus, FeatureMap, Instance, LabelMap, nn_resize
 from dgn.errors import ValidationError
 from dgn.graph import build_graph, extract_local_knowledge
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, build_prototype
@@ -60,15 +66,31 @@ class TestNaivePropagate:
             oracle.naive_propagate(np.eye(3), np.ones((2, 2)))
 
 
-def factored_graph(labels, omega, rng, channels=3):
-    """(n x channels node features, label-space adjacency) over ``labels``."""
+def graph_over(values, labels, omega):
+    """(node features, label-space adjacency) of the feature map ``values`` over ``labels``."""
     proto = Prototype(
         omega.shape[0], omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
     )
-    h, w = labels.shape
-    features = FeatureMap(rng.standard_normal((h, w, channels)))
+    features = FeatureMap(values)
     adjacency = build_graph(features, LabelMap(labels, omega.shape[0]), proto)
-    return features.values.reshape(h * w, channels), adjacency
+    return features.values.reshape(-1, features.channels), adjacency
+
+
+def factored_graph(labels, omega, rng, channels=3):
+    """(n x channels node features, label-space adjacency) over ``labels``."""
+    return graph_over(rng.standard_normal((*labels.shape, channels)), labels, omega)
+
+
+def random_graph(rng, vocab, shape, channels, sparse=False):
+    """A random symmetric prototype over ``vocab`` ids and a random map of ``shape``.
+
+    ``sparse`` zeroes about half of the prototype, so some ids may relate
+    to nothing.
+    """
+    omega = rng.random((vocab, vocab))
+    if sparse:
+        omega *= rng.random((vocab, vocab)) > 0.5
+    return factored_graph(rng.integers(0, vocab, size=shape), (omega + omega.T) / 2, rng, channels)
 
 
 def zero_affinity_rows(adjacency):
@@ -143,7 +165,6 @@ def assert_adjoint_matches_dense(v, adjacency, rng):
     assert abs(np.sum(oracle.naive_propagate(dense, v) * y) - np.sum(v * adjoint)) <= 1e-12
     m = oracle.naive_propagate(dense, np.eye(n))
     assert oracle.compare(adjoint, m.T @ y).max_abs_deviation <= 1e-12
-    assert oracle.compare(nn.propagate_adjoint(dense, y), m.T @ y).max_abs_deviation <= 1e-12
 
 
 def assert_eval_only_pool_matches_dense(v, adjacency):
@@ -197,8 +218,10 @@ class TestAdjoint:
             assert_eval_only_pool_matches_dense(v, adjacency)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            nn.propagate_adjoint(np.eye(3), np.ones((2, 2)))
+        rng = np.random.default_rng(21)
+        _, adjacency = factored_graph(np.array([[0, 1, 1]]), np.ones((2, 2)), rng)
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            nn.propagate_adjoint(adjacency, np.ones((2, 2)))
 
 
 class TestFdGradient:
@@ -260,15 +283,14 @@ def dense_instances(corpus, proto):
     return out
 
 
-TRAINING_CONFIGURATIONS = pytest.mark.parametrize(
-    "mode, lam, stepped",
-    [
-        (md.AblationMode.BASELINE, 0.5, 2),
-        (md.AblationMode.TRAIN_EVAL_IODP, 0.5, 3),
-        (md.AblationMode.FULL, 0.5, 5),
-        (md.AblationMode.FULL, 0.0, 3),
-    ],
-)
+# (mode, lam, blocks stepped): the four training configurations
+TRAINING_RUNS = [
+    (md.AblationMode.BASELINE, 0.5, 2),
+    (md.AblationMode.TRAIN_EVAL_IODP, 0.5, 3),
+    (md.AblationMode.FULL, 0.5, 5),
+    (md.AblationMode.FULL, 0.0, 3),
+]
+TRAINING_CONFIGURATIONS = pytest.mark.parametrize("mode, lam, stepped", TRAINING_RUNS)
 
 
 @TRAINING_CONFIGURATIONS
@@ -318,14 +340,19 @@ def test_evaluate_matches_the_evaluation_oracle(checkpoint_mode, lam, eval_mode,
     corpus, proto, config = tiny_training_run(lam, channels)
     model, _ = md.train(corpus, proto, config, checkpoint_mode)
     assert eval_mode in md._EVAL_MODES[checkpoint_mode]
+    graphs = check_evaluation_oracle(model, corpus, proto, eval_mode)
+    assert all(a is None or a.holds_label_sums == (channels == 3) for _, a, _ in graphs)
+
+
+def check_evaluation_oracle(model, corpus, proto, eval_mode):
+    """``forward_parts`` and ``model.evaluate`` against ``naive_evaluate``; returns the inputs."""
     logits = oracle.naive_evaluate(dense_instances(corpus, proto), model.blocks(), eval_mode)
     graphs = md._prepared_inputs(corpus, proto, eval_mode is not md.AblationMode.BASELINE)
-    assert all(a is None or a.holds_label_sums == (channels == 3) for _, a, _ in graphs)
     for (v, a, _), expected in zip(graphs, logits):
         fast = md.forward_parts(model, v, a, eval_mode)[0]
         assert oracle.compare(fast, expected).max_abs_deviation <= 1e-12 * np.abs(expected).max()
     # argmax ties go to the lowest class, as np.argmax breaks them
-    totals, hits = np.zeros(3), np.zeros(3)
+    totals, hits = np.zeros(corpus.num_classes), np.zeros(corpus.num_classes)
     for row, (_, _, target) in zip(logits.tolist(), graphs):
         totals[target] += 1
         hits[target] += row.index(max(row)) == target
@@ -333,3 +360,126 @@ def test_evaluate_matches_the_evaluation_oracle(checkpoint_mode, lam, eval_mode,
     assert report.accuracy == hits.sum() / totals.sum()
     per_class = np.where(totals > 0, hits / np.maximum(totals, 1), 0.0)
     np.testing.assert_array_equal(report.per_class, per_class)
+    return graphs
+
+
+# ---------------------------------------------------------------------------
+# the training oracle over random shapes, in both label-sum regimes
+
+# object ids 0-3; the draw makes some of them relate to nothing
+ORACLE_VOCAB = 4
+
+
+@dataclass(frozen=True, eq=False)
+class TrainingDraw:
+    """A tiny corpus over a random prototype, and how to train on it for two epochs."""
+
+    mode: md.AblationMode
+    lam: float
+    channels: int
+    hidden: int
+    classes: int
+    labels: tuple[np.ndarray, ...]  # one (h, w) map of object ids per instance
+    targets: tuple[int, ...]
+    inert: frozenset[int]  # ids whose prototype row is 0: zero-weight labels
+    batch_size: int
+    decay_epoch: int
+    weight_decay: float
+    seed: int
+
+    def build(self):
+        """(corpus, prototype, config); the seed draws the features and the prototype."""
+        rng = np.random.default_rng(self.seed)
+        omega = rng.random((ORACLE_VOCAB, ORACLE_VOCAB))
+        omega = (omega + omega.T) / 2
+        for i in self.inert:
+            omega[i, :] = omega[:, i] = 0.0
+        proto = Prototype(
+            ORACLE_VOCAB, omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True,
+            self.classes,
+        )
+        instances = [
+            Instance(
+                target,
+                LabelMap(grid, ORACLE_VOCAB),
+                FeatureMap(rng.standard_normal((*grid.shape, self.channels))),
+            )
+            for grid, target in zip(self.labels, self.targets)
+        ]
+        config = md.TrainConfig(
+            epochs=2, batch_size=self.batch_size, lr=0.05, decay_epochs=(self.decay_epoch,),
+            weight_decay=self.weight_decay, lam=self.lam, hidden_dim=self.hidden, seed=self.seed,
+        )
+        return Corpus(self.classes, ORACLE_VOCAB, instances), proto, config
+
+
+@st.composite
+def training_draws(draw):
+    """1-9 nodes, 1-12 channels, hidden width 1-3, 2-3 classes and 2-5 instances."""
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9 // h))
+    ids = st.integers(0, ORACLE_VOCAB - 1)
+    count = draw(st.integers(2, 5))
+    labels = tuple(
+        np.full((h, w), draw(ids))
+        if draw(st.booleans())  # a single-label map
+        else draw(hnp.arrays(np.int64, (h, w), elements=ids))
+        for _ in range(count)
+    )
+    classes = draw(st.integers(2, 3))
+    mode, lam, _ = draw(st.sampled_from(TRAINING_RUNS))
+    return TrainingDraw(
+        mode=mode,
+        lam=lam,
+        channels=draw(st.integers(1, 12)),
+        hidden=draw(st.integers(1, 3)),
+        classes=classes,
+        labels=labels,
+        targets=tuple(draw(st.integers(0, classes - 1)) for _ in range(count)),
+        inert=draw(st.frozensets(ids)),
+        batch_size=draw(st.integers(1, count)),
+        decay_epoch=draw(st.integers(1, 2)),
+        weight_decay=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def example_draw(grid, channels):
+    """Five instances in batches of two, a single-label map and a zero-weight label, id 3."""
+    h, w = grid
+    maps = [np.arange(h * w).reshape(h, w) % ORACLE_VOCAB, np.full(grid, 1)]
+    maps += [np.roll(maps[0], shift) for shift in (1, 2, 5)]
+    return TrainingDraw(
+        mode=md.AblationMode.FULL, lam=0.5, channels=channels, hidden=2, classes=3,
+        labels=tuple(maps), targets=(0, 1, 2, 1, 0), inert=frozenset({3}), batch_size=2,
+        decay_epoch=2, weight_decay=0.1, seed=1717,
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(training_draws())
+@example(example_draw((3, 3), channels=2))  # fewer channels than nodes: label sums held
+@example(example_draw((2, 3), channels=7))  # wide: no label sums
+def test_train_matches_the_training_oracle_on_random_shapes(case):
+    corpus, proto, config = case.build()
+    initial = md.init_model(case.mode, case.channels, case.classes, config).blocks()
+    trained, _ = md.train(corpus, proto, config, case.mode)
+    expected = oracle.naive_train(dense_instances(corpus, proto), initial, config, case.mode)
+    # relative to each block's largest entry: Adam divides each gradient entry
+    # by its own running scale, so the oracle's finite-difference noise (about
+    # 1e-10) on an entry near 0 can move a parameter that ends near 0 by 1e-9
+    for a, e in zip(trained.blocks(), expected):
+        assert oracle.compare(a, e).max_abs_deviation <= 1e-6 * np.abs(e).max()
+    for eval_mode in md._EVAL_MODES[case.mode]:
+        check_evaluation_oracle(trained, corpus, proto, eval_mode)
+    if case.mode is md.AblationMode.BASELINE:
+        return
+    # holding the label sums S_V or not is exact either way: only rounding
+    # may separate the trained blocks
+    forced = []
+    for held in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gr.LabelAdjacency, "holds_label_sums", property(lambda a, h=held: h))
+            forced.append(md.train(corpus, proto, config, case.mode)[0].blocks())
+    for held, node_sized in zip(*forced):
+        assert np.abs(held - node_sized).max() <= 1e-10 * np.abs(node_sized).max()

@@ -12,6 +12,7 @@ from dgn import corpus as cp
 from dgn import graph as gr
 from dgn import nn, oracle
 from dgn import prototype as pt
+from tests.test_oracle import graph_over
 from tests.test_prototype import omega_in_blocks_of, presence_corpus
 
 label_grids = hnp.arrays(
@@ -172,10 +173,11 @@ def test_adam_odd_symmetry(params, grads):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_propagation_never_expands_max_norm(n, c, seed):
+    # a random symmetric prototype over a random 1 x n map of its 4 ids
     rng = np.random.default_rng(seed)
-    a = rng.random((n, n))
-    a /= a.sum(axis=1, keepdims=True)
-    v = rng.standard_normal((n, c)) * 10
+    omega = rng.random((4, 4))
+    labels = rng.integers(0, 4, size=(1, n))
+    v, a = graph_over(rng.standard_normal((1, n, c)) * 10, labels, (omega + omega.T) / 2)
     out = nn.propagate(a, v)
     assert np.abs(out).max() <= np.abs(v).max() + 1e-12
 
