@@ -75,7 +75,9 @@ class FeatureMap:
 
     Values are cast to float32 on construction, the precision ``.dgnf``
     stores; a value that is not finite after the cast, such as one beyond
-    the float32 range, is refused.
+    the float32 range, is refused.  A C-contiguous float32 array is kept
+    as it is, not copied: a map built on a slot of a larger block (as a
+    generated split's maps are) is a view that keeps the whole block alive.
     """
 
     values: np.ndarray
@@ -350,7 +352,16 @@ def _object_embeddings(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
 
 
 def generate_synthetic_corpus(spec: SyntheticSpec) -> tuple[Corpus, Corpus]:
-    """Generate (train, test) corpora; a pure function of ``spec``."""
+    """Generate (train, test) corpora; a pure function of ``spec``.
+
+    Each split holds its feature maps in one C-contiguous float32 block,
+    allocated before the split's first draw: every instance's float64 draw
+    is cast into its slot, and its ``FeatureMap`` is a view of that slot.
+    One block per split, rather than one array per map, keeps the retained
+    maps from pinning the holes that their freed float64 temporaries leave
+    in the heap.  A split too large to address raises ``MemoryError``, and
+    a draw beyond the float32 range ``ValidationError``.
+    """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     k, g = DISC_PER_CLASS, spec.grid_cells
@@ -359,6 +370,12 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> tuple[Corpus, Corpus]:
     embeddings = _object_embeddings(spec, rng)
 
     def make_split(per_class: int) -> Corpus:
+        shape = (spec.num_classes * per_class, g, g, spec.channels)
+        try:
+            block = np.empty(shape, dtype=np.float32)
+        except ValueError:
+            # numpy refuses a byte count beyond intp with ValueError, not MemoryError
+            raise MemoryError(f"{shape} float32 features cannot be addressed") from None
         instances = []
         for class_id in range(spec.num_classes):
             allowed = np.concatenate([disc_ids[class_id], common_ids])
@@ -368,11 +385,14 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> tuple[Corpus, Corpus]:
                     y, x = rng.integers(0, g, size=2)
                     cells[y, x] = disc_ids[class_id][rng.integers(0, k)]
                 labels = np.repeat(np.repeat(cells, CELL_PIXELS, axis=0), CELL_PIXELS, axis=1)
-                values = embeddings[cells] + spec.noise * rng.standard_normal(
-                    (g, g, spec.channels)
-                )
+                slot = block[len(instances)]
+                # an overflow in the draw or its float32 cast gives inf, which FeatureMap refuses
+                with np.errstate(over="ignore", invalid="ignore"):
+                    slot[...] = embeddings[cells] + spec.noise * rng.standard_normal(
+                        (g, g, spec.channels)
+                    )
                 instances.append(
-                    Instance(class_id, LabelMap(labels, spec.vocab_size), FeatureMap(values))
+                    Instance(class_id, LabelMap(labels, spec.vocab_size), FeatureMap(slot))
                 )
         return Corpus(spec.num_classes, spec.vocab_size, tuple(instances))
 

@@ -363,7 +363,10 @@ def train(
                     correct += int(np.argmax(logits) == target)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"non-finite loss in epoch {epoch}")
-            adam_step(params, [g / batch.size for g in grad_sums], state)
+            # the loop owns the sums, so their mean is taken in place
+            for g in grad_sums:
+                g /= batch.size
+            adam_step(params, grad_sums, state)
         trace.append(
             EpochStats(
                 epoch,

@@ -61,14 +61,19 @@ class TestGen:
         assert result.stderr.strip()
 
     def test_unallocatable_size_exits_2_without_output(self, tmp_path):
-        # a 10^7 x 10^7 label grid needs ~800 TB, more than any address
-        # space holds, so the allocation fails at once and touches nothing
-        result = run_cli("gen", "--cells", 10_000_000, "--out", tmp_path / "x")
-        assert result.returncode == 2
-        assert result.stderr.startswith("error: out of memory: ")
-        assert "Traceback" not in result.stderr
-        assert result.stdout == ""
-        assert list(tmp_path.iterdir()) == []
+        # a 10^7 x 10^7 grid needs more than any address space holds, so the
+        # allocation fails at once and touches nothing; at 64 channels the
+        # 700-instance feature block's byte count overflows intp as well,
+        # which numpy reports as ValueError rather than MemoryError
+        for channels in (32, 64):
+            result = run_cli(
+                "gen", "--cells", 10_000_000, "--channels", channels, "--out", tmp_path / "x"
+            )
+            assert result.returncode == 2, (channels, result.stderr)
+            assert result.stderr.startswith("error: out of memory: ")
+            assert "Traceback" not in result.stderr
+            assert result.stdout == ""
+            assert list(tmp_path.iterdir()) == []
 
 
     def test_features_beyond_float32_exit_2_without_output(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +102,18 @@ def test_feature_map_refuses_values_beyond_float32(value):
     values[0, 1, 0] = value
     with pytest.raises(ValidationError, match="float32"):
         cp.FeatureMap(values)
+
+
+def test_feature_map_keeps_contiguous_float32_without_a_copy():
+    block = np.arange(24, dtype=np.float32).reshape(2, 2, 2, 3)
+    slot = block[1]
+    assert cp.FeatureMap(slot).values is slot
+    # float64 input is cast into a new float32 array
+    values = np.full((1, 2, 3), 0.1)
+    cast = cp.FeatureMap(values)
+    assert cast.values.dtype == np.float32
+    assert not np.shares_memory(cast.values, values)
+    np.testing.assert_array_equal(cast.values, values.astype(np.float32))
 
 
 def test_feature_map_keeps_the_float32_extremes():
@@ -276,6 +290,51 @@ class TestSyntheticCorpus:
         for fa, fb in zip(files_a, files_b):
             if fa.is_file():
                 assert fa.read_bytes() == fb.read_bytes()
+
+    def test_bytes_are_pinned(self):
+        # sha256 of every scene id, label and feature byte of both splits,
+        # recorded from the generator that drew each map into its own array,
+        # so a change of RNG order or of the float32 cast fails here; the 2x2
+        # grids also take the branch that plants a class-owned cell
+        spec = cp.SyntheticSpec(
+            num_classes=2, vocab_size=20, grid_cells=2, train_per_class=4,
+            test_per_class=2, channels=5, noise=1.5, seed=11,
+        )
+        digest = hashlib.sha256()
+        for split in cp.generate_synthetic_corpus(spec):
+            for inst in split.instances:
+                digest.update(np.uint32(inst.scene_id).tobytes())
+                digest.update(inst.label_map.labels.astype("<u2").tobytes())
+                digest.update(inst.feature_map.values.astype("<f4").tobytes())
+        assert digest.hexdigest() == (
+            "9967e259a5a05295d44e336915165bb63195fc2f2c5eff950ff5966f0583e467"
+        )
+
+    def test_each_split_is_one_float32_block(self):
+        spec = cp.SyntheticSpec(
+            num_classes=3, vocab_size=10, grid_cells=3, train_per_class=4,
+            test_per_class=2, channels=4, noise=1.0, seed=5,
+        )
+        for split in cp.generate_synthetic_corpus(spec):
+            maps = [inst.feature_map.values for inst in split.instances]
+            block = maps[0].base
+            assert block.shape == (len(maps), 3, 3, 4)
+            assert block.dtype == np.float32 and block.flags.c_contiguous
+            for i, values in enumerate(maps):
+                assert values.base is block
+                assert np.shares_memory(values, block[i])
+                assert values.ctypes.data == block[i].ctypes.data
+
+    def test_features_beyond_float32_refused_without_a_warning(self):
+        # an overflow in the draw or its float32 cast is refused without a warning
+        spec = cp.SyntheticSpec(
+            num_classes=2, vocab_size=6, grid_cells=2, train_per_class=2,
+            test_per_class=1, channels=2, noise=1e39, seed=304,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="float32"):
+                cp.generate_synthetic_corpus(spec)
 
     def test_zero_noise_recovers_object_ids_exactly(self):
         spec = cp.SyntheticSpec(
