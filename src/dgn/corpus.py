@@ -151,13 +151,13 @@ class Corpus:
 
 
 def save_label_map(label_map: LabelMap, path: str | Path) -> None:
-    payload = (
+    header = (
         LABEL_MAGIC
         + fileio.pack_u32(fileio.FORMAT_VERSION)
         + fileio.pack_u32(label_map.width, label_map.height, label_map.vocab_size)
-        + label_map.labels.astype("<u2").tobytes()
     )
-    fileio.atomic_write_bytes(path, payload)
+    labels = label_map.labels.astype("<u2", copy=False)
+    fileio.atomic_write_bytes(path, b"".join((header, memoryview(labels).cast("B"))))
 
 
 def load_label_map(path: str | Path) -> LabelMap:
@@ -173,13 +173,14 @@ def load_label_map(path: str | Path) -> LabelMap:
 
 
 def save_feature_map(feature_map: FeatureMap, path: str | Path) -> None:
-    payload = (
+    header = (
         FEATURE_MAGIC
         + fileio.pack_u32(fileio.FORMAT_VERSION)
         + fileio.pack_u32(feature_map.width, feature_map.height, feature_map.channels)
-        + feature_map.values.astype("<f4").tobytes()
     )
-    fileio.atomic_write_bytes(path, payload)
+    # the join is the payload's one copy: a float32 map is not cast
+    values = feature_map.values.astype("<f4", copy=False)
+    fileio.atomic_write_bytes(path, b"".join((header, memoryview(values).cast("B"))))
 
 
 def load_feature_map(path: str | Path) -> FeatureMap:

@@ -66,15 +66,20 @@ class Reader:
         if got != FORMAT_VERSION:
             raise FormatError(f"{self._label}: unsupported version {got}")
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Move past the next ``n`` bytes and return their offset."""
         if self._pos + n > len(self._data):
             raise EOFError(
                 f"{self._label}: truncated payload "
                 f"(needed {n} bytes at offset {self._pos}, have {len(self._data)})"
             )
-        chunk = self._data[self._pos : self._pos + n]
+        start = self._pos
         self._pos += n
-        return chunk
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self._data[start : start + n]
 
     def u8(self) -> int:
         return struct.unpack("<B", self.take(1))[0]
@@ -86,8 +91,9 @@ class Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def array(self, dtype: str, count: int) -> np.ndarray:
-        nbytes = np.dtype(dtype).itemsize * count
-        return np.frombuffer(self.take(nbytes), dtype=dtype).copy()
+        """The next ``count`` entries of ``dtype``, copied once out of the payload."""
+        start = self._advance(np.dtype(dtype).itemsize * count)
+        return np.frombuffer(self._data, dtype=dtype, count=count, offset=start).copy()
 
     def done(self) -> None:
         if self._pos != len(self._data):

@@ -11,6 +11,7 @@ vocab_size x vocab_size matrix is the prototype.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from .corpus import Corpus, presence_mask
 from .errors import ValidationError
 
 PROTOTYPE_MAGIC = b"DGNP"
-# the pair counts are one C x L x L array of 8-byte entries; refuse beyond
-# this many entries (1 GiB) rather than allocate without bound
+# a build's largest array, 8-byte entries, is refused beyond this many entries
+# (1 GiB) rather than allocated without bound: the C x L x L pair counts in
+# NON_INDEPENDENT mode, omega (L x L) in INDEPENDENT mode
 COUNT_MAX_ENTRIES = 2**27
 # the posterior is built for as many prototype rows at a time as fit this
 # many float64 entries (1 MiB), at least one row
@@ -55,19 +57,36 @@ _BYTE_METRIC = {v: k for k, v in _METRIC_BYTE.items()}
 
 @dataclass(frozen=True, eq=False)
 class CooccurrenceCounts:
-    """Presence counts per scene class.
+    """Presence counts per scene class, and the per-instance presence they sum.
 
-    ``pair_presence[c, i, j]`` is the number of class-c instances containing
-    both i and j; its diagonal equals ``presence[c]``.  It is the one
-    C x L x L array of the prototype build: the posterior reads it one block
-    of rows, shape (C, rows, L), at a time.
+    ``presence[c, i]`` is the number of class-c instances containing i.
+    ``pair_presence[c, i, j]``, the number containing both i and j, is built
+    from ``present`` on first read and kept; its diagonal equals
+    ``presence[c]``.  Only NON_INDEPENDENT posteriors read it, so an
+    INDEPENDENT build holds no C x L x L array.
     """
 
     num_classes: int
     vocab_size: int
     instances_per_class: np.ndarray  # (C,) int64
     presence: np.ndarray  # (C, L) int64
-    pair_presence: np.ndarray  # (C, L, L) int64
+    present: np.ndarray  # (N, L) bool, one row per corpus instance
+    scene: np.ndarray  # (N,) int64, each instance's class
+
+    @functools.cached_property
+    def pair_presence(self) -> np.ndarray:
+        """(C, L, L) int64: ``X_c^T X_c`` for each class's (instances, L) presence ``X_c``.
+
+        The float64 product is exact, every sum being an integer below
+        2**53.  Refused past ``COUNT_MAX_ENTRIES`` before it is allocated.
+        """
+        C, L = self.num_classes, self.vocab_size
+        _refuse_past_limit(C, L, CooccurrenceMode.NON_INDEPENDENT)
+        pair = np.empty((C, L, L), dtype=np.int64)
+        for c in range(C):
+            x = self.present[self.scene == c].astype(np.float64)
+            pair[c] = x.T @ x
+        return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,57 +116,69 @@ class Prototype:
         object.__setattr__(self, "omega", omega)
 
 
-def count(corpus: Corpus) -> CooccurrenceCounts:
-    """Tally per-class object and object-pair presence at full resolution.
+def _refuse_past_limit(C: int, L: int, mode: CooccurrenceMode) -> None:
+    """Refuse a build whose largest array would pass ``COUNT_MAX_ENTRIES``, before allocating it."""
+    if mode is CooccurrenceMode.NON_INDEPENDENT:
+        if C * L * L > COUNT_MAX_ENTRIES:
+            raise ValidationError(
+                f"C={C} classes and L={L} objects would need {C * L * L * 8} bytes per "
+                f"C x L x L count array; iodp allows at most {COUNT_MAX_ENTRIES} entries"
+            )
+    elif L * L > COUNT_MAX_ENTRIES:
+        raise ValidationError(
+            f"L={L} objects would need {L * L * 8} bytes per L x L prototype; "
+            f"iodp allows at most {COUNT_MAX_ENTRIES} entries"
+        )
 
-    ``pair_presence[c]`` is ``X_c^T X_c`` for the class's (instances, L)
-    presence matrix ``X_c``; the float64 product is exact, every sum being an
-    integer below 2**53.
+
+def count(corpus: Corpus) -> CooccurrenceCounts:
+    """Tally per-class object presence at full resolution.
+
+    Keeps the (N, L) presence matrix and the scene ids, from which
+    ``pair_presence`` is built if it is read.
     """
     if not corpus.instances:
         raise ValidationError("cannot count an empty corpus")
     C, L = corpus.num_classes, corpus.vocab_size
-    if C * L * L > COUNT_MAX_ENTRIES:
-        raise ValidationError(
-            f"C={C} classes and L={L} objects would need {C * L * L * 8} bytes per "
-            f"C x L x L count array; iodp allows at most {COUNT_MAX_ENTRIES} entries"
-        )
     scene = np.fromiter((inst.scene_id for inst in corpus.instances), np.int64, len(corpus.instances))
     n_inst = np.bincount(scene, minlength=C)
     if (n_inst == 0).any():
         missing = int(np.flatnonzero(n_inst == 0)[0])
         raise ValidationError(f"scene class {missing} has no instances")
     present = np.stack([presence_mask(inst.label_map) for inst in corpus.instances])
-    pair = np.empty((C, L, L), dtype=np.int64)
-    for c in range(C):
-        x = present[scene == c].astype(np.float64)
-        pair[c] = x.T @ x
-    presence = pair[:, np.arange(L), np.arange(L)].copy()
-    return CooccurrenceCounts(C, L, n_inst, presence, pair)
+    instance, obj = np.nonzero(present)
+    presence = np.bincount(scene[instance] * L + obj, minlength=C * L).reshape(C, L)
+    return CooccurrenceCounts(C, L, n_inst, presence, present, scene)
 
 
 def class_posterior(
-    counts: CooccurrenceCounts, mode: CooccurrenceMode, rows: slice = slice(None)
+    counts: CooccurrenceCounts,
+    mode: CooccurrenceMode,
+    rows: slice = slice(None),
+    cols: slice = slice(None),
 ) -> np.ndarray:
-    """Class posterior of the object pairs in ``rows`` under a uniform prior, (C, rows, L).
+    """Class posterior of the object pairs in ``rows`` x ``cols`` under a uniform prior, (C, rows, cols).
 
     The pair likelihood per class is the joint presence rate
     (NON_INDEPENDENT) or the product of the two marginal rates (INDEPENDENT);
     with equal priors the posterior is that likelihood normalized over
     classes.  The class axis is sorted, so every reduction over it is
     bit-identical under scene-id permutation, and each entry's bytes do not
-    depend on ``rows``.  A pair with no evidence in any class has posterior
-    0 in every class.
+    depend on ``rows`` or ``cols``, except that numpy sums a (C, 1, 1)
+    posterior pairwise rather than class by class.  Both likelihoods are
+    symmetric in the pair, so the posterior of (j, i) has the bytes of
+    (i, j).  A pair with no evidence in any class has posterior 0 in every
+    class.
     """
-    # one (C, rows, L) array, updated in place: the in-place forms give the
-    # same bytes as fresh arrays
+    # one (C, rows, cols) array, updated in place: the in-place forms give
+    # the same bytes as fresh arrays
     n = counts.instances_per_class.astype(np.float64)[:, None, None]
     if mode is CooccurrenceMode.NON_INDEPENDENT:
-        lik = counts.pair_presence[:, rows].astype(np.float64)
+        lik = counts.pair_presence[:, rows, cols].astype(np.float64)
         lik /= n
     else:
         marg = counts.presence.astype(np.float64)
-        lik = marg[:, rows, None] * marg[:, None, :]
+        lik = marg[:, rows, None] * marg[:, None, cols]
         lik /= n * n
     lik.sort(axis=0)
     evidence = lik.sum(axis=0)
@@ -167,18 +198,25 @@ def build_prototype(
     Each entry is the range, population standard deviation or coefficient of
     variation (std over the mean 1/C) of the pair's class posterior,
     square-rooted when ``passivated``; 0 for a pair with no evidence.  The
-    posterior is built one block of rows at a time and each block's
-    dispersion written straight into ``omega``; every reduction runs over the
-    class axis, so the bytes do not depend on the block size.
+    posterior is built one block of rows ``[s, e)`` at a time over the
+    columns ``[s, L)`` only, and each block's dispersion written straight
+    into ``omega``; the block's columns left of ``s`` are copied from the
+    rows above, which hold their mirror.  Every reduction runs over the
+    class axis, so the bytes do not depend on the block size.  Refused
+    past ``COUNT_MAX_ENTRIES`` before anything is counted.
     """
+    _refuse_past_limit(corpus.num_classes, corpus.vocab_size, mode)
     counts = count(corpus)
     C, L = counts.num_classes, counts.vocab_size
     block = max(1, POSTERIOR_BLOCK_ENTRIES // (C * L))
     omega = np.empty((L, L))
     for start in range(0, L, block):
-        rows = slice(start, start + block)
-        post = class_posterior(counts, mode, rows)
-        theta = omega[rows]
+        stop = min(start + block, L)
+        # never one column wide: numpy sums a (C, 1, 1) posterior pairwise,
+        # not class by class, which would change the bytes
+        first = min(start, max(L - 2, 0))
+        post = class_posterior(counts, mode, slice(start, stop), slice(first, L))
+        theta = omega[start:stop, first:]
         if metric is DispersionMetric.RANGE:
             np.subtract(post[-1], post[0], out=theta)
         else:
@@ -190,6 +228,7 @@ def build_prototype(
                 theta *= C
         if passivated:
             np.sqrt(theta, out=theta)
+        omega[start:stop, :first] = omega[:first, start:stop].T
     return Prototype(L, omega, mode, metric, passivated, C)
 
 

@@ -148,19 +148,24 @@ class TestIodp:
         assert result.returncode == 2
 
     def test_pair_counts_past_the_limit_exit_2_without_output(self, tmp_path):
-        # C=2 classes over L=65536 objects would count 2 * 65536^2 pairs, 64 GiB
-        # per int64 array; iodp refuses before it allocates any of them
+        # C=2 classes over L=65536 objects: the default independent mode would
+        # need a 32 GiB L x L omega, non-independent mode 64 GiB of int64 pair
+        # counts; iodp refuses each before it allocates
         corpus = presence_corpus(2, 65536, [(0, {0}), (1, {1})])
         manifest = dgn.save_corpus(corpus, tmp_path, "train")
         out = tmp_path / "p.dgnp"
-        result = run_cli("iodp", "--manifest", manifest, "--out", out)
-        assert result.returncode == 2
-        assert result.stderr == (
-            "error: C=2 classes and L=65536 objects would need 68719476736 bytes per "
-            "C x L x L count array; iodp allows at most 134217728 entries\n"
-        )
-        assert result.stdout == ""
-        assert not out.exists()
+        refusals = {
+            (): "error: L=65536 objects would need 34359738368 bytes per L x L prototype; "
+            "iodp allows at most 134217728 entries\n",
+            ("--mode", "nonindependent"): "error: C=2 classes and L=65536 objects would need "
+            "68719476736 bytes per C x L x L count array; iodp allows at most 134217728 entries\n",
+        }
+        for flags, message in refusals.items():
+            result = run_cli("iodp", "--manifest", manifest, "--out", out, *flags)
+            assert result.returncode == 2, flags
+            assert result.stderr == message
+            assert result.stdout == ""
+            assert not out.exists()
 
     def test_missing_class_exits_2_before_counting_pairs(self, tmp_path):
         # class 2 of 3 has no instance; at L=2048 the pair counts would take

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,28 @@ def test_feature_map_round_trip(tmp_path):
     second = tmp_path / "f2.dgnf"
     cp.save_feature_map(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_feature_map_save_and_load_copy_the_payload_once(tmp_path):
+    # a paper-shape map, 14 x 14 nodes of 512 channels: saving holds one copy
+    # of the payload beside the map; loading holds the file bytes, the one
+    # decoded copy and FeatureMap's quarter-size finiteness mask
+    fm = cp.FeatureMap(np.random.default_rng(5).standard_normal((14, 14, 512)))
+    path = tmp_path / "f.dgnf"
+    calls = {"save": lambda: cp.save_feature_map(fm, path), "load": lambda: cp.load_feature_map(path)}
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == 20 + fm.values.nbytes
+    assert peaks["save"] < 1.25 * size, peaks
+    assert peaks["load"] < 2.5 * size, peaks
+    np.testing.assert_array_equal(cp.load_feature_map(path).values, fm.values)
 
 
 def test_feature_map_rejects_non_finite():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgn import prototype as pt
-from dgn.corpus import Corpus, Instance, LabelMap
+from dgn.corpus import Corpus, Instance, LabelMap, SyntheticSpec, generate_synthetic_corpus
 from dgn.errors import ValidationError
 
 Mode = pt.CooccurrenceMode
@@ -319,8 +320,10 @@ class TestBlocks:
             assert omega_in_blocks_of(rows, corpus, mode, metric, passivated).tobytes() == whole.tobytes()
         assert pt.build_prototype(corpus, mode, metric, passivated).omega.tobytes() == whole.tobytes()
 
-    def test_prototype_build_peaks_below_one_and_a_half_pair_arrays(self):
-        # each C x L x L array is 10.2 MB: the pair counts are the only one
+    def test_only_nonindependent_builds_hold_a_pair_array(self):
+        # each C x L x L array is 10.2 MB: NON_INDEPENDENT holds the pair
+        # counts and peaks below one and a half of them; INDEPENDENT holds
+        # none, its largest arrays being omega (1.3 MB) and one block
         C, L = 8, 400
         rng = np.random.default_rng(31)
         groups = [
@@ -330,14 +333,39 @@ class TestBlocks:
         ]
         corpus = presence_corpus(C, L, groups)
         pair_bytes = C * L * L * 8
+        peaks = {}
         for mode in Mode:
             tracemalloc.start()
             try:
                 pt.build_prototype(corpus, mode, Metric.COEFF_VAR, True)
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks[mode] = tracemalloc.get_traced_memory()[1] / pair_bytes
             finally:
                 tracemalloc.stop()
-            assert pair_bytes <= peak < 1.5 * pair_bytes, (mode, peak / pair_bytes)
+        assert 1.0 <= peaks[Mode.NON_INDEPENDENT] < 1.5, peaks
+        assert peaks[Mode.INDEPENDENT] < 0.5, peaks
+
+
+class TestLimits:
+    """Each mode is refused past COUNT_MAX_ENTRIES entries of its largest array."""
+
+    def test_limit_is_on_pair_counts_only_in_nonindependent_mode(self, monkeypatch):
+        # C * L^2 = 1200 passes the limit, L^2 = 400 does not
+        monkeypatch.setattr(pt, "COUNT_MAX_ENTRIES", 1000)
+        C, L = 3, 20
+        corpus = presence_corpus(C, L, [(scene, {scene, L - 1}) for scene in range(C)])
+        proto = pt.build_prototype(corpus, Mode.INDEPENDENT)
+        assert proto.omega.shape == (L, L)
+        message = (
+            "C=3 classes and L=20 objects would need 9600 bytes per C x L x L count array; "
+            "iodp allows at most 1000 entries"
+        )
+        with pytest.raises(ValidationError) as refused:
+            pt.build_prototype(corpus, Mode.NON_INDEPENDENT)
+        assert str(refused.value) == message
+        counts = pt.count(corpus)
+        with pytest.raises(ValidationError):
+            counts.pair_presence
+        assert "pair_presence" not in vars(counts)
 
 
 def random_presence_corpus(rng, max_classes=5, max_vocab=8, max_instances=20):
@@ -375,6 +403,38 @@ def test_sqrt_cv_maximum_matches_one_hot_analytic():
         corpus = presence_corpus(C, 2, groups)
         proto = pt.build_prototype(corpus, Mode.NON_INDEPENDENT)
         assert math.isclose(proto.omega[0, 0], (C - 1) ** 0.25, rel_tol=0, abs_tol=1e-12)
+
+
+# sha256 of omega.tobytes() on PINNED_SPEC's train split, recorded before the
+# prototype was built as an upper triangle plus its mirror
+PINNED_SPEC = SyntheticSpec(num_classes=12, vocab_size=40, grid_cells=6, channels=1, train_per_class=5)
+PINNED_OMEGA_SHA256 = {
+    (Mode.NON_INDEPENDENT, Metric.RANGE, True): "ae2977f09b644457c4118ae286506faf7875b0c6aeface25b03ad270e481d846",
+    (Mode.NON_INDEPENDENT, Metric.RANGE, False): "5c0c16fb56becad68a38029958690713c7ca88555874dffd63257c49e175d95e",
+    (Mode.NON_INDEPENDENT, Metric.STD_DEV, True): "d186dd3b411b253549fcb8a535be7d093c62b2f911c4aaab2ff8c09202764659",
+    (Mode.NON_INDEPENDENT, Metric.STD_DEV, False): "b7984cd582ea433fea7081d501a8fa368dfa51c02866890091f21dcc08c2cd43",
+    (Mode.NON_INDEPENDENT, Metric.COEFF_VAR, True): "e8a8cd472472c175b7c4c0b6b6499429bf63e82cedbe0203616720dc0d6bb93a",
+    (Mode.NON_INDEPENDENT, Metric.COEFF_VAR, False): "d631ddc32dcfb61fa24cd35d71e908324892d857ce47a874a9718d0192a265d8",
+    (Mode.INDEPENDENT, Metric.RANGE, True): "40a998d44672ef9d4feace8544cd5e8eb42f75388c4c51b04f6d72817b72f663",
+    (Mode.INDEPENDENT, Metric.RANGE, False): "a3b5a3a0c946abcc12f75a81d18a55138b7efba30bd7133685be03c7a323d347",
+    (Mode.INDEPENDENT, Metric.STD_DEV, True): "ddb5d9bb05d43255cd02014a2bc49c42520bb3170f8116133cb1fa2f50bc3250",
+    (Mode.INDEPENDENT, Metric.STD_DEV, False): "d94e0dce9557f6bbe140827ab9ec253589c4a20d681cab6cc3677f7811bbee53",
+    (Mode.INDEPENDENT, Metric.COEFF_VAR, True): "d7a2c76fbcb2df36efa817424fef3aa5941bcb350ee508e5f6e6164c258862d4",
+    (Mode.INDEPENDENT, Metric.COEFF_VAR, False): "1fb193cf47fb9e04a059716c8fe8d11781b953d37f2f40547907c1e79c9a5a58",
+}
+
+
+def test_prototype_bytes_are_pinned():
+    train_corpus, _ = generate_synthetic_corpus(PINNED_SPEC)
+    # one block of all 40 rows, and blocks of 3 rows that end in row 39 alone:
+    # with C >= 8 classes numpy sums a (C, 1, 1) posterior pairwise, so that
+    # last block must not be one column wide either
+    for rows in (PINNED_SPEC.vocab_size, 3):
+        got = {
+            key: hashlib.sha256(omega_in_blocks_of(rows, train_corpus, *key).tobytes()).hexdigest()
+            for key in PINNED_OMEGA_SHA256
+        }
+        assert got == PINNED_OMEGA_SHA256, rows
 
 
 def _omega_with(i, j, value):
