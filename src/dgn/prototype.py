@@ -6,6 +6,10 @@ score of that posterior: pairs whose presence concentrates the posterior on
 few classes are discriminative, pairs spread evenly are not.  An optional
 square root flattens overly sharp contrasts.  The resulting symmetric
 vocab_size x vocab_size matrix is the prototype.
+
+Pairs come in three kinds: seen in no class (entry 0), seen in one class
+(a one-hot posterior, so one constant entry), and seen in two or more
+classes, the only pairs whose posterior is built.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ PROTOTYPE_MAGIC = b"DGNP"
 # (1 GiB) rather than allocated without bound: the C x L x L pair counts in
 # NON_INDEPENDENT mode, omega (L x L) in INDEPENDENT mode
 COUNT_MAX_ENTRIES = 2**27
-# the posterior is built for as many prototype rows at a time as fit this
-# many float64 entries (1 MiB), at least one row
+# the prototype is built for as many rows at a time as a (C, rows, L) float64
+# posterior of this many entries (1 MiB) holds, at least one row: the bound
+# on one block's gathered posterior
 POSTERIOR_BLOCK_ENTRIES = 2**17
 
 
@@ -154,37 +159,60 @@ def count(corpus: Corpus) -> CooccurrenceCounts:
 def class_posterior(
     counts: CooccurrenceCounts,
     mode: CooccurrenceMode,
-    rows: slice = slice(None),
-    cols: slice = slice(None),
+    rows: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Class posterior of the object pairs in ``rows`` x ``cols`` under a uniform prior, (C, rows, cols).
+    """Class posterior of the object pairs ``(rows, cols)`` under a uniform prior, (C, *pairs).
 
-    The pair likelihood per class is the joint presence rate
-    (NON_INDEPENDENT) or the product of the two marginal rates (INDEPENDENT);
-    with equal priors the posterior is that likelihood normalized over
-    classes.  The class axis is sorted, so every reduction over it is
-    bit-identical under scene-id permutation, and each entry's bytes do not
-    depend on ``rows`` or ``cols``, except that numpy sums a (C, 1, 1)
-    posterior pairwise rather than class by class.  Both likelihoods are
-    symmetric in the pair, so the posterior of (j, i) has the bytes of
-    (i, j).  A pair with no evidence in any class has posterior 0 in every
-    class.
+    ``rows`` and ``cols`` are index arrays broadcast against each other; by
+    default they are every pair, and the result is (C, L, L).  The pair
+    likelihood per class is the joint presence rate (NON_INDEPENDENT) or
+    the product of the two marginal rates (INDEPENDENT); with equal priors
+    the posterior is that likelihood normalized over classes.  The
+    likelihood is gathered C-contiguous and its class axis sorted, so every
+    reduction over that axis runs class by class, and each pair's bytes do
+    not depend on which other pairs are gathered with it nor on scene-id
+    order, except that numpy sums a (C, 1) posterior pairwise.  Both
+    likelihoods are symmetric in the pair, so the posterior of (j, i) has
+    the bytes of (i, j).  A pair with no evidence in any class has
+    posterior 0 in every class.
     """
-    # one (C, rows, cols) array, updated in place: the in-place forms give
-    # the same bytes as fresh arrays
-    n = counts.instances_per_class.astype(np.float64)[:, None, None]
+    if rows is None:
+        rows, cols = np.arange(counts.vocab_size)[:, None], np.arange(counts.vocab_size)[None, :]
+    # one C-contiguous array, updated in place: the in-place forms give the
+    # same bytes as fresh arrays
+    n = counts.instances_per_class.astype(np.float64)
     if mode is CooccurrenceMode.NON_INDEPENDENT:
-        lik = counts.pair_presence[:, rows, cols].astype(np.float64)
-        lik /= n
+        lik = np.ascontiguousarray(counts.pair_presence[:, rows, cols], dtype=np.float64)
     else:
         marg = counts.presence.astype(np.float64)
-        lik = marg[:, rows, None] * marg[:, None, cols]
-        lik /= n * n
+        lik = np.take(marg, rows, axis=1) * np.take(marg, cols, axis=1)
+        n = n * n
+    lik /= n.reshape((-1,) + (1,) * (lik.ndim - 1))
     lik.sort(axis=0)
     evidence = lik.sum(axis=0)
     # a pair without evidence is 0 in every class already
-    np.divide(lik, evidence[None, :, :], out=lik, where=(evidence > 0)[None, :, :])
+    np.divide(lik, evidence, out=lik, where=evidence > 0)
     return lik
+
+
+def _dispersion(post: np.ndarray, metric: DispersionMetric, passivated: bool) -> np.ndarray:
+    """Each pair's dispersion of a sorted (C, P) posterior, (P,); overwrites ``post``.
+
+    The range, population standard deviation or coefficient of variation
+    (std over the mean 1/C), square-rooted when ``passivated``.
+    """
+    if metric is DispersionMetric.RANGE:
+        theta = post[-1] - post[0]
+    else:
+        post -= post.mean(axis=0)
+        np.square(post, out=post)
+        theta = np.sqrt(post.mean(axis=0))
+        if metric is DispersionMetric.COEFF_VAR:
+            theta *= post.shape[0]
+    if passivated:
+        np.sqrt(theta, out=theta)
+    return theta
 
 
 def build_prototype(
@@ -195,40 +223,45 @@ def build_prototype(
 ) -> Prototype:
     """Compute the full pairwise discriminative-correlation matrix.
 
-    Each entry is the range, population standard deviation or coefficient of
-    variation (std over the mean 1/C) of the pair's class posterior,
-    square-rooted when ``passivated``; 0 for a pair with no evidence.  The
-    posterior is built one block of rows ``[s, e)`` at a time over the
-    columns ``[s, L)`` only, and each block's dispersion written straight
-    into ``omega``; the block's columns left of ``s`` are copied from the
-    rows above, which hold their mirror.  Every reduction runs over the
-    class axis, so the bytes do not depend on the block size.  Refused
-    past ``COUNT_MAX_ENTRIES`` before anything is counted.
+    Each entry is the dispersion of the pair's class posterior, and there
+    are three kinds of pair.  A pair with no evidence in any class is 0.  A
+    pair seen in one class has the sorted posterior ``[0, ..., 0, 1]``, so
+    its entry is one constant, computed once.  Only pairs seen in two or
+    more classes have their posterior built, gathered into one (C, P)
+    array per block.  The prototype is built one block of rows ``[s, e)``
+    at a time over the columns ``[s, L)`` only: each block counts the
+    classes with evidence for its pairs and writes its entries straight
+    into ``omega``, and its columns left of ``s`` are copied from the rows
+    above, which hold their mirror.  Every reduction runs over the class
+    axis, so the bytes do not depend on the block size.  Refused past
+    ``COUNT_MAX_ENTRIES`` before anything is counted.
     """
     _refuse_past_limit(corpus.num_classes, corpus.vocab_size, mode)
     counts = count(corpus)
     C, L = counts.num_classes, counts.vocab_size
     block = max(1, POSTERIOR_BLOCK_ENTRIES // (C * L))
+    one_hot = np.zeros((C, 2))
+    one_hot[-1] = 1.0
+    one_class = _dispersion(one_hot, metric, passivated)[0]
+    # 0/1 per class and object: its products count classes exactly
+    seen = (counts.presence > 0).astype(np.float64)
     omega = np.empty((L, L))
     for start in range(0, L, block):
         stop = min(start + block, L)
-        # never one column wide: numpy sums a (C, 1, 1) posterior pairwise,
-        # not class by class, which would change the bytes
-        first = min(start, max(L - 2, 0))
-        post = class_posterior(counts, mode, slice(start, stop), slice(first, L))
-        theta = omega[start:stop, first:]
-        if metric is DispersionMetric.RANGE:
-            np.subtract(post[-1], post[0], out=theta)
+        if mode is CooccurrenceMode.NON_INDEPENDENT:
+            classes = np.count_nonzero(counts.pair_presence[:, start:stop, start:], axis=0)
         else:
-            post -= post.mean(axis=0)
-            np.square(post, out=post)
-            np.mean(post, axis=0, out=theta)
-            np.sqrt(theta, out=theta)
-            if metric is DispersionMetric.COEFF_VAR:
-                theta *= C
-        if passivated:
-            np.sqrt(theta, out=theta)
-        omega[start:stop, :first] = omega[:first, start:stop].T
+            classes = seen[:, start:stop].T @ seen[:, start:]
+        theta = omega[start:stop, start:]
+        theta[...] = np.where(classes == 1, one_class, 0.0)
+        i, j = np.nonzero(classes >= 2)
+        if i.size:
+            # never one pair wide: numpy sums a (C, 1) posterior pairwise,
+            # not class by class, which would change the bytes
+            reps = 2 if i.size == 1 else 1
+            post = class_posterior(counts, mode, np.repeat(i, reps) + start, np.repeat(j, reps) + start)
+            theta[i, j] = _dispersion(post, metric, passivated)[: i.size]
+        omega[start:stop, :start] = omega[:start, start:stop].T
     return Prototype(L, omega, mode, metric, passivated, C)
 
 

@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -243,3 +244,43 @@ def test_prototype_bytes_do_not_depend_on_the_block_size(corpus):
                 one_row = omega_in_blocks_of(1, corpus, mode, metric, passivated)
                 whole = omega_in_blocks_of(corpus.vocab_size, corpus, mode, metric, passivated)
                 assert one_row.tobytes() == whole.tobytes()
+
+
+@st.composite
+def many_class_corpora(draw):
+    """1-12 classes over 1-10 objects, 1-3 instances per class, any presence sets.
+
+    From C = 8 numpy sums a single column pairwise, not class by class.
+    """
+    C = draw(st.integers(min_value=1, max_value=12))
+    L = draw(st.integers(min_value=1, max_value=10))
+    objects = st.sets(st.integers(min_value=0, max_value=L - 1), min_size=1)
+    groups = [
+        (scene, draw(objects))
+        for scene in range(C)
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    return presence_corpus(C, L, groups)
+
+
+@given(many_class_corpora(), st.data())
+@settings(max_examples=12, deadline=None)
+def test_prototype_matches_the_oracle_at_any_block_size_and_scene_order(corpus, data):
+    C, L = corpus.num_classes, corpus.vocab_size
+    entries = data.draw(st.integers(min_value=1, max_value=C * L * L), label="POSTERIOR_BLOCK_ENTRIES")
+    perm = data.draw(st.permutations(range(C)), label="scene ids")
+    relabeled = cp.Corpus(
+        C, L, tuple(cp.Instance(perm[inst.scene_id], inst.label_map) for inst in corpus.instances)
+    )
+    for mode in pt.CooccurrenceMode:
+        for metric in pt.DispersionMetric:
+            for passivated in (True, False):
+                whole = pt.build_prototype(corpus, mode, metric, passivated).omega
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(pt, "POSTERIOR_BLOCK_ENTRIES", entries)
+                    blocked = pt.build_prototype(corpus, mode, metric, passivated).omega
+                assert blocked.tobytes() == whole.tobytes()
+                scenes = pt.build_prototype(relabeled, mode, metric, passivated).omega
+                assert scenes.tobytes() == whole.tobytes()
+                naive = oracle.naive_prototype(corpus, mode, metric, passivated).omega
+                assert np.abs(whole - naive).max() <= 1e-12

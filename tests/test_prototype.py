@@ -290,7 +290,11 @@ class TestBuildPrototype:
 
 
 def omega_in_blocks_of(rows, corpus, mode, metric, passivated):
-    """``build_prototype``'s omega with the posterior built ``rows`` prototype rows at a time."""
+    """``build_prototype``'s omega built ``rows`` prototype rows at a time.
+
+    Each block counts the classes with evidence for its pairs and gathers
+    the posterior of only those seen in two or more classes.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pt, "POSTERIOR_BLOCK_ENTRIES", rows * corpus.num_classes * corpus.vocab_size)
         return pt.build_prototype(corpus, mode, metric, passivated).omega
@@ -305,8 +309,32 @@ BLOCK_CORPUS_GROUPS = [
 ]
 
 
+# per class, the object sets of its instances: object 0 only in class 0,
+# 1 and 2 spread unevenly over all 9, and object 3 nowhere.  Picked so that
+# the (2, 2) posterior's sums take other bytes pairwise than class by class
+# in both modes, for every metric
+EDGE_CLASSES = 9
+EDGE_CORPUS_GROUPS = [
+    (scene, present)
+    for scene, instances in enumerate((
+        ({0, 2}, {1, 2}, {1, 2}, {2}),
+        ({1, 2}, {1, 2}, {2}, {2}, {1}),
+        ({1, 2}, {1}),
+        ({2}, {1, 2}, {1, 2}, {1, 2}, {1}),
+        ({1, 2}, {1}),
+        ({1}, {2}, {2}, {1, 2}),
+        ({2}, {1, 2}, {1}, {2}, {2}, {2}),
+        ({1}, {2}, {2}, {1}, {1}),
+        ({1, 2}, {1}),
+    ))
+    for present in instances
+]
+
+
 class TestBlocks:
-    """The posterior is built one block of prototype rows at a time."""
+    """The prototype is built one block of rows at a time: each block counts
+    the classes with evidence for its pairs, and gathers into one posterior
+    only the pairs seen in two or more classes."""
 
     @pytest.mark.parametrize("passivated", [True, False])
     @pytest.mark.parametrize("metric", list(Metric))
@@ -319,6 +347,35 @@ class TestBlocks:
         for rows in (1, 2):
             assert omega_in_blocks_of(rows, corpus, mode, metric, passivated).tobytes() == whole.tobytes()
         assert pt.build_prototype(corpus, mode, metric, passivated).omega.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("passivated", [True, False])
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_block_with_one_multi_class_pair_keeps_the_bytes(self, mode, metric, passivated):
+        # C = 9 classes, where numpy sums a (C, 1) posterior pairwise; in
+        # blocks of 2 rows the second block, rows 2 and 3, holds one pair
+        # seen in two or more classes, (2, 2), beside pairs with no evidence
+        corpus = presence_corpus(EDGE_CLASSES, 4, EDGE_CORPUS_GROUPS)
+        whole = omega_in_blocks_of(4, corpus, mode, metric, passivated)
+        counts = pt.count(corpus)
+        multi = (counts.pair_presence > 0).sum(axis=0) >= 2
+        assert multi[1, 1] and multi[1, 2] and multi[2, 2]
+        assert not multi[2:, 3].any() and not whole[3].any()
+        assert omega_in_blocks_of(2, corpus, mode, metric, passivated).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("metric", [Metric.STD_DEV, Metric.COEFF_VAR])
+    def test_one_object_has_the_bytes_of_the_same_pair_among_more(self, metric):
+        # an object in every instance has a uniform posterior whose spread
+        # numpy sums to 0 pairwise and to about 3e-17 class by class; a
+        # one-object prototype holds a single pair and must sum it as
+        # every wider block does
+        one = presence_corpus(EDGE_CLASSES, 1, [(scene, {0}) for scene in range(EDGE_CLASSES)])
+        two = presence_corpus(EDGE_CLASSES, 2, [(scene, {0, 1}) for scene in range(EDGE_CLASSES)])
+        for mode in Mode:
+            single = pt.build_prototype(one, mode, metric, False).omega
+            pairs = pt.build_prototype(two, mode, metric, False).omega
+            assert pairs[0, 0] > 0.0
+            assert pairs.tobytes() == np.full((2, 2), single[0, 0]).tobytes()
 
     def test_only_nonindependent_builds_hold_a_pair_array(self):
         # each C x L x L array is 10.2 MB: NON_INDEPENDENT holds the pair
@@ -397,12 +454,18 @@ def test_prototype_file_round_trip(tmp_path, toy):
 
 
 def test_sqrt_cv_maximum_matches_one_hot_analytic():
-    # a pair unique to one class out of C yields ((C-1)^0.5)^0.5 exactly
-    for C in (2, 3, 5):
-        groups = [(0, {0, 1})] + [(c, {1}) for c in range(1, C)]
-        corpus = presence_corpus(C, 2, groups)
-        proto = pt.build_prototype(corpus, Mode.NON_INDEPENDENT)
-        assert math.isclose(proto.omega[0, 0], (C - 1) ** 0.25, rel_tol=0, abs_tol=1e-12)
+    # a pair unique to one class out of C yields ((C-1)^0.5)^0.5 exactly;
+    # class c holds object c and the shared object C, so (c, c) and (c, C)
+    # are unique to class c, and two class objects share no class
+    for C in (2, 3, 5, 8, 12, 67):
+        corpus = presence_corpus(C, C + 1, [(c, {c, C}) for c in range(C)])
+        unique = np.zeros((C + 1, C + 1), dtype=bool)
+        unique[np.arange(C), np.arange(C)] = unique[:C, C] = unique[C, :C] = True
+        for mode in Mode:
+            omega = pt.build_prototype(corpus, mode).omega
+            assert math.isclose(omega[0, 0], (C - 1) ** 0.25, rel_tol=0, abs_tol=1e-12)
+            assert np.unique(omega[unique]).size == 1, (C, mode)
+            assert not omega[:C, :C][~np.eye(C, dtype=bool)].any()
 
 
 # sha256 of omega.tobytes() on PINNED_SPEC's train split, recorded before the
@@ -435,6 +498,42 @@ def test_prototype_bytes_are_pinned():
             for key in PINNED_OMEGA_SHA256
         }
         assert got == PINNED_OMEGA_SHA256, rows
+
+
+# sha256 of omega.tobytes() on PAPER_PINNED_SPEC's train split, the paper's
+# C = 67 and L = 150, recorded before a posterior was built only for pairs
+# seen in two or more classes.  Of its 11 325 upper-triangle pairs 8 844
+# have no evidence, 2 345 are seen in one class and 136 in all 67 at one
+# rate, so both modes agree and every range is 0 or 1.
+PAPER_PINNED_SPEC = SyntheticSpec(num_classes=67, vocab_size=150, grid_cells=14, channels=1, train_per_class=3)
+_PAPER_RANGE = "3f48891cc89a4f742468190a228b3179e72961ecd7711dceecb49f7e7ad9b8cf"
+_PAPER_STD_DEV = {
+    True: "b80294d480451ab58aa8516e3488226b8fd402c5e24842b8e1f8cc239f163dcc",
+    False: "5e91c66ad38f73ec4e3c808959a7e03d68e637f21606ac585a78a57b0a9b4f7f",
+}
+_PAPER_COEFF_VAR = {
+    True: "3afa7f72033c73e3eca963c31b2e89f7918e7503f912d2214a30e8e069845b32",
+    False: "f085d89d35f5e4076c8ed1d6e17fef52ff927641977c7b9f714c39e1d8d8dc1a",
+}
+PAPER_PINNED_OMEGA_SHA256 = {
+    (mode, metric, passivated): {
+        Metric.RANGE: _PAPER_RANGE,
+        Metric.STD_DEV: _PAPER_STD_DEV[passivated],
+        Metric.COEFF_VAR: _PAPER_COEFF_VAR[passivated],
+    }[metric]
+    for mode in Mode
+    for metric in Metric
+    for passivated in (True, False)
+}
+
+
+def test_paper_shaped_prototype_bytes_are_pinned():
+    train_corpus, _ = generate_synthetic_corpus(PAPER_PINNED_SPEC)
+    got = {
+        key: hashlib.sha256(pt.build_prototype(train_corpus, *key).omega.tobytes()).hexdigest()
+        for key in PAPER_PINNED_OMEGA_SHA256
+    }
+    assert got == PAPER_PINNED_OMEGA_SHA256
 
 
 def _omega_with(i, j, value):
