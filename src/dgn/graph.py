@@ -8,9 +8,12 @@ row-stochastic adjacency matrix.
 ``build_graph`` returns that adjacency in label space, as a
 :class:`LabelAdjacency` over the k <= min(n, L) object ids present: a
 graph-layer product with a c x d weight costs O(nkd + k^2 d) time and
-O(nd + k^2) memory instead of O(n^2 d) and O(n^2), and O(kcd + k^2 d) plus
-an O(nd) gather once the graph holds its label sums ``P^T V``.  The dense
-n x n affinity and adjacency are built only on request, through
+O(nd + kn) memory instead of O(n^2 d) and O(n^2), and O(kcd + k^2 d) plus
+an O(nd) gather once the graph holds its label sums ``P^T V``.  Between
+products a graph holds O(n) indices and O(k^2 + kc) floats; the k x n
+one-hot ``P^T`` that its products multiply by is written into a
+:class:`OneHotBuffer`, one k_max x n array that the graphs of a run share.
+The dense n x n affinity and adjacency are built only on request, through
 ``extract_local_knowledge`` and ``row_normalize``, which
 :meth:`LabelAdjacency.dense` chains.
 """
@@ -25,6 +28,38 @@ import numpy as np
 from .corpus import FeatureMap, LabelMap
 from .errors import ValidationError
 from .prototype import Prototype
+
+
+class OneHotBuffer:
+    """One float64 array that the graphs sharing it write their one-hot ``P^T`` into.
+
+    :meth:`one_hot` returns a graph's k x n ``P^T`` as the first k rows of
+    the array, a C-contiguous view, so a product reads the same 0/1 operand
+    as from an array of its own.  The array grows to the largest k it is
+    asked for, and is rewritten only when another graph's one-hot is asked
+    for.  The view is valid until the next call: graphs that share a buffer
+    must not run products concurrently.
+    """
+
+    def __init__(self) -> None:
+        self._array = np.empty((0, 0))
+        # the label indices and k of the one-hot the array holds: the indices,
+        # not their graph, so a graph and its buffer form no reference cycle
+        self._inverse: np.ndarray | None = None
+        self._k = 0
+
+    def one_hot(self, inverse: np.ndarray, k: int) -> np.ndarray:
+        """(k, n): row l is 1 at the nodes whose label index in ``inverse`` is l."""
+        n = inverse.size
+        if self._array.shape[0] < k or self._array.shape[1] != n:
+            self._array = np.empty((k, n))
+            self._inverse = None
+        out = self._array[:k]
+        if self._inverse is not inverse or self._k != k:
+            out.fill(0.0)
+            out[inverse, np.arange(n)] = 1.0
+            self._inverse, self._k = inverse, k
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +81,10 @@ class LabelAdjacency:
     ``(mix^T P^T y)[inverse]`` (:meth:`adjoint_rows`).  The graph is not an
     array: ``A @ V`` and ``A + 1`` raise, and :meth:`dense` is the one way
     to the n x n matrix.
+
+    The graphs of a training or evaluation run share one :attr:`buffer`, so
+    a cached graph holds its indices, ``mix`` and label sums but no k x n
+    array; graphs that share a buffer must not run products concurrently.
     """
 
     semantics: np.ndarray  # (n,) object id per node
@@ -53,6 +92,7 @@ class LabelAdjacency:
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
     mix: np.ndarray  # (k, k) row-normalized prototype block of the present ids
     features: np.ndarray  # (n, c) node features V, a float32 view of the feature map
+    buffer: OneHotBuffer  # where every product writes the graph's one-hot P^T
 
     @property
     def holds_label_sums(self) -> bool:
@@ -65,16 +105,14 @@ class LabelAdjacency:
         n, c = self.features.shape
         return c < n
 
-    @functools.cached_property
     def _one_hot(self) -> np.ndarray:
-        """The k x n one-hot ``P^T`` of node labels, computed at the graph's first product."""
-        k = self.mix.shape[0]
-        return (self.inverse == np.arange(k)[:, None]).astype(np.float64)
+        """The k x n one-hot ``P^T`` of node labels, a view of :attr:`buffer` until its next write."""
+        return self.buffer.one_hot(self.inverse, self.mix.shape[0])
 
     @functools.cached_property
     def _label_sums(self) -> np.ndarray:
         """The k x c label sums ``S_V = P^T V``, read only when :attr:`holds_label_sums`."""
-        return self._one_hot @ self.features
+        return self._one_hot() @ self.features
 
     def check_features(self, features: np.ndarray) -> None:
         """Refuse node features other than the ones the graph was built over.
@@ -99,13 +137,13 @@ class LabelAdjacency:
         ``S_V W`` when the graph holds ``S_V``, else ``P^T product``.
         """
         if not self.holds_label_sums:
-            return self.mix @ (self._one_hot @ product)
+            return self.mix @ (self._one_hot() @ product)
         sums = self._label_sums
         return self.mix @ (sums if weight is None else sums @ weight)
 
     def adjoint_rows(self, y: np.ndarray) -> np.ndarray:
         """(k, d): ``mix^T P^T y``, row l of ``A^T y`` at every node of label l."""
-        return self.mix.T @ (self._one_hot @ y)
+        return self.mix.T @ (self._one_hot() @ y)
 
     def feature_adjoint(self, y: np.ndarray) -> np.ndarray:
         """``V^T A^T y`` = ``S_V^T mix^T P^T y``, (c, d), for a graph that holds ``S_V``."""
@@ -167,11 +205,17 @@ def row_normalize(affinity: np.ndarray) -> np.ndarray:
 
 
 def build_graph(
-    feature_map: FeatureMap, resized_labels: LabelMap, prototype: Prototype
+    feature_map: FeatureMap,
+    resized_labels: LabelMap,
+    prototype: Prototype,
+    *,
+    buffer: OneHotBuffer | None = None,
 ) -> LabelAdjacency:
     """The adjacency of the graph over the pixels of ``feature_map``.
 
-    Refuses a prototype whose label weights ``omega_k cnt`` overflow.
+    Its products write its one-hot into ``buffer``, shared with the other
+    graphs given it, or into a buffer of its own by default.  Refuses a
+    prototype whose label weights ``omega_k cnt`` overflow.
     """
     features, semantics = flatten(feature_map, resized_labels)
     sem = _checked_ids(semantics, prototype)
@@ -186,4 +230,4 @@ def build_graph(
     zero = weights == 0
     mix /= np.where(zero, 1.0, weights)[:, None]
     mix[zero] = 1.0 / sem.size
-    return LabelAdjacency(sem, prototype, inverse, mix, features)
+    return LabelAdjacency(sem, prototype, inverse, mix, features, buffer or OneHotBuffer())

@@ -23,7 +23,7 @@ import numpy as np
 from . import fileio
 from .corpus import Corpus, nn_resize
 from .errors import ValidationError
-from .graph import LabelAdjacency, build_graph
+from .graph import LabelAdjacency, OneHotBuffer, build_graph
 from .nn import (
     AdamState,
     ClassifierParams,
@@ -249,10 +249,17 @@ def forward_parts(
 def _prepared_inputs(
     corpus: Corpus, prototype: Prototype | None, needs_graph: bool
 ) -> list[tuple[np.ndarray, LabelAdjacency | None, int]]:
+    """(node features, graph or None, scene id) per instance.
+
+    The graphs share one one-hot buffer, which grows to the largest k of
+    the corpus, so a cached graph holds no k x n array; the training and
+    evaluation loops run their products one at a time.
+    """
     shape = corpus.feature_shape
     if shape is None:
         raise ValidationError("corpus carries no feature maps")
     h1, w1, c = shape
+    buffer = OneHotBuffer()
     out = []
     for inst in corpus.instances:
         if inst.feature_map is None:
@@ -261,7 +268,7 @@ def _prepared_inputs(
         adjacency = None
         if needs_graph:
             resized = nn_resize(inst.label_map, w1, h1)
-            adjacency = build_graph(inst.feature_map, resized, prototype)
+            adjacency = build_graph(inst.feature_map, resized, prototype, buffer=buffer)
         out.append((features, adjacency, inst.scene_id))
     return out
 

@@ -150,8 +150,17 @@ def hidden_weight(v, seed):
 
 
 def adjacency_arrays(a):
-    held = [a._one_hot, a._label_sums] if a.holds_label_sums else [a._one_hot]
+    """The arrays a graph holds between products; its one-hot is in the buffer it shares."""
+    held = [a._label_sums] if a.holds_label_sums else []
     return [a.semantics, a.inverse, a.mix, a.features, *held, a.prototype.omega]
+
+
+def written_one_hot(a):
+    """The buffer view a product multiplies by, checked to hold the graph's ``P^T``."""
+    one_hot = a._one_hot()
+    assert one_hot.flags.c_contiguous
+    assert one_hot.tobytes() == expr_one_hot(a).tobytes()
+    return one_hot
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +211,9 @@ class TestNoAliasing:
         for f, s in zip(first, second):
             assert f.tobytes() == s.tobytes()
             assert not np.shares_memory(f, s)
+        one_hot = written_one_hot(a)
         for r in first + second + propagated:
-            assert not any(np.shares_memory(r, x) for x in inputs)
+            assert not any(np.shares_memory(r, x) for x in [*inputs, one_hot])
 
     def test_backward(self, name):
         v, a = graph_case(name, 4)
@@ -215,8 +225,9 @@ class TestNoAliasing:
             grads = list(nn.backward(record, 1))
             for x, b in zip(inputs, before):
                 assert x.tobytes() == b.tobytes()
+            one_hot = written_one_hot(a)
             for g in grads:
-                assert not any(np.shares_memory(g, x) for x in inputs)
+                assert not any(np.shares_memory(g, x) for x in [*inputs, one_hot])
 
 
 def test_propagation_refuses_features_that_are_not_a_matrix():
@@ -290,7 +301,7 @@ def test_label_space_layer_matches_the_dense_path_and_the_oracle(name, seed):
 @pytest.mark.parametrize("name", CASES)
 def test_held_label_sums_are_the_one_hot_times_the_features(name):
     v, a = graph_case(name, 5)
-    one_hot = a._one_hot
+    one_hot = written_one_hot(a)
     np.testing.assert_array_equal(one_hot.sum(axis=0), 1.0)
     assert np.shares_memory(a.features, v)
     # label sums pay off only with fewer channels than nodes

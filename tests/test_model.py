@@ -13,7 +13,7 @@ from dgn.errors import ValidationError
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
 from tests.test_acceptance import _gradcheck_relative_error
-from tests.test_oracle import factored_graph, zero_affinity_rows
+from tests.test_oracle import factored_graph, graph_over, zero_affinity_rows
 
 
 def small_corpus(noise=3.0, seed=304, classes=3, per_class=30):
@@ -350,17 +350,80 @@ def test_eval_only_pooling_computes_no_label_sums(trained_setup, tmp_path, monke
     config = TrainConfig(epochs=1, seed=304)
     md.save_model(md.train(train_corpus, None, config, AblationMode.BASELINE)[0], tmp_path / "b.dgnm")
     baseline = md.load_model(tmp_path / "b.dgnm")
-    graphs = []
+    graphs, written = [], []
 
-    def recorded(*args):
-        graphs.append(gr.build_graph(*args))
+    def recorded(*args, **kwargs):
+        graphs.append(gr.build_graph(*args, **kwargs))
         return graphs[-1]
 
+    def one_hot(buffer, inverse, k):
+        written.append(inverse)
+        return one_hot_of(buffer, inverse, k)
+
+    one_hot_of = gr.OneHotBuffer.one_hot
     monkeypatch.setattr(md, "build_graph", recorded)
+    monkeypatch.setattr(gr.OneHotBuffer, "one_hot", one_hot)
     md.evaluate(baseline, test_corpus, proto, AblationMode.EVAL_ONLY_IODP)
     assert len(graphs) == len(test_corpus.instances)
     assert all(a.holds_label_sums for a in graphs)
-    assert all("_one_hot" in vars(a) and "_label_sums" not in vars(a) for a in graphs)
+    # every graph's pooling read its one-hot once, and no graph its sums
+    assert [id(i) for i in written] == [id(a.inverse) for a in graphs]
+    assert all("_label_sums" not in vars(a) for a in graphs)
+
+
+def test_cached_graphs_hold_no_node_sized_one_hot(trained_setup, monkeypatch):
+    # a cached graph holds O(n) indices and O(k^2 + kc) floats: the k x n
+    # one-hot P^T its products read is written into one buffer that every
+    # graph of the run shares
+    train_corpus, _, proto = trained_setup
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs[-1].append(gr.build_graph(*args, **kwargs))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(md, "build_graph", recorded)
+    for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
+        runs.append([])
+        md.train(train_corpus, proto, TrainConfig(epochs=1, seed=304), mode)
+    for graphs in runs:
+        assert len(graphs) == len(train_corpus.instances)
+        for a in graphs:
+            k, n = a.mix.shape[0], a.inverse.size
+            assert k < n
+            held = [x for x in vars(a).values() if isinstance(x, np.ndarray)]
+            assert not any(x.dtype == np.float64 and x.size == k * n for x in held)
+        # training grew the buffer to the largest k: no graph moves it again
+        one_hots = [a._one_hot() for a in graphs]
+        assert all(np.shares_memory(one_hot, one_hots[-1]) for one_hot in one_hots)
+
+
+def layer_bytes(model, v, a):
+    """The bytes of a forward, its gradients and an eval-only pooling on one graph."""
+    _, _, record = md.forward_parts(model, v, a)
+    out = [record.hidden, *nn.backward(record, 1), nn.propagate_adjoint(a, record.hidden)]
+    return [x.tobytes() for x in out]
+
+
+@pytest.mark.parametrize("channels", [3, 16])  # over 12 nodes: label sums held or not
+def test_graphs_sharing_a_buffer_give_the_bytes_of_graphs_built_alone(channels):
+    rng = np.random.default_rng(2121)
+    omega = rng.random((6, 6))
+    omega = (omega + omega.T) / 2
+    # k = 3, then two maps of k = 6, the first of which grows the shared buffer
+    label_maps = [rng.permutation(np.arange(12) % 3).reshape(3, 4)]
+    label_maps += [rng.permutation(np.arange(12) % 6).reshape(3, 4) for _ in range(2)]
+    values = [rng.standard_normal((3, 4, channels)) for _ in label_maps]
+    alone = [graph_over(x, labels, omega) for x, labels in zip(values, label_maps)]
+    buffer = gr.OneHotBuffer()
+    shared = [graph_over(x, labels, omega, buffer=buffer) for x, labels in zip(values, label_maps)]
+    assert [a.mix.shape[0] for _, a in shared] == [3, 6, 6]
+    assert all(a.holds_label_sums == (channels == 3) for _, a in shared)
+    model = md.DgnModel.assemble(
+        AblationMode.FULL, channels, 4, 3, 0.5, lambda shape: rng.standard_normal(shape)
+    )
+    for i in (0, 1, 0, 0, 1, 2, 1):
+        assert layer_bytes(model, *shared[i]) == layer_bytes(model, *alone[i]), i
 
 
 def test_gradients_through_a_zero_weight_label_match_finite_differences():

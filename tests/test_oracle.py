@@ -66,13 +66,16 @@ class TestNaivePropagate:
             oracle.naive_propagate(np.eye(3), np.ones((2, 2)))
 
 
-def graph_over(values, labels, omega):
-    """(node features, label-space adjacency) of the feature map ``values`` over ``labels``."""
+def graph_over(values, labels, omega, buffer=None):
+    """(node features, label-space adjacency) of the feature map ``values`` over ``labels``.
+
+    The graph writes its one-hot into ``buffer``, or into a buffer of its own.
+    """
     proto = Prototype(
         omega.shape[0], omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
     )
     features = FeatureMap(values)
-    adjacency = build_graph(features, LabelMap(labels, omega.shape[0]), proto)
+    adjacency = build_graph(features, LabelMap(labels, omega.shape[0]), proto, buffer=buffer)
     return features.values.reshape(-1, features.channels), adjacency
 
 
