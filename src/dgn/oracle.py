@@ -2,7 +2,7 @@
 
 These share only the domain types with the modules they verify: counting is
 a pixel scan into Python sets, statistics are scalar loops, propagation is a
-scalar triple loop, gradients come from central finite differences,
+scalar triple loop, gradients come from five-point central differences,
 training is those gradients fed to a scalar-loop AdamW, and evaluation is
 the scalar-loop forward over the dense adjacency.  They are deliberately
 unoptimized.
@@ -22,8 +22,9 @@ from .model import DECAY_FACTOR, AblationMode, TrainConfig
 from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from .prototype import CooccurrenceMode, DispersionMetric, Prototype
 
-# central-difference step of fd_gradient
-FD_STEP = 1e-6
+# step of fd_gradient's five-point stencil: near eps ** (1/5), where its
+# h^4 truncation error and its eps / h rounding error balance (~1e-13)
+FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -119,21 +120,28 @@ def fd_gradient(
     loss_fn: Callable[[list[np.ndarray]], float],
     params: Sequence[np.ndarray],
 ) -> list[np.ndarray]:
-    """Central-difference gradient of ``loss_fn`` per parameter coordinate, step ``FD_STEP``."""
+    """Five-point central-difference gradient of ``loss_fn`` per parameter coordinate.
+
+    ``(8 (f(+h) - f(-h)) - (f(+2h) - f(-2h))) / 12h`` with ``h = FD_STEP``:
+    its error is about 1e-13 on the oracle's losses, where the rounding error
+    of the plain ``(f(+h) - f(-h)) / 2h`` at ``h = 1e-6`` is about 1e-10.  AdamW divides each
+    gradient entry by its own running scale, so an entry near ``ADAM_EPS``
+    passes that error on to the step almost undamped.
+    """
     grads = []
     for idx, p in enumerate(params):
         grad = np.zeros_like(p, dtype=np.float64)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
             where = it.multi_index
-            plus = [q.copy() for q in params]
-            plus[idx][where] += FD_STEP
-            minus = [q.copy() for q in params]
-            minus[idx][where] -= FD_STEP
-            f_plus, f_minus = loss_fn(plus), loss_fn(minus)
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise FloatingPointError("loss is not finite at perturbed parameters")
-            grad[where] = (f_plus - f_minus) / (2.0 * FD_STEP)
+            f = {}
+            for shift in (-2, -1, 1, 2):
+                trial = [q.copy() for q in params]
+                trial[idx][where] += shift * FD_STEP
+                f[shift] = loss_fn(trial)
+                if not math.isfinite(f[shift]):
+                    raise FloatingPointError("loss is not finite at perturbed parameters")
+            grad[where] = (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * FD_STEP)
         grads.append(grad)
     return grads
 

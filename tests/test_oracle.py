@@ -469,8 +469,8 @@ def test_train_matches_the_training_oracle_on_random_shapes(case):
     trained, _ = md.train(corpus, proto, config, case.mode)
     expected = oracle.naive_train(dense_instances(corpus, proto), initial, config, case.mode)
     # relative to each block's largest entry: Adam divides each gradient entry
-    # by its own running scale, so the oracle's finite-difference noise (about
-    # 1e-10) on an entry near 0 can move a parameter that ends near 0 by 1e-9
+    # by its own running scale, so the oracle's finite-difference error (about
+    # 1e-13) on an entry near ADAM_EPS reaches the step almost undamped
     for a, e in zip(trained.blocks(), expected):
         assert oracle.compare(a, e).max_abs_deviation <= 1e-6 * np.abs(e).max()
     for eval_mode in md._EVAL_MODES[case.mode]:
