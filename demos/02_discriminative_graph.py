@@ -8,9 +8,11 @@ averages each node with its relation-weighted neighborhood: nodes of inert
 class evidence and averages noise away.
 
 ``build_graph`` returns the adjacency in label space (one prototype block over
-the object ids present); its ``dense()`` builds the n x n matrix to look at
-and to check against the scalar-loop oracle, and ``extract_local_knowledge``
-the raw affinity.
+the object ids present), holding the node features it propagates.
+``extract_local_knowledge`` gathers the raw n x n affinity from the node ids,
+and ``row_normalize`` turns it into the dense adjacency, built here to look at
+and to check against the scalar-loop oracle.  The demo exits 1 if a check
+fails.
 """
 
 import numpy as np
@@ -19,6 +21,12 @@ import dgn
 from dgn import nn, oracle
 
 rng = np.random.default_rng(0)
+
+
+def check(claim, holds):
+    print(f"{claim}: {holds}")
+    assert holds, claim
+
 
 spec = dgn.SyntheticSpec(
     num_classes=3, vocab_size=10, grid_cells=5, train_per_class=40,
@@ -30,30 +38,30 @@ proto = dgn.build_prototype(train, dgn.CooccurrenceMode.INDEPENDENT)
 inst = train.instances[0]
 cells = dgn.nn_resize(inst.label_map, spec.grid_cells, spec.grid_cells)
 adjacency = dgn.build_graph(inst.feature_map, cells, proto)
-# node i is pixel (i mod width, i div width), of the features as of the labels
-features = inst.feature_map.values.reshape(-1, spec.channels)
+# node i is pixel (i mod width, i div width), of the features as of the labels;
+# the graph holds the features and propagates them
+features, semantics = dgn.graph.flatten(inst.feature_map, cells)
 
 n = features.shape[0]
 print(f"instance of class {inst.scene_id}: {n} nodes, vocab {spec.vocab_size}")
-print("node object ids:", adjacency.semantics.reshape(spec.grid_cells, spec.grid_cells))
+print("node object ids:", semantics.reshape(spec.grid_cells, spec.grid_cells))
 
-disc = adjacency.semantics < dgn.corpus.DISC_PER_CLASS * spec.num_classes
+disc = semantics < dgn.corpus.DISC_PER_CLASS * spec.num_classes
 print(f"\n{disc.sum()} discriminative nodes, {n - disc.sum()} common nodes")
 print("affinity row of a common node (attention concentrates on the",
       "discriminative columns):")
-common_row = dgn.extract_local_knowledge(adjacency.semantics, proto)[np.flatnonzero(~disc)[0]]
-print(np.round(common_row, 2).reshape(spec.grid_cells, spec.grid_cells))
-dense = adjacency.dense()
+affinity = dgn.extract_local_knowledge(semantics, proto)
+print(np.round(affinity[np.flatnonzero(~disc)[0]], 2).reshape(spec.grid_cells, spec.grid_cells))
+dense = dgn.row_normalize(affinity)
 k = adjacency.mix.shape[0]
 print(f"label-space block mix {k}x{k} (A = P mix P^T),",
       f"dense adjacency {dense.shape[0]}x{dense.shape[1]}")
-print("every adjacency row sums to one:", np.allclose(dense.sum(axis=1), 1.0))
-print("label-space propagation equals the scalar loop over the dense adjacency:",
-      np.allclose(nn.propagate(adjacency, features),
-                  oracle.naive_propagate(dense, features), atol=1e-12, rtol=0))
+check("every adjacency row sums to one", np.allclose(dense.sum(axis=1), 1.0))
+mixed = nn.propagate(adjacency)
+check("label-space propagation equals the scalar loop over the dense adjacency",
+      np.allclose(mixed, oracle.naive_propagate(dense, features), atol=1e-12, rtol=0))
 
 # propagation pulls class signal into the common nodes
-mixed = nn.propagate(adjacency, features)
 signal_channels = np.arange(inst.scene_id * 3, inst.scene_id * 3 + 3)
 
 before = features[~disc][:, signal_channels].mean()
@@ -71,16 +79,16 @@ print("pooled class-channel response:",
 # so a trained model propagates V W and never keeps the propagated V; the
 # label-space adjacency mixes V W from the label sums P^T V it holds
 w = rng.standard_normal((spec.channels, 4))
-print("\nweight-first layer equals propagate-first:",
-      np.allclose(nn.propagate(adjacency, features, w), mixed @ w,
-                  atol=1e-12, rtol=0))
+print()
+check("weight-first layer equals propagate-first",
+      np.allclose(nn.propagate(adjacency, w), mixed @ w, atol=1e-12, rtol=0))
 # the plug-and-play mode pools through the adjoint: gap(M V) = (M^T 1/n)^T V
 weights = nn.propagate_adjoint(adjacency, np.full((n, 1), 1.0 / n))[:, 0]
-print("pooling through the adjoint equals pooling the propagation:",
+check("pooling through the adjoint equals pooling the propagation",
       np.allclose(weights @ features, pooled_after, atol=1e-12, rtol=0))
 
-# forward_parts takes the adjacency itself; a train-eval-iodp model's hidden layer
+# forward_parts takes the graph alone; a train-eval-iodp model's hidden layer
 model = dgn.init_model(dgn.AblationMode.TRAIN_EVAL_IODP, spec.channels, spec.num_classes,
                        dgn.TrainConfig(hidden_dim=4))
-logits, _, record = dgn.model.forward_parts(model, features, adjacency)
+logits, _, record = dgn.model.forward_parts(model, adjacency)
 print("hidden layer", record.hidden.shape, "logits", np.round(logits, 3))

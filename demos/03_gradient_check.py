@@ -18,10 +18,9 @@ degree 2, and a label that relates to nothing has the uniform row of
 
 Every gradient below is hand-derived; the finite-difference oracle knows
 nothing about the chain rule, it only evaluates the loss at perturbed
-parameters.  The demo exits 1 if any deviation passes 1e-6.
+parameters.  The demo exits 1 if any deviation passes 1e-6, or if the
+auxiliary gradients at ``lam = 0`` are not exactly zero.
 """
-
-import sys
 
 import numpy as np
 
@@ -42,16 +41,15 @@ proto = dgn.Prototype(3, omega, dgn.CooccurrenceMode.INDEPENDENT, dgn.Dispersion
 
 
 def graph_over(labels):
-    """The node features of a random feature map and its graph over ``labels``."""
+    """The graph over ``labels`` of a random feature map; it holds the node features."""
     feature_map = dgn.FeatureMap(rng.standard_normal((*labels.shape, c)))
-    graph = dgn.build_graph(feature_map, dgn.LabelMap(labels, 3), proto)
-    return feature_map.values.reshape(labels.size, c), graph
+    return dgn.build_graph(feature_map, dgn.LabelMap(labels, 3), proto)
 
 
 # a 2x3 map holds the label sums of its 3 channels; a 1x3 map is as wide as
 # its channels and holds none
-held_features, held = graph_over(np.array([[0, 1, 2], [1, 0, 0]]))
-wide_features, wide = graph_over(np.array([[0, 1, 1]]))
+held = graph_over(np.array([[0, 1, 2], [1, 0, 0]]))
+wide = graph_over(np.array([[0, 1, 1]]))
 assert held.holds_label_sums and not wide.holds_label_sums
 
 params = [
@@ -73,17 +71,17 @@ def model_of(p):
 
 
 worst = 0.0
-for title, features, adjacency in (
-    ("6 nodes, one zero-weight label, label sums held", held_features, held),
-    ("3 nodes as wide as its channels, no label sums", wide_features, wide),
+for title, adjacency in (
+    ("6 nodes, one zero-weight label, label sums held", held),
+    ("3 nodes as wide as its channels, no label sums", wide),
 ):
 
     def loss_of(p):
-        logits, aux_logits, _ = md.forward_parts(model_of(p), features, adjacency)
+        logits, aux_logits, _ = md.forward_parts(model_of(p), adjacency)
         return md.total_loss(nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam)
 
     print(f"{title}: loss at the starting point {loss_of(params):.6f}")
-    _, _, record = md.forward_parts(model_of(params), features, adjacency)
+    _, _, record = md.forward_parts(model_of(params), adjacency)
     analytic = list(nn.backward(record, target))
     numeric = oracle.fd_gradient(loss_of, params)
     for name, a, f in zip(names, analytic, numeric):
@@ -94,7 +92,7 @@ for title, features, adjacency in (
 print("\nwith lam = 0 the auxiliary path contributes nothing:")
 record.lam = 0.0
 zeroed = nn.backward(record, target)
-print("aux weight gradient is exactly zero:", not zeroed[names.index("aux weight")].any())
-
-if worst > TOLERANCE:
-    sys.exit(f"a gradient deviates by {worst:.3e}, more than {TOLERANCE:g}")
+exactly_zero = not zeroed[names.index("aux weight")].any()
+print("aux weight gradient is exactly zero:", exactly_zero)
+assert exactly_zero, "with lam = 0 the aux weight gradient is not zero"
+assert worst <= TOLERANCE, f"a gradient deviates by {worst:.3e}, more than {TOLERANCE:g}"

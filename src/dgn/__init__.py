@@ -12,7 +12,6 @@ from .corpus import (
     load_feature_map,
     load_label_map,
     nn_resize,
-    object_presence,
     save_corpus,
     save_feature_map,
     save_label_map,
@@ -75,7 +74,6 @@ __all__ = [
     "load_model",
     "load_prototype",
     "nn_resize",
-    "object_presence",
     "row_normalize",
     "save_corpus",
     "save_feature_map",

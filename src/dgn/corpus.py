@@ -283,11 +283,6 @@ def presence_mask(label_map: LabelMap) -> np.ndarray:
     return np.bincount(label_map.labels.ravel(), minlength=label_map.vocab_size) > 0
 
 
-def object_presence(label_map: LabelMap) -> set[int]:
-    """Ids that occur on at least one pixel."""
-    return set(np.flatnonzero(presence_mask(label_map)).tolist())
-
-
 # ---------------------------------------------------------------------------
 # synthetic corpora
 

@@ -6,16 +6,18 @@ feature resolution.  Row normalization turns the gathered weights into a
 row-stochastic adjacency matrix.
 
 ``build_graph`` returns that adjacency in label space, as a
-:class:`LabelAdjacency` over the k <= min(n, L) object ids present: a
-graph-layer product with a c x d weight costs O(nkd + k^2 d) time and
-O(nd + kn) memory instead of O(n^2 d) and O(n^2), and O(kcd + k^2 d) plus
-an O(nd) gather once the graph holds its label sums ``P^T V``.  Between
-products a graph holds O(n) indices and O(k^2 + kc) floats; the k x n
-one-hot ``P^T`` that its products multiply by is written into a
+:class:`LabelAdjacency` over the k <= min(n, L) object ids present and the
+node features ``V``: a graph-layer product with a c x d weight costs
+O(nkd + k^2 d) time and O(nd + kn) memory instead of O(n^2 d) and O(n^2),
+and O(kcd + k^2 d) plus an O(nd) gather once the graph holds its label sums
+``P^T V``.  The graph is the one input of the graph layer
+(``nn.propagate``) and of the graph modes (``model.forward_parts``).
+Between products a graph holds O(n) indices and O(k^2 + kc) floats; the
+k x n one-hot ``P^T`` that its products multiply by is written into a
 :class:`OneHotBuffer`, one k_max x n array that the graphs of a run share.
-The dense n x n affinity and adjacency are built only on request, through
-``extract_local_knowledge`` and ``row_normalize``, which
-:meth:`LabelAdjacency.dense` chains.
+The dense n x n affinity and adjacency are built only on request, by
+``extract_local_knowledge`` and ``row_normalize`` over the node ids, as
+``dgn inspect`` builds them.
 """
 
 from __future__ import annotations
@@ -70,25 +72,23 @@ class LabelAdjacency:
     With ``w`` the label weights ``omega_k cnt``, ``mix[l, m]`` is
     ``omega_k[l, m] / w[l]``; a label whose weight is 0 relates to nothing,
     and its row is ``1/n`` throughout, the uniform row of ``row_normalize``.
-    The graph keeps the node features ``V`` it was built over (a view of the
-    feature map's float32 values, cast to float64 in every product), so the
-    graph layer runs in label space: ``A V W`` is ``(mix P^T V W)[inverse]``
-    (:meth:`label_rows`).  When ``V`` has fewer channels than nodes, the
-    first product that reads them caches the label sums ``S_V = P^T V``
-    (:attr:`holds_label_sums`): ``P^T V W`` is then ``S_V W``, and
-    ``V^T A^T y`` is ``S_V^T mix^T P^T y`` (:meth:`feature_adjoint`).
+    The graph keeps its node features ``V`` (a view of the feature map's
+    float32 values, cast to float64 in every product), so the graph layer
+    takes the graph alone and runs in label space: ``A V W`` is
+    ``(mix P^T V W)[inverse]`` (:meth:`label_rows`).  When ``V`` has fewer
+    channels than nodes, the first product that reads them caches the label
+    sums ``S_V = P^T V`` (:attr:`holds_label_sums`): ``P^T V W`` is then
+    ``S_V W``, and ``V^T A^T y`` is ``S_V^T mix^T P^T y``
+    (:meth:`feature_adjoint`).
     ``A^T y``, which eval-only pooling and the wide backward read, is
     ``(mix^T P^T y)[inverse]`` (:meth:`adjoint_rows`).  The graph is not an
-    array: ``A @ V`` and ``A + 1`` raise, and :meth:`dense` is the one way
-    to the n x n matrix.
+    array: ``A @ V`` and ``A + 1`` raise.
 
     The graphs of a training or evaluation run share one :attr:`buffer`, so
     a cached graph holds its indices, ``mix`` and label sums but no k x n
     array; graphs that share a buffer must not run products concurrently.
     """
 
-    semantics: np.ndarray  # (n,) object id per node
-    prototype: Prototype
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
     mix: np.ndarray  # (k, k) row-normalized prototype block of the present ids
     features: np.ndarray  # (n, c) node features V, a float32 view of the feature map
@@ -114,21 +114,6 @@ class LabelAdjacency:
         """The k x c label sums ``S_V = P^T V``, read only when :attr:`holds_label_sums`."""
         return self._one_hot() @ self.features
 
-    def check_features(self, features: np.ndarray) -> None:
-        """Refuse node features other than the ones the graph was built over.
-
-        ``features`` must be the held array itself (same memory, shape,
-        strides and dtype), not a cast or a copy of it.
-        """
-        own = self.features
-        if not (
-            features.shape == own.shape
-            and features.strides == own.strides
-            and features.dtype == own.dtype
-            and features.__array_interface__["data"][0] == own.__array_interface__["data"][0]
-        ):
-            raise ValidationError("a label-space graph propagates only the features it was built over")
-
     def label_rows(self, product: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
         """(k, d): row l is the row of ``A V W`` at every node of label l.
 
@@ -148,10 +133,6 @@ class LabelAdjacency:
     def feature_adjoint(self, y: np.ndarray) -> np.ndarray:
         """``V^T A^T y`` = ``S_V^T mix^T P^T y``, (c, d), for a graph that holds ``S_V``."""
         return self._label_sums.T @ self.adjoint_rows(y)
-
-    def dense(self) -> np.ndarray:
-        """The n x n adjacency, built anew from the prototype rather than from ``mix``."""
-        return row_normalize(extract_local_knowledge(self.semantics, self.prototype))
 
 
 def flatten(feature_map: FeatureMap, resized_labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
@@ -230,4 +211,4 @@ def build_graph(
     zero = weights == 0
     mix /= np.where(zero, 1.0, weights)[:, None]
     mix[zero] = 1.0 / sem.size
-    return LabelAdjacency(sem, prototype, inverse, mix, features, buffer or OneHotBuffer())
+    return LabelAdjacency(inverse, mix, features, buffer or OneHotBuffer())

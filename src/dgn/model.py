@@ -182,41 +182,42 @@ def total_loss(loss_main: float, loss_aux: float, lam: float) -> float:
 
 def forward_parts(
     model: DgnModel,
-    features: np.ndarray,
-    adjacency: LabelAdjacency | None,
+    x: np.ndarray | LabelAdjacency,
     mode: AblationMode | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, ForwardRecord]:
-    """Forward pass from a node-feature matrix and its (optional) adjacency.
+    """Forward pass of one instance.
 
-    ``adjacency`` is the ``graph.LabelAdjacency`` that ``build_graph``
-    made over ``features``; the baseline path ignores it, and the graph
-    modes refuse any other adjacency and features other than the graph's
-    own.  The graph layer is weight-first, ``(A + I) (V W) / 2`` with
-    ``A V W`` mixed in label space, so the full mode's auxiliary path reuses
-    the same ``V W``.  The eval-only mode pools the propagation through its
-    adjoint, ``gap(M V) = (M^T 1/n)^T V``, one column wide.  ``features``
-    may be a feature map's float32 array; the graph modes cast it to float64
-    once and keep the cast in the record for ``backward``.
+    ``x`` is the node-feature matrix in the baseline mode, and in the graph
+    modes the ``graph.LabelAdjacency`` that ``build_graph`` made, which
+    holds the node features; the graph modes refuse anything else.  The
+    graph layer is weight-first, ``(A + I) (V W) / 2`` with ``A V W`` mixed
+    in label space, so the full mode's auxiliary path reuses the same
+    ``V W``.  The eval-only mode pools the propagation through its adjoint,
+    ``gap(M V) = (M^T 1/n)^T V``, one column wide.  The features may be a
+    feature map's float32 array; the graph modes cast them to float64 once
+    and keep the cast in the record for ``backward``.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
-        pooled = gap(features)
+        pooled = gap(x)
         logits = linear(pooled, model.main_head)
-        record = ForwardRecord(features, pooled, model.main_head, logits)
+        record = ForwardRecord(x, pooled, model.main_head, logits)
         return logits, None, record
-    if adjacency is None:
-        raise ValidationError(f"mode {mode.value} needs a graph adjacency")
+    if not isinstance(x, LabelAdjacency):
+        raise ValidationError(
+            f"mode {mode.value}: the input must be a graph.LabelAdjacency, not {type(x).__name__}"
+        )
     if mode is AblationMode.EVAL_ONLY_IODP:
-        n = features.shape[0]
-        weights = propagate_adjoint(adjacency, np.full((n, 1), 1.0 / n))
-        pooled = weights[:, 0] @ features
+        n = x.inverse.size
+        weights = propagate_adjoint(x, np.full((n, 1), 1.0 / n))
+        pooled = weights[:, 0] @ x.features
         logits = linear(pooled, model.main_head)
-        record = ForwardRecord(features, pooled, model.main_head, logits, adjacency=adjacency)
+        record = ForwardRecord(x.features, pooled, model.main_head, logits, adjacency=x)
         return logits, None, record
 
-    v = np.asarray(features, dtype=np.float64)
+    v = np.asarray(x.features, dtype=np.float64)
     fw = v @ model.gc_weight
-    hidden = sigmoid(propagate(adjacency, features, model.gc_weight, fw))
+    hidden = sigmoid(propagate(x, model.gc_weight, fw))
     pooled = gap(hidden)
     logits = linear(pooled, model.main_head)
     record = ForwardRecord(
@@ -225,7 +226,7 @@ def forward_parts(
         model.main_head,
         logits,
         lam=model.lam,
-        adjacency=adjacency,
+        adjacency=x,
         gc_weight=model.gc_weight,
         hidden=hidden,
     )
@@ -248,8 +249,8 @@ def forward_parts(
 
 def _prepared_inputs(
     corpus: Corpus, prototype: Prototype | None, needs_graph: bool
-) -> list[tuple[np.ndarray, LabelAdjacency | None, int]]:
-    """(node features, graph or None, scene id) per instance.
+) -> list[tuple[np.ndarray | LabelAdjacency, int]]:
+    """(forward input, scene id) per instance: node features, or their graph.
 
     The graphs share one one-hot buffer, which grows to the largest k of
     the corpus, so a cached graph holds no k x n array; the training and
@@ -264,12 +265,12 @@ def _prepared_inputs(
     for inst in corpus.instances:
         if inst.feature_map is None:
             raise ValidationError("every instance needs a feature map")
-        features = inst.feature_map.values.reshape(h1 * w1, c)
-        adjacency = None
         if needs_graph:
             resized = nn_resize(inst.label_map, w1, h1)
-            adjacency = build_graph(inst.feature_map, resized, prototype, buffer=buffer)
-        out.append((features, adjacency, inst.scene_id))
+            x = build_graph(inst.feature_map, resized, prototype, buffer=buffer)
+        else:
+            x = inst.feature_map.values.reshape(h1 * w1, c)
+        out.append((x, inst.scene_id))
     return out
 
 
@@ -331,8 +332,8 @@ def train(
     state = AdamState.for_params(params, config.lr, config.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
     if mode is AblationMode.BASELINE:
-        pooled = np.stack([gap(features) for features, _, _ in data])
-        targets = np.array([target for _, _, target in data])
+        pooled = np.stack([gap(x) for x, _ in data])
+        targets = np.array([target for _, target in data])
 
     trace: list[EpochStats] = []
     n_total = len(data)
@@ -355,8 +356,8 @@ def train(
             else:
                 grad_sums = [np.zeros_like(p) for p in params]
                 for idx in batch:
-                    features, adjacency, target = data[idx]
-                    logits, aux_logits, record = forward_parts(model, features, adjacency, mode)
+                    x, target = data[idx]
+                    logits, aux_logits, record = forward_parts(model, x, mode)
                     loss_main = softmax_ce(logits, target)
                     loss_aux = softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
                     loss = total_loss(loss_main, loss_aux, model.lam)
@@ -418,8 +419,8 @@ def evaluate(
     # finite weights, prototype and features can still overflow together;
     # such logits are refused rather than scored
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (features, adjacency, target) in enumerate(data):
-            logits, _, _ = forward_parts(model, features, adjacency, mode)
+        for i, (x, target) in enumerate(data):
+            logits, _, _ = forward_parts(model, x, mode)
             if not np.isfinite(logits).all():
                 raise ValidationError(f"instance {i}: non-finite logits; the inputs overflow")
             totals[target] += 1

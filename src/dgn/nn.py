@@ -34,7 +34,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def propagate(
     adjacency: LabelAdjacency,
-    features: np.ndarray,
     weight: np.ndarray | None = None,
     product: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -43,22 +42,19 @@ def propagate(
     Adds the identity to the row-stochastic adjacency ``A`` of a
     ``graph.LabelAdjacency``, so every degree is 2 and each node returns the
     average of its own feature and its neighborhood mixture,
-    ``(V W + A V W) / 2``.  ``weight`` defaults to the identity; ``product``
-    is ``features @ weight`` when the caller holds it already.  ``A V W`` is
-    mixed in label space (:meth:`~dgn.graph.LabelAdjacency.label_rows`),
-    from the label sums the graph holds of its own features when it holds
-    them.  Any other adjacency, and features other than the graph's own, are
-    refused before ``V`` is cast to float64.
+    ``(V W + A V W) / 2``, with ``V`` the features the graph holds.
+    ``weight`` defaults to the identity; ``product`` is ``V @ weight`` when
+    the caller holds it already.  ``A V W`` is mixed in label space
+    (:meth:`~dgn.graph.LabelAdjacency.label_rows`), from the graph's label
+    sums when it holds them.  Any other adjacency is refused.
     """
     a = adjacency
     if not isinstance(a, LabelAdjacency):
         raise ValidationError(f"the adjacency must be a graph.LabelAdjacency, not {type(a).__name__}")
-    v = np.asarray(features)
-    a.check_features(v)
     if weight is None:
-        x = np.asarray(v, dtype=np.float64)
+        x = np.asarray(a.features, dtype=np.float64)
     else:
-        x = np.asarray(v, dtype=np.float64) @ weight if product is None else product
+        x = np.asarray(a.features, dtype=np.float64) @ weight if product is None else product
     out = a.label_rows(x, weight)[a.inverse]
     out += x
     out *= 0.5
@@ -68,7 +64,7 @@ def propagate(
 def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
     """``M^T y`` for the map ``M = (I + A) / 2`` that ``propagate`` applies.
 
-    With ``z = y / 2`` it is ``z + A^T z``, so ``<propagate(A, V), Y> =
+    With ``z = y / 2`` it is ``z + A^T z``, so ``<M V, Y> =
     <V, propagate_adjoint(A, Y)>``; ``A^T z`` comes from label space
     (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`).  Any adjacency other
     than a ``graph.LabelAdjacency`` is refused.
@@ -172,7 +168,7 @@ class ForwardRecord:
     lam: float = 0.0
     adjacency: LabelAdjacency | None = None  # A
     gc_weight: np.ndarray | None = None  # shared hidden weight W
-    hidden: np.ndarray | None = None  # sigmoid(propagate(A, V, W))
+    hidden: np.ndarray | None = None  # sigmoid(propagate(A, W))
     aux_hidden: np.ndarray | None = None  # per-node sigmoid(V @ W)
     aux_pooled: np.ndarray | None = None
     aux_head: ClassifierParams | None = None

@@ -4,8 +4,9 @@ These share only the domain types with the modules they verify: counting is
 a pixel scan into Python sets, statistics are scalar loops, propagation is a
 scalar triple loop, gradients come from five-point central differences,
 training is those gradients fed to a scalar-loop AdamW, and evaluation is
-the scalar-loop forward over the dense adjacency.  They are deliberately
-unoptimized.
+the scalar-loop forward over the dense adjacency.  A directional derivative
+checks a gradient of any size with four loss evaluations.  They are
+deliberately unoptimized.
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ def naive_propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
     return out
 
 
+def _five_point(loss_at: Callable[[float], float]) -> float:
+    """``(8 (f(+h) - f(-h)) - (f(+2h) - f(-2h))) / 12h`` of ``f = loss_at``, ``h = FD_STEP``."""
+    f = {}
+    for shift in (-2, -1, 1, 2):
+        f[shift] = loss_at(shift * FD_STEP)
+        if not math.isfinite(f[shift]):
+            raise FloatingPointError("loss is not finite at perturbed parameters")
+    return (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * FD_STEP)
+
+
 def fd_gradient(
     loss_fn: Callable[[list[np.ndarray]], float],
     params: Sequence[np.ndarray],
@@ -134,16 +145,30 @@ def fd_gradient(
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
             where = it.multi_index
-            f = {}
-            for shift in (-2, -1, 1, 2):
+
+            def loss_at(step: float) -> float:
                 trial = [q.copy() for q in params]
-                trial[idx][where] += shift * FD_STEP
-                f[shift] = loss_fn(trial)
-                if not math.isfinite(f[shift]):
-                    raise FloatingPointError("loss is not finite at perturbed parameters")
-            grad[where] = (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * FD_STEP)
+                trial[idx][where] += step
+                return loss_fn(trial)
+
+            grad[where] = _five_point(loss_at)
         grads.append(grad)
     return grads
+
+
+def directional_gradient(
+    loss_fn: Callable[[list[np.ndarray]], float],
+    params: Sequence[np.ndarray],
+    direction: Sequence[np.ndarray],
+) -> float:
+    """The derivative of ``loss_fn`` along ``direction``, one block per parameter block.
+
+    ``fd_gradient``'s five-point stencil along the line ``params + t
+    direction``: four loss evaluations whatever the parameter count, to
+    compare with ``sum(<gradient block, direction block>)``.  A direction
+    of unit norm keeps the error near ``fd_gradient``'s.
+    """
+    return _five_point(lambda t: loss_fn([p + t * d for p, d in zip(params, direction)]))
 
 
 def _affine(x: Sequence[float], weight: np.ndarray, bias: np.ndarray) -> list[float]:

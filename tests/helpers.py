@@ -1,4 +1,5 @@
-"""Run Python in a child process, or the ``dgn`` CLI in this one, against this checkout's sources."""
+"""Run Python in a child process, or the ``dgn`` CLI in this one, against this
+checkout's sources; build the dense adjacency that a label-space graph stands for."""
 
 import contextlib
 import io
@@ -9,6 +10,7 @@ import traceback
 from pathlib import Path
 
 from dgn import cli
+from dgn.graph import extract_local_knowledge, row_normalize
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -51,3 +53,12 @@ def run_cli(*args):
             traceback.print_exc()
             code = 1
     return subprocess.CompletedProcess(["dgn", *argv], code, out.getvalue(), err.getvalue())
+
+
+def dense_adjacency(semantics, prototype):
+    """The n x n adjacency over the node ids ``semantics``, built from the prototype.
+
+    The label-space graph holds no n x n matrix; this is the one place the
+    tests build it, to check the graph and to feed the scalar-loop oracles.
+    """
+    return row_normalize(extract_local_knowledge(semantics, prototype))

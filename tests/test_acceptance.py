@@ -159,7 +159,7 @@ def test_criterion_5_graph_suite():
     v = fm.values.reshape(6, 3)
     v64 = v.astype(np.float64)
     np.testing.assert_allclose(
-        nn.propagate(adjacency, v), (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0
+        nn.propagate(adjacency), (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0
     )
     passed(5, "graph suite")
 
@@ -180,7 +180,7 @@ def test_criterion_6_gradient_check():
         C = int(rng.integers(2, 4))
         lam = lams[trial % 3]
         # a sparse random prototype over 2-6 ids and a 1 x n map of them
-        v, a = random_graph(rng, int(rng.integers(2, 7)), (1, n), c, sparse=True)
+        _, a, _ = random_graph(rng, int(rng.integers(2, 7)), (1, n), c, sparse=True)
         target = int(rng.integers(0, C))
         params = [
             rng.standard_normal((c, d)) * 0.6,
@@ -199,12 +199,12 @@ def test_criterion_6_gradient_check():
             )
 
         def loss_of(p):
-            logits, aux_logits, _ = md.forward_parts(model_of(p), v, a)
+            logits, aux_logits, _ = md.forward_parts(model_of(p), a)
             return md.total_loss(
                 nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam
             )
 
-        _, _, record = md.forward_parts(model_of(params), v, a)
+        _, _, record = md.forward_parts(model_of(params), a)
         analytic = nn.backward(record, target)
         assert len(analytic) == 5
         numeric = oracle.fd_gradient(loss_of, params)
@@ -219,11 +219,12 @@ def test_criterion_7_gcn_numerics():
     # two nodes of distinct ids over omega = [[1, 1], [1, 0]]: the graph is
     # exactly [[0.5, 0.5], [1, 0]]
     omega = np.array([[1.0, 1.0], [1.0, 0.0]])
-    v, a = graph_over(np.array([[[1.0], [0.0]]]), np.array([[0, 1]]), omega)
-    np.testing.assert_array_equal(a.dense(), [[0.5, 0.5], [1.0, 0.0]])
+    _, a, dense = graph_over(np.array([[[1.0], [0.0]]]), np.array([[0, 1]]), omega)
+    np.testing.assert_array_equal(dense, [[0.5, 0.5], [1.0, 0.0]])
+    np.testing.assert_array_equal(a.mix[np.ix_(a.inverse, a.inverse)], dense)
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, 1, 1, 2, 0.0, np.ones)
-    propagated = nn.propagate(a, v)
-    _, _, record = md.forward_parts(model, v, a)
+    propagated = nn.propagate(a)
+    _, _, record = md.forward_parts(model, a)
     # with the unit hidden weight the propagation is the pre-activation
     np.testing.assert_array_equal(propagated.ravel(), [0.75, 0.5])
     expected = np.array([1 / (1 + math.exp(-0.75)), 1 / (1 + math.exp(-0.5))])

@@ -201,14 +201,18 @@ class TestNnResize:
         rng = np.random.default_rng(5)
         m = cp.LabelMap(rng.integers(0, 9, size=(8, 11)), 9)
         out = cp.nn_resize(m, 3, 2)
-        assert cp.object_presence(out) <= cp.object_presence(m)
+        assert not (cp.presence_mask(out) & ~cp.presence_mask(m)).any()
         assert out.vocab_size == m.vocab_size
 
 
-def test_object_presence_examples():
-    assert cp.object_presence(cp.LabelMap(np.array([[0, 0], [0, 0]]), 1)) == {0}
-    assert cp.object_presence(cp.LabelMap(np.array([[0, 1], [2, 1]]), 3)) == {0, 1, 2}
-    assert cp.object_presence(cp.LabelMap(np.array([[0, 1], [2, 3]]), 4)) == {0, 1, 2, 3}
+def test_presence_mask_examples():
+    def present(grid, vocab):
+        return np.flatnonzero(cp.presence_mask(cp.LabelMap(np.array(grid), vocab))).tolist()
+
+    assert present([[0, 0], [0, 0]], 1) == [0]
+    assert present([[0, 1], [2, 1]], 3) == [0, 1, 2]
+    assert present([[0, 1], [2, 3]], 4) == [0, 1, 2, 3]
+    assert present([[3, 1], [1, 3]], 5) == [1, 3]
 
 
 def test_corpus_validation():
@@ -288,15 +292,13 @@ class TestSyntheticCorpus:
         k = cp.DISC_PER_CLASS
         for corpus in (train, test):
             for inst in corpus.instances:
-                present = cp.object_presence(inst.label_map)
+                present = cp.presence_mask(inst.label_map)
                 for other in range(spec.num_classes):
                     if other == inst.scene_id:
                         continue
-                    owned = set(range(other * k, (other + 1) * k))
-                    assert not (present & owned)
+                    assert not present[other * k : (other + 1) * k].any()
                 # at least one cell from the instance's own class
-                owned = set(range(inst.scene_id * k, (inst.scene_id + 1) * k))
-                assert present & owned
+                assert present[inst.scene_id * k : (inst.scene_id + 1) * k].any()
 
     def test_determinism_byte_identical(self, tmp_path):
         spec = cp.SyntheticSpec(

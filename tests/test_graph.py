@@ -7,6 +7,7 @@ from dgn import nn
 from dgn.corpus import FeatureMap, LabelMap
 from dgn.errors import ValidationError
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
+from tests.helpers import dense_adjacency
 
 # toy relation matrix: strong (0,0)/(0,1) links, inert elsewhere except (1,2)/(2,2)
 TOY_OMEGA = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -96,23 +97,27 @@ class TestRowNormalize:
             gr.row_normalize(np.array([[1e308, 1e308], [0.5, 0.5]]))
 
 
+def blown_up(a):
+    """The n x n adjacency ``P mix P^T`` that the label-space graph ``a`` stands for."""
+    return a.mix[np.ix_(a.inverse, a.inverse)]
+
+
 class TestBuildGraph:
     def test_toy_composition(self):
         fm = FeatureMap(np.array([[[1.0], [0.0]]]))
         labels = LabelMap(np.array([[0, 1]]), 3)
         a = gr.build_graph(fm, labels, toy_prototype())
         assert isinstance(a, gr.LabelAdjacency)
-        np.testing.assert_array_equal(
-            gr.extract_local_knowledge(a.semantics, a.prototype), [[1.0, 1.0], [1.0, 0.0]]
-        )
-        np.testing.assert_allclose(a.dense(), [[0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_array_equal(a.features, fm.values.reshape(2, 1))
+        np.testing.assert_allclose(blown_up(a), [[0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_allclose(dense_adjacency(np.array([0, 1]), toy_prototype()), blown_up(a))
 
     def test_uniform_relations_give_uniform_adjacency(self):
         proto = toy_prototype(np.full((3, 3), 0.7))
         fm = FeatureMap(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
         labels = LabelMap(np.array([[0, 1], [2, 0]]), 3)
         a = gr.build_graph(fm, labels, proto)
-        np.testing.assert_allclose(a.dense(), np.full((4, 4), 0.25))
+        np.testing.assert_allclose(blown_up(a), np.full((4, 4), 0.25))
 
     def test_overflowing_label_weights_rejected_without_a_warning(self):
         omega = np.full((3, 3), 0.5)
@@ -130,7 +135,7 @@ class TestBuildGraph:
         a = gr.build_graph(
             FeatureMap(np.ones((1, 1, 2))), LabelMap(np.array([[0]]), 3), toy_prototype()
         )
-        np.testing.assert_array_equal(a.dense(), [[1.0]])
+        np.testing.assert_array_equal(blown_up(a), [[1.0]])
 
     def test_node_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -169,15 +174,13 @@ def test_the_graph_cannot_be_densified_by_accident(monkeypatch):
     assert np.asarray(a).shape == ()
     # nor is the graph layer: an array in its place, dense or not, is refused
     model = md.DgnModel.assemble(md.AblationMode.FULL, 4, 2, 2, 0.5, np.ones)
-    for array in (np.asarray(a), np.full((6, 6), 1.0 / 6)):
-        for f in (nn.propagate, nn.propagate_adjoint):
-            with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-                f(array, v)
+    for array in (np.asarray(a), np.full((6, 6), 1.0 / 6), v):
         with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-            md.forward_parts(model, v, array)
-    # dense() is the one way to the n x n matrix
-    with pytest.raises(AssertionError, match="dense"):
-        a.dense()
+            nn.propagate(array)
+        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+            nn.propagate_adjoint(array, v)
+        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+            md.forward_parts(model, array)
 
 
 def test_uniform_adjacency_propagation_matches_half_mean_shift():
@@ -190,6 +193,6 @@ def test_uniform_adjacency_propagation_matches_half_mean_shift():
     a = gr.build_graph(fm, labels, proto)
     # the graph propagates the feature map's own (float32) array, in float64
     v = fm.values.reshape(5, 3)
-    out = nn.propagate(a, v)
+    out = nn.propagate(a)
     v64 = v.astype(np.float64)
     np.testing.assert_allclose(out, (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0)

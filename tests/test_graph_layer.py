@@ -7,7 +7,7 @@ from the label sums ``S_V = P^T V`` the graph holds.  Each is compared byte
 for byte with the expression form of the same arithmetic, written out
 below, and checked to leave its inputs untouched and return arrays of its
 own.  The label-space layer is also checked against the scalar-loop oracle
-and a dense-matrix backward over the graph's dense form.
+and a dense-matrix backward over the dense adjacency the graph stands for.
 """
 
 import numpy as np
@@ -105,6 +105,7 @@ def label_case(rng, zero_labels, channels=3):
         # ids 3 and 4 relate to nothing: their rows are uniform
         omega[3:, :] = omega[:, 3:] = 0.0
         labels.flat[0] = 3
+    assert (zero_affinity_rows(labels, omega) > 0) == zero_labels
     return factored_graph(labels, omega, rng, channels=channels)
 
 
@@ -128,20 +129,18 @@ CASES = {
 
 
 def graph_case(name, seed):
-    v, a = CASES[name](np.random.default_rng(seed))
-    if name.startswith("label space"):
-        assert (zero_affinity_rows(a) > 0) == ("zero" in name)
-    return v, a
+    """(the graph's node features, the graph, its dense adjacency)."""
+    return CASES[name](np.random.default_rng(seed))
 
 
 def records(v, a, seed):
-    """Forward records of a train-eval-iodp and a full model (lam > 0) on ``(v, a)``."""
+    """Forward records of a train-eval-iodp and a full model (lam > 0) on the graph ``a``."""
     rng = np.random.default_rng(seed)
     c, d, k = v.shape[1], 4, 3
     out = []
     for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
         model = md.DgnModel.assemble(mode, c, d, k, 0.5, lambda shape: rng.standard_normal(shape))
-        out.append(md.forward_parts(model, v, a)[2])
+        out.append(md.forward_parts(model, a)[2])
     return out
 
 
@@ -152,7 +151,7 @@ def hidden_weight(v, seed):
 def adjacency_arrays(a):
     """The arrays a graph holds between products; its one-hot is in the buffer it shares."""
     held = [a._label_sums] if a.holds_label_sums else []
-    return [a.semantics, a.inverse, a.mix, a.features, *held, a.prototype.omega]
+    return [a.inverse, a.mix, a.features, *held]
 
 
 def written_one_hot(a):
@@ -170,7 +169,7 @@ def written_one_hot(a):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestSameBytes:
     def test_products(self, name, seed):
-        v, a = graph_case(name, seed)
+        v, a, _ = graph_case(name, seed)
         w = hidden_weight(v, seed)
         fast, slow = products(a, v, w), expr_products(a, v, w)
         assert len(fast) == len(slow)
@@ -178,15 +177,15 @@ class TestSameBytes:
             assert f.tobytes() == s.tobytes()
 
     def test_propagate_and_adjoint(self, name, seed):
-        v, a = graph_case(name, seed)
+        v, a, _ = graph_case(name, seed)
         w = hidden_weight(v, seed)
-        assert nn.propagate(a, v).tobytes() == expr_propagate(a, v).tobytes()
-        assert nn.propagate(a, v, w).tobytes() == expr_propagate(a, v, w).tobytes()
-        assert nn.propagate(a, v, w, v @ w).tobytes() == expr_propagate(a, v, w).tobytes()
+        assert nn.propagate(a).tobytes() == expr_propagate(a, v).tobytes()
+        assert nn.propagate(a, w).tobytes() == expr_propagate(a, v, w).tobytes()
+        assert nn.propagate(a, w, v @ w).tobytes() == expr_propagate(a, v, w).tobytes()
         assert nn.propagate_adjoint(a, v).tobytes() == expr_propagate_adjoint(a, v).tobytes()
 
     def test_backward(self, name, seed):
-        v, a = graph_case(name, seed)
+        v, a, _ = graph_case(name, seed)
         for record in records(v, a, seed):
             for target in range(3):
                 fast = list(nn.backward(record, target))
@@ -199,12 +198,12 @@ class TestSameBytes:
 @pytest.mark.parametrize("name", CASES)
 class TestNoAliasing:
     def test_products_and_propagation(self, name):
-        v, a = graph_case(name, 3)
+        v, a, _ = graph_case(name, 3)
         w = hidden_weight(v, 3)
-        inputs = [v, w, *adjacency_arrays(a)]
+        inputs = [w, *adjacency_arrays(a)]
         before = [x.copy() for x in inputs]
         first, second = products(a, v, w), products(a, v, w)
-        propagated = [nn.propagate(a, v), nn.propagate(a, v, w), nn.propagate_adjoint(a, v)]
+        propagated = [nn.propagate(a), nn.propagate(a, w), nn.propagate_adjoint(a, v)]
         for x, b in zip(inputs, before):
             assert x.tobytes() == b.tobytes()
         # two calls on the same (cached) adjacency give equal, separate arrays
@@ -216,9 +215,9 @@ class TestNoAliasing:
             assert not any(np.shares_memory(r, x) for x in [*inputs, one_hot])
 
     def test_backward(self, name):
-        v, a = graph_case(name, 4)
+        v, a, _ = graph_case(name, 4)
         for record in records(v, a, 4):
-            inputs = [v, record.hidden, record.gc_weight, *adjacency_arrays(a)]
+            inputs = [record.hidden, record.gc_weight, *adjacency_arrays(a)]
             if record.aux_hidden is not None:
                 inputs.append(record.aux_hidden)
             before = [x.copy() for x in inputs]
@@ -231,31 +230,30 @@ class TestNoAliasing:
 
 
 def test_propagation_refuses_features_that_are_not_a_matrix():
-    # a dense array is not a graph: the layer and every graph mode refuse it
-    v, a = graph_case("label space", 8)
+    # a dense array is not a graph: the layer and every graph mode refuse it,
+    # and so they refuse the graph's node features in its place
+    v, a, dense = graph_case("label space", 8)
     n, c = v.shape
     full = md.DgnModel.assemble(AblationMode.FULL, c, 4, 3, 0.5, np.ones)
     baseline = md.DgnModel.assemble(AblationMode.BASELINE, c, c, 3, 0.0, np.ones)
-    for dense in (a.dense(), np.full((n, n), 1.0 / n), np.asarray(a)):
-        for f in (nn.propagate, nn.propagate_adjoint):
-            with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-                f(dense, v)
+    for array in (dense, np.full((n, n), 1.0 / n), np.asarray(a), v):
+        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+            nn.propagate(array)
+        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+            nn.propagate_adjoint(array, v)
         for model, mode in (
             (full, AblationMode.TRAIN_EVAL_IODP), (full, AblationMode.FULL),
             (baseline, AblationMode.EVAL_ONLY_IODP),
         ):
             with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-                md.forward_parts(model, v, dense, mode)
-    # a label-space graph refuses a gradient that is not one row per node,
-    # and features that are not its own
+                md.forward_parts(model, array, mode)
+    # a label-space graph refuses a gradient that is not one row per node
     for name in CASES:
-        v, a = graph_case(name, 8)
+        v, a, _ = graph_case(name, 8)
         n = v.shape[0]
         for y in (np.ones(n), np.ones((n - 1, 4)), np.ones((n + 1, 4)), np.ones((n, 4, 1))):
             with pytest.raises(ValidationError, match="shape mismatch"):
                 nn.propagate_adjoint(a, y)
-        with pytest.raises(ValidationError, match="features it was built over"):
-            nn.propagate(a, v[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +284,9 @@ def dense_hidden_weight_gradient(record, dense, target):
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_label_space_layer_matches_the_dense_path_and_the_oracle(name, seed):
-    v, a = graph_case(name, seed)
-    dense = a.dense()
+    v, a, dense = graph_case(name, seed)
     w = hidden_weight(v, seed)
-    forward = nn.propagate(a, v, w)
+    forward = nn.propagate(a, w)
     assert relative_error(forward, oracle.naive_propagate(dense, v @ w)) <= 1e-12
     for record in records(v, a, seed):
         for target in range(3):
@@ -300,10 +297,9 @@ def test_label_space_layer_matches_the_dense_path_and_the_oracle(name, seed):
 
 @pytest.mark.parametrize("name", CASES)
 def test_held_label_sums_are_the_one_hot_times_the_features(name):
-    v, a = graph_case(name, 5)
+    v, a, _ = graph_case(name, 5)
     one_hot = written_one_hot(a)
     np.testing.assert_array_equal(one_hot.sum(axis=0), 1.0)
-    assert np.shares_memory(a.features, v)
     # label sums pay off only with fewer channels than nodes
     assert a.holds_label_sums == (v.shape[1] < v.shape[0]) == ("wide" not in name)
     if a.holds_label_sums:
@@ -314,25 +310,8 @@ def test_held_label_sums_are_the_one_hot_times_the_features(name):
         # a wide graph's products never compute its label sums
         w = hidden_weight(v, 5)
         products(a, v, w)
-        nn.propagate(a, v, w)
+        nn.propagate(a, w)
         nn.propagate_adjoint(a, v)
         for record in records(v, a, 5):
             nn.backward(record, 1)
         assert "_label_sums" not in vars(a)
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_features_that_are_not_the_graphs_own_are_refused(name):
-    v, a = graph_case(name, 6)
-    w = hidden_weight(v, 6)
-    other, _ = graph_case(name, 7)
-    model = md.DgnModel.assemble(AblationMode.FULL, v.shape[1], 4, 3, 0.5, np.ones)
-    for foreign in (v.copy(), v + 1.0, other, v[::-1], np.asfortranarray(v)):
-        with pytest.raises(ValidationError, match="features it was built over"):
-            nn.propagate(a, foreign)
-        with pytest.raises(ValidationError, match="features it was built over"):
-            nn.propagate(a, foreign, w)
-        with pytest.raises(ValidationError, match="features it was built over"):
-            md.forward_parts(model, foreign, a)
-    # the graph's own features, through any equal view of them, are accepted
-    nn.propagate(a, v.reshape(v.shape), w)

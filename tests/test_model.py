@@ -35,7 +35,7 @@ class TestForward:
     def test_baseline_pooled_affine(self):
         head = nn.ClassifierParams(np.array([[1.0, 0.0]]), np.zeros(2))
         model = md.DgnModel(AblationMode.BASELINE, 1, 1, 2, 0.0, head)
-        logits, aux, _ = md.forward_parts(model, np.array([[1.0], [3.0]]), None)
+        logits, aux, _ = md.forward_parts(model, np.array([[1.0], [3.0]]))
         np.testing.assert_array_equal(logits, [2.0, 0.0])
         assert aux is None
 
@@ -47,45 +47,45 @@ class TestForward:
         model = md.DgnModel(
             AblationMode.FULL, 3, 4, 2, 0.25, head, gc_weight=w, aux_head=twin
         )
-        v, adjacency = factored_graph(np.array([[0]]), np.ones((1, 1)), rng)
+        v, adjacency, dense = factored_graph(np.array([[0]]), np.ones((1, 1)), rng)
         # single node: adjacency [[1]], propagation returns V itself
-        np.testing.assert_array_equal(adjacency.dense(), [[1.0]])
-        propagated = nn.propagate(adjacency, v)
+        np.testing.assert_array_equal(dense, [[1.0]])
+        propagated = nn.propagate(adjacency)
         np.testing.assert_allclose(propagated, v, atol=1e-15, rtol=0)
-        logits, aux_logits, _ = md.forward_parts(model, v, adjacency)
+        logits, aux_logits, _ = md.forward_parts(model, adjacency)
         np.testing.assert_allclose(logits, aux_logits, atol=1e-15, rtol=0)
 
     def test_eval_only_matches_baseline_on_half_mean_shift(self):
         rng = np.random.default_rng(1)
         # uniform relations: every row of the adjacency is 1/6, and
         # propagation equals (V + mean(V)) / 2
-        v, adjacency = factored_graph(rng.integers(0, 3, size=(2, 3)), np.full((3, 3), 0.4), rng, 4)
-        np.testing.assert_allclose(adjacency.dense(), np.full((6, 6), 1.0 / 6), atol=1e-15, rtol=0)
+        v, adjacency, dense = factored_graph(rng.integers(0, 3, size=(2, 3)), np.full((3, 3), 0.4), rng, 4)
+        np.testing.assert_allclose(dense, np.full((6, 6), 1.0 / 6), atol=1e-15, rtol=0)
         head = nn.ClassifierParams(rng.standard_normal((4, 3)), rng.standard_normal(3))
         baseline = md.DgnModel(AblationMode.BASELINE, 4, 4, 3, 0.0, head)
-        plug_logits, _, _ = md.forward_parts(baseline, v, adjacency, AblationMode.EVAL_ONLY_IODP)
+        plug_logits, _, _ = md.forward_parts(baseline, adjacency, AblationMode.EVAL_ONLY_IODP)
         v = v.astype(np.float64)
         shifted = (v + v.mean(axis=0)) / 2
-        base_logits, _, _ = md.forward_parts(baseline, shifted, None)
+        base_logits, _, _ = md.forward_parts(baseline, shifted)
         np.testing.assert_allclose(plug_logits, base_logits, atol=1e-12, rtol=0)
 
     def test_graph_mode_requires_propagation(self):
         head = nn.ClassifierParams(np.zeros((2, 2)), np.zeros(2))
         model = md.DgnModel(AblationMode.BASELINE, 2, 2, 2, 0.0, head)
-        with pytest.raises(ValidationError):
-            md.forward_parts(model, np.ones((2, 2)), None, AblationMode.EVAL_ONLY_IODP)
+        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
+            md.forward_parts(model, np.ones((2, 2)), AblationMode.EVAL_ONLY_IODP)
 
     def test_shared_weight_is_same_storage(self):
         config = TrainConfig(seed=1)
         model = md.init_model(AblationMode.FULL, 3, 2, config)
         rng = np.random.default_rng(2)
-        v, adjacency = factored_graph(rng.integers(0, 3, size=(2, 2)), np.full((3, 3), 0.4), rng)
-        _, _, record = md.forward_parts(model, v, adjacency)
+        _, adjacency, _ = factored_graph(rng.integers(0, 3, size=(2, 2)), np.full((3, 3), 0.4), rng)
+        _, _, record = md.forward_parts(model, adjacency)
         assert record.gc_weight is model.gc_weight
         # the aux path reads the same array: mutating it changes both paths
-        before_main, before_aux, _ = md.forward_parts(model, v, adjacency)
+        before_main, before_aux, _ = md.forward_parts(model, adjacency)
         model.gc_weight[:] = 0.0
-        after_main, after_aux, recer = md.forward_parts(model, v, adjacency)
+        after_main, after_aux, recer = md.forward_parts(model, adjacency)
         assert not np.array_equal(before_main, after_main)
         assert not np.array_equal(before_aux, after_aux)
 
@@ -158,7 +158,7 @@ class TestTrain:
             losses, hits, grad_sums = md._baseline_batch(model, pooled[batch], targets[batch])
             per_instance, expected_hits = [], 0
             for j, i in enumerate(batch):
-                logits, _, record = md.forward_parts(model, features[i], None)
+                logits, _, record = md.forward_parts(model, features[i])
                 per_instance.append(list(nn.backward(record, int(targets[i]))))
                 assert losses[j] == nn.softmax_ce(logits, int(targets[i]))
                 expected_hits += int(np.argmax(logits) == targets[i])
@@ -294,11 +294,6 @@ def test_train_and_evaluate_build_no_dense_matrix(trained_setup, monkeypatch):
 
     monkeypatch.setattr(gr, "extract_local_knowledge", dense)
     monkeypatch.setattr(gr, "row_normalize", dense)
-    inst = train_corpus.instances[0]
-    adjacency = gr.build_graph(inst.feature_map, dgn.nn_resize(inst.label_map, 5, 5), proto)
-    with pytest.raises(AssertionError):
-        adjacency.dense()  # the patches intercept the dense path
-
     config = TrainConfig(epochs=1, seed=304)
     baseline, _ = md.train(train_corpus, None, config, AblationMode.BASELINE)
     md.evaluate(baseline, test_corpus, proto, AblationMode.EVAL_ONLY_IODP)
@@ -313,7 +308,7 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
     # n x c product
     train_corpus, test_corpus, proto = trained_setup
     data = md._prepared_inputs(train_corpus, proto, True)
-    assert all(isinstance(adjacency, gr.LabelAdjacency) for _, adjacency, _ in data)
+    assert all(isinstance(x, gr.LabelAdjacency) for x, _ in data)
     summed, widths = [], []
     label_sums = gr.LabelAdjacency._label_sums
 
@@ -321,9 +316,9 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
         summed.append(adjacency)
         return label_sums.func(adjacency)
 
-    def counted(adjacency, features, weight=None, product=None):
+    def counted(adjacency, weight=None, product=None):
         assert weight is not None
-        out = nn.propagate(adjacency, features, weight, product)
+        out = nn.propagate(adjacency, weight, product)
         widths.append(out.shape[1])
         return out
 
@@ -398,9 +393,9 @@ def test_cached_graphs_hold_no_node_sized_one_hot(trained_setup, monkeypatch):
         assert all(np.shares_memory(one_hot, one_hots[-1]) for one_hot in one_hots)
 
 
-def layer_bytes(model, v, a):
+def layer_bytes(model, a):
     """The bytes of a forward, its gradients and an eval-only pooling on one graph."""
-    _, _, record = md.forward_parts(model, v, a)
+    _, _, record = md.forward_parts(model, a)
     out = [record.hidden, *nn.backward(record, 1), nn.propagate_adjoint(a, record.hidden)]
     return [x.tobytes() for x in out]
 
@@ -414,16 +409,16 @@ def test_graphs_sharing_a_buffer_give_the_bytes_of_graphs_built_alone(channels):
     label_maps = [rng.permutation(np.arange(12) % 3).reshape(3, 4)]
     label_maps += [rng.permutation(np.arange(12) % 6).reshape(3, 4) for _ in range(2)]
     values = [rng.standard_normal((3, 4, channels)) for _ in label_maps]
-    alone = [graph_over(x, labels, omega) for x, labels in zip(values, label_maps)]
+    alone = [graph_over(x, labels, omega)[1] for x, labels in zip(values, label_maps)]
     buffer = gr.OneHotBuffer()
-    shared = [graph_over(x, labels, omega, buffer=buffer) for x, labels in zip(values, label_maps)]
-    assert [a.mix.shape[0] for _, a in shared] == [3, 6, 6]
-    assert all(a.holds_label_sums == (channels == 3) for _, a in shared)
+    shared = [graph_over(x, labels, omega, buffer=buffer)[1] for x, labels in zip(values, label_maps)]
+    assert [a.mix.shape[0] for a in shared] == [3, 6, 6]
+    assert all(a.holds_label_sums == (channels == 3) for a in shared)
     model = md.DgnModel.assemble(
         AblationMode.FULL, channels, 4, 3, 0.5, lambda shape: rng.standard_normal(shape)
     )
     for i in (0, 1, 0, 0, 1, 2, 1):
-        assert layer_bytes(model, *shared[i]) == layer_bytes(model, *alone[i]), i
+        assert layer_bytes(model, shared[i]) == layer_bytes(model, alone[i]), i
 
 
 def test_gradients_through_a_zero_weight_label_match_finite_differences():
@@ -438,8 +433,8 @@ def test_gradients_through_a_zero_weight_label_match_finite_differences():
     d, k, target = 2, 3, 1
     # 3 channels over 9 nodes hold label sums, 12 channels do not
     for c, mode in itertools.product((3, 12), (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL)):
-        v, adjacency = factored_graph(labels, omega, rng, channels=c)
-        assert 0 < zero_affinity_rows(adjacency) < v.shape[0]
+        v, adjacency, _ = factored_graph(labels, omega, rng, channels=c)
+        assert 0 < zero_affinity_rows(labels, omega) < v.shape[0]
         assert adjacency.holds_label_sums == (c == 3)
         lam = 0.5 if mode is AblationMode.FULL else 0.0
         params = [rng.standard_normal(shape) * 0.6 for shape in ((c, d), (d, k), (k,), (d, k), (k,))]
@@ -451,11 +446,11 @@ def test_gradients_through_a_zero_weight_label_match_finite_differences():
             )
 
         def loss_of(p):
-            logits, aux_logits, _ = md.forward_parts(model_of(p), v, adjacency)
+            logits, aux_logits, _ = md.forward_parts(model_of(p), adjacency)
             loss_aux = nn.softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
             return md.total_loss(nn.softmax_ce(logits, target), loss_aux, lam)
 
-        _, _, record = md.forward_parts(model_of(params), v, adjacency)
+        _, _, record = md.forward_parts(model_of(params), adjacency)
         analytic = list(nn.backward(record, target))
         numeric = oracle.fd_gradient(loss_of, params)
         # train-eval-iodp never reads the aux head: its gradient blocks are absent
@@ -477,8 +472,8 @@ def test_both_label_sum_regimes_train_the_same_blocks(monkeypatch):
     omega = proto.omega.copy()
     omega[4, :] = omega[:, 4] = 0.0  # id 4 is a common object
     proto = dataclasses.replace(proto, omega=omega)
-    graphs = [a for _, a, _ in md._prepared_inputs(train_corpus, proto, True)]
-    assert any(zero_affinity_rows(a) for a in graphs)
+    maps = [dgn.nn_resize(inst.label_map, 3, 3).labels for inst in train_corpus.instances]
+    assert any(zero_affinity_rows(labels, omega) for labels in maps)
     config = TrainConfig(epochs=3, batch_size=4, decay_epochs=(2,), weight_decay=1e-3, seed=1212)
     for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
         trained = []
@@ -539,7 +534,8 @@ class TestCheckpoints:
             features = inst.feature_map.values.reshape(-1, model.in_channels)
             resized = dgn.nn_resize(inst.label_map, inst.feature_map.width, inst.feature_map.height)
             graph = gr.build_graph(inst.feature_map, resized, proto)
-            _, _, record = md.forward_parts(model, features, graph)
+            x = features if mode is AblationMode.BASELINE else graph
+            _, _, record = md.forward_parts(model, x)
             grads = list(nn.backward(record, inst.scene_id))
             expected = [a.shape for a in arrays]
             if mode is not AblationMode.FULL:

@@ -13,38 +13,38 @@ from tests.test_acceptance import _gradcheck_relative_error
 from tests.test_oracle import factored_graph, graph_over, random_graph
 
 
-def graph_layer(adjacency, features, weight):
+def graph_layer(adjacency, weight):
     """Propagation and hidden layer of a train-eval-iodp model with ``weight``."""
     c, d = np.shape(weight)
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, c, d, 2, 0.0, np.zeros)
     model.gc_weight = np.asarray(weight, dtype=np.float64)
-    _, _, record = md.forward_parts(model, features, adjacency)
-    return nn.propagate(adjacency, features), record.hidden
+    _, _, record = md.forward_parts(model, adjacency)
+    return nn.propagate(adjacency), record.hidden
 
 
 class TestGcnForward:
     def test_single_zero_node_outputs_half(self):
-        v, a = graph_over(np.zeros((1, 1, 1)), np.array([[0]]), np.ones((1, 1)))
-        np.testing.assert_array_equal(a.dense(), [[1.0]])
-        propagated, out = graph_layer(a, v, np.array([[2.5]]))
+        _, a, dense = graph_over(np.zeros((1, 1, 1)), np.array([[0]]), np.ones((1, 1)))
+        np.testing.assert_array_equal(dense, [[1.0]])
+        propagated, out = graph_layer(a, np.array([[2.5]]))
         assert propagated[0, 0] == 0.0
         assert out[0, 0] == 0.5
 
     def test_worked_two_node_example(self):
         # two nodes of distinct ids over omega = [[1, 1], [1, 0]]
         omega = np.array([[1.0, 1.0], [1.0, 0.0]])
-        v, a = graph_over(np.array([[[1.0], [0.0]]]), np.array([[0, 1]]), omega)
-        np.testing.assert_array_equal(a.dense(), [[0.5, 0.5], [1.0, 0.0]])
+        _, a, dense = graph_over(np.array([[[1.0], [0.0]]]), np.array([[0, 1]]), omega)
+        np.testing.assert_array_equal(dense, [[0.5, 0.5], [1.0, 0.0]])
         # with the unit weight the propagation is the pre-activation
-        pre, out = graph_layer(a, v, np.array([[1.0]]))
+        pre, out = graph_layer(a, np.array([[1.0]]))
         np.testing.assert_array_equal(pre.ravel(), [0.75, 0.5])
         expected = [1.0 / (1.0 + math.exp(-0.75)), 1.0 / (1.0 + math.exp(-0.5))]
         np.testing.assert_allclose(out.ravel(), expected, atol=1e-12, rtol=0)
 
     def test_zero_weight_saturates_at_half(self):
         rng = np.random.default_rng(0)
-        v, a = random_graph(rng, 4, (2, 2), channels=3)
-        _, out = graph_layer(a, v, np.zeros((3, 2)))
+        _, a, _ = random_graph(rng, 4, (2, 2), channels=3)
+        _, out = graph_layer(a, np.zeros((3, 2)))
         np.testing.assert_array_equal(out, np.full((4, 2), 0.5))
 
     def test_shape_mismatch(self):
@@ -60,16 +60,16 @@ class TestGcnForward:
 
     def test_propagation_is_convex_combination(self):
         rng = np.random.default_rng(1)
-        v, a = random_graph(rng, 4, (2, 3), channels=4)
-        out = nn.propagate(a, v)
+        v, a, _ = random_graph(rng, 4, (2, 3), channels=4)
+        out = nn.propagate(a)
         assert np.abs(out).max() <= np.abs(v).max() + 1e-12
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(2)
         omega = rng.random((4, 4))
         labels = rng.integers(0, 4, size=(1, 5))
-        v, a = graph_over(rng.standard_normal((1, 5, 3)) * 3, labels, (omega + omega.T) / 2)
-        _, out = graph_layer(a, v, rng.standard_normal((3, 3)))
+        _, a, _ = graph_over(rng.standard_normal((1, 5, 3)) * 3, labels, (omega + omega.T) / 2)
+        _, out = graph_layer(a, rng.standard_normal((3, 3)))
         assert (out > 0).all() and (out < 1).all()
 
 
@@ -263,9 +263,9 @@ class TestXavierInit:
 class TestBackward:
     def _record(self, lam, rng):
         c, d, C = 3, 4, 3
-        v, a = random_graph(rng, 4, (1, 5), channels=c)
+        v, a, _ = random_graph(rng, 4, (1, 5), channels=c)
         w = rng.standard_normal((c, d)) * 0.4
-        hidden = nn.sigmoid(nn.propagate(a, v, w))
+        hidden = nn.sigmoid(nn.propagate(a, w))
         pooled = nn.gap(hidden)
         main = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
         aux = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
@@ -318,7 +318,7 @@ class TestBackward:
             labels.flat[0] = 3
             c, d, C = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 3
             lam = (0.0, 0.25, 1.0)[trial % 3]
-            v, adjacency = factored_graph(labels, omega, rng, c)
+            _, adjacency, _ = factored_graph(labels, omega, rng, c)
             target = int(rng.integers(0, C))
             params = [rng.standard_normal(shape) * 0.6 for shape in ((c, d), (d, C), (C,), (d, C), (C,))]
 
@@ -329,12 +329,12 @@ class TestBackward:
                 )
 
             def loss_of(p):
-                logits, aux_logits, _ = md.forward_parts(model_of(p), v, adjacency)
+                logits, aux_logits, _ = md.forward_parts(model_of(p), adjacency)
                 return md.total_loss(
                     nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam
                 )
 
-            _, _, record = md.forward_parts(model_of(params), v, adjacency)
+            _, _, record = md.forward_parts(model_of(params), adjacency)
             analytic = list(nn.backward(record, target))
             numeric = oracle.fd_gradient(loss_of, params)
             for a_, f_ in zip(analytic, numeric):

@@ -12,8 +12,9 @@ from dgn import model as md
 from dgn import nn, oracle
 from dgn.corpus import Corpus, FeatureMap, Instance, LabelMap, nn_resize
 from dgn.errors import ValidationError
-from dgn.graph import build_graph, extract_local_knowledge
+from dgn.graph import build_graph
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, build_prototype
+from tests.helpers import dense_adjacency
 from tests.test_prototype import TOY_OMEGA, presence_corpus, random_presence_corpus
 
 
@@ -67,20 +68,21 @@ class TestNaivePropagate:
 
 
 def graph_over(values, labels, omega, buffer=None):
-    """(node features, label-space adjacency) of the feature map ``values`` over ``labels``.
+    """(node features, label-space graph, dense adjacency) of the map ``values`` over ``labels``.
 
-    The graph writes its one-hot into ``buffer``, or into a buffer of its own.
+    The node features are the graph's own; the graph writes its one-hot
+    into ``buffer``, or into a buffer of its own.
     """
     proto = Prototype(
         omega.shape[0], omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
     )
     features = FeatureMap(values)
     adjacency = build_graph(features, LabelMap(labels, omega.shape[0]), proto, buffer=buffer)
-    return features.values.reshape(-1, features.channels), adjacency
+    return adjacency.features, adjacency, dense_adjacency(labels.reshape(-1), proto)
 
 
 def factored_graph(labels, omega, rng, channels=3):
-    """(n x channels node features, label-space adjacency) over ``labels``."""
+    """(n x channels node features, label-space adjacency, dense adjacency) over ``labels``."""
     return graph_over(rng.standard_normal((*labels.shape, channels)), labels, omega)
 
 
@@ -96,21 +98,22 @@ def random_graph(rng, vocab, shape, channels, sparse=False):
     return factored_graph(rng.integers(0, vocab, size=shape), (omega + omega.T) / 2, rng, channels)
 
 
-def zero_affinity_rows(adjacency):
-    affinity = extract_local_knowledge(adjacency.semantics, adjacency.prototype)
-    return int((affinity.sum(axis=1) == 0).sum())
+def zero_affinity_rows(labels, omega):
+    """How many nodes of the map ``labels`` relate to no node: their gathered affinity row is 0."""
+    ids = labels.reshape(-1)
+    return int((omega[np.ix_(ids, ids)].sum(axis=1) == 0).sum())
 
 
-def assert_block_matches_dense(adjacency):
+def assert_block_matches_dense(adjacency, dense):
     """``P mix P^T`` is the dense adjacency built from the prototype."""
     a = adjacency
     blown_up = a.mix[np.ix_(a.inverse, a.inverse)]
-    assert oracle.compare(blown_up, a.dense()).max_abs_deviation <= 1e-15
+    assert oracle.compare(blown_up, dense).max_abs_deviation <= 1e-15
 
 
-def assert_factored_matches_dense(v, adjacency):
-    fast = nn.propagate(adjacency, v)
-    slow = oracle.naive_propagate(adjacency.dense(), v)
+def assert_factored_matches_dense(v, adjacency, dense):
+    fast = nn.propagate(adjacency)
+    slow = oracle.naive_propagate(dense, v)
     assert oracle.compare(fast, slow).max_abs_deviation <= 1e-12
 
 
@@ -121,15 +124,15 @@ class TestFactoredPropagation:
         rng = np.random.default_rng(12)
         omega = np.array([[1.0, 0.0], [0.0, 0.0]])  # id 1 relates to nothing
         labels = np.array([[0, 1, 1], [1, 0, 1]])
-        v, adjacency = factored_graph(labels, omega, rng)
-        assert zero_affinity_rows(adjacency) == 4
-        assert_block_matches_dense(adjacency)
-        assert_factored_matches_dense(v, adjacency)
+        v, adjacency, dense = factored_graph(labels, omega, rng)
+        assert zero_affinity_rows(labels, omega) == 4
+        assert_block_matches_dense(adjacency, dense)
+        assert_factored_matches_dense(v, adjacency, dense)
         lone = labels.reshape(-1) == 1
         # v is the feature map's own (float32) array; the expectation is in float64
         v64 = v.astype(np.float64)
         np.testing.assert_allclose(
-            nn.propagate(adjacency, v)[lone], (v64[lone] + v64.mean(axis=0)) / 2,
+            nn.propagate(adjacency)[lone], (v64[lone] + v64.mean(axis=0)) / 2,
             atol=1e-15, rtol=0,
         )
 
@@ -142,9 +145,9 @@ class TestFactoredPropagation:
     def test_vocab_larger_than_node_count(self):
         rng = np.random.default_rng(14)
         omega = rng.random((12, 12))
-        v, adjacency = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
+        v, adjacency, dense = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
         assert adjacency.mix.shape == (3, 3)
-        assert_factored_matches_dense(v, adjacency)
+        assert_factored_matches_dense(v, adjacency, dense)
 
     def test_random_cases(self):
         rng = np.random.default_rng(15)
@@ -152,17 +155,16 @@ class TestFactoredPropagation:
             vocab = int(rng.integers(1, 9))
             omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
             labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            v, adjacency = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
-            np.testing.assert_allclose(adjacency.dense().sum(axis=1), 1.0, atol=1e-15, rtol=0)
-            assert_block_matches_dense(adjacency)
-            assert_factored_matches_dense(v, adjacency)
+            v, adjacency, dense = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
+            np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-15, rtol=0)
+            assert_block_matches_dense(adjacency, dense)
+            assert_factored_matches_dense(v, adjacency, dense)
 
 
-def assert_adjoint_matches_dense(v, adjacency, rng):
+def assert_adjoint_matches_dense(v, adjacency, dense, rng):
     """``propagate_adjoint`` in label space against the scalar loop's transpose."""
     n, c = v.shape
     y = rng.standard_normal((n, c))
-    dense = adjacency.dense()
     adjoint = nn.propagate_adjoint(adjacency, y)
     # <M V, Y> = <V, M^T Y>
     assert abs(np.sum(oracle.naive_propagate(dense, v) * y) - np.sum(v * adjoint)) <= 1e-12
@@ -170,12 +172,12 @@ def assert_adjoint_matches_dense(v, adjacency, rng):
     assert oracle.compare(adjoint, m.T @ y).max_abs_deviation <= 1e-12
 
 
-def assert_eval_only_pool_matches_dense(v, adjacency):
+def assert_eval_only_pool_matches_dense(v, adjacency, dense):
     """The eval-only mode pools through the adjoint; the oracle pools the propagation."""
     c = v.shape[1]
     baseline = md.DgnModel.assemble(md.AblationMode.BASELINE, c, c, 2, 0.0, np.zeros)
-    _, _, record = md.forward_parts(baseline, v, adjacency, md.AblationMode.EVAL_ONLY_IODP)
-    slow = nn.gap(oracle.naive_propagate(adjacency.dense(), v))
+    _, _, record = md.forward_parts(baseline, adjacency, md.AblationMode.EVAL_ONLY_IODP)
+    slow = nn.gap(oracle.naive_propagate(dense, v))
     assert oracle.compare(record.pooled, slow).max_abs_deviation <= 1e-12
 
 
@@ -185,30 +187,31 @@ class TestAdjoint:
     def test_all_zero_rows(self):
         rng = np.random.default_rng(16)
         omega = np.array([[1.0, 0.0], [0.0, 0.0]])
-        v, adjacency = factored_graph(np.array([[0, 1, 1], [1, 0, 1]]), omega, rng)
-        assert zero_affinity_rows(adjacency) == 4
-        assert_adjoint_matches_dense(v, adjacency, rng)
-        assert_eval_only_pool_matches_dense(v, adjacency)
+        labels = np.array([[0, 1, 1], [1, 0, 1]])
+        v, adjacency, dense = factored_graph(labels, omega, rng)
+        assert zero_affinity_rows(labels, omega) == 4
+        assert_adjoint_matches_dense(v, adjacency, dense, rng)
+        assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_every_row_zero(self):
         rng = np.random.default_rng(17)
-        v, adjacency = factored_graph(np.array([[0, 1], [2, 1]]), np.zeros((3, 3)), rng)
-        assert_adjoint_matches_dense(v, adjacency, rng)
-        assert_eval_only_pool_matches_dense(v, adjacency)
+        v, adjacency, dense = factored_graph(np.array([[0, 1], [2, 1]]), np.zeros((3, 3)), rng)
+        assert_adjoint_matches_dense(v, adjacency, dense, rng)
+        assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_single_label_map(self):
         rng = np.random.default_rng(18)
         for self_relation in (0.0, 0.7):
-            v, adjacency = factored_graph(np.full((3, 4), 2), np.full((3, 3), self_relation), rng)
-            assert_adjoint_matches_dense(v, adjacency, rng)
-            assert_eval_only_pool_matches_dense(v, adjacency)
+            v, adjacency, dense = factored_graph(np.full((3, 4), 2), np.full((3, 3), self_relation), rng)
+            assert_adjoint_matches_dense(v, adjacency, dense, rng)
+            assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_vocab_larger_than_node_count(self):
         rng = np.random.default_rng(19)
         omega = rng.random((12, 12))
-        v, adjacency = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
-        assert_adjoint_matches_dense(v, adjacency, rng)
-        assert_eval_only_pool_matches_dense(v, adjacency)
+        v, adjacency, dense = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
+        assert_adjoint_matches_dense(v, adjacency, dense, rng)
+        assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_random_cases(self):
         rng = np.random.default_rng(20)
@@ -216,13 +219,13 @@ class TestAdjoint:
             vocab = int(rng.integers(1, 9))
             omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
             labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            v, adjacency = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
-            assert_adjoint_matches_dense(v, adjacency, rng)
-            assert_eval_only_pool_matches_dense(v, adjacency)
+            v, adjacency, dense = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
+            assert_adjoint_matches_dense(v, adjacency, dense, rng)
+            assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(21)
-        _, adjacency = factored_graph(np.array([[0, 1, 1]]), np.ones((2, 2)), rng)
+        _, adjacency, _ = factored_graph(np.array([[0, 1, 1]]), np.ones((2, 2)), rng)
         with pytest.raises(ValidationError, match="shape mismatch"):
             nn.propagate_adjoint(adjacency, np.ones((2, 2)))
 
@@ -281,7 +284,7 @@ def dense_instances(corpus, proto):
     for inst in corpus.instances:
         fm = inst.feature_map
         resized = nn_resize(inst.label_map, fm.width, fm.height)
-        adjacency = build_graph(fm, resized, proto).dense()
+        adjacency = dense_adjacency(resized.labels.reshape(-1), proto)
         out.append((fm.values.reshape(-1, fm.channels), adjacency, inst.scene_id))
     return out
 
@@ -344,19 +347,21 @@ def test_evaluate_matches_the_evaluation_oracle(checkpoint_mode, lam, eval_mode,
     model, _ = md.train(corpus, proto, config, checkpoint_mode)
     assert eval_mode in md._EVAL_MODES[checkpoint_mode]
     graphs = check_evaluation_oracle(model, corpus, proto, eval_mode)
-    assert all(a is None or a.holds_label_sums == (channels == 3) for _, a, _ in graphs)
+    assert all(
+        x.holds_label_sums == (channels == 3) for x, _ in graphs if isinstance(x, gr.LabelAdjacency)
+    )
 
 
 def check_evaluation_oracle(model, corpus, proto, eval_mode):
     """``forward_parts`` and ``model.evaluate`` against ``naive_evaluate``; returns the inputs."""
     logits = oracle.naive_evaluate(dense_instances(corpus, proto), model.blocks(), eval_mode)
     graphs = md._prepared_inputs(corpus, proto, eval_mode is not md.AblationMode.BASELINE)
-    for (v, a, _), expected in zip(graphs, logits):
-        fast = md.forward_parts(model, v, a, eval_mode)[0]
+    for (x, _), expected in zip(graphs, logits):
+        fast = md.forward_parts(model, x, eval_mode)[0]
         assert oracle.compare(fast, expected).max_abs_deviation <= 1e-12 * np.abs(expected).max()
     # argmax ties go to the lowest class, as np.argmax breaks them
     totals, hits = np.zeros(corpus.num_classes), np.zeros(corpus.num_classes)
-    for row, (_, _, target) in zip(logits.tolist(), graphs):
+    for row, (_, target) in zip(logits.tolist(), graphs):
         totals[target] += 1
         hits[target] += row.index(max(row)) == target
     report = md.evaluate(model, corpus, proto, eval_mode)
