@@ -48,8 +48,11 @@ from .prototype import (
 )
 
 TEST_SPLIT_DIVISOR = 5  # gen writes per_class // 5 test instances per class
-# inspect builds two dense n x n float64 matrices for a label map; refuse
-# beyond this many nodes (2 x 128 MiB) rather than allocate without bound
+# inspect builds two dense n x n float64 matrices for a label map (2 x 128 MiB
+# at the limit) and writes each as CSV text, whose join grows as n^2 too: a
+# 2048-node CSV peaked at 288 MB under tracemalloc and took 21.7 s (2 vCPUs,
+# numpy 2.4.6), so at the limit each CSV takes ~1.2 GB and ~90 s.  Refuse
+# beyond this many nodes rather than allocate without bound
 INSPECT_MAX_NODES = 4096
 
 
@@ -167,10 +170,12 @@ def cmd_gen(args) -> int:
 
 
 def _require_output_dirs(*paths) -> None:
-    """Refuse, before any work, an output whose directory does not exist."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
-            raise ValidationError(f"{path}: output directory {Path(path).parent} does not exist")
+    """Refuse, before any work, an output whose directory does not exist or that is one."""
+    for path in map(Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            raise ValidationError(f"{path}: output directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ValidationError(f"{path}: output path is a directory")
 
 
 def cmd_iodp(args) -> int:

@@ -151,19 +151,13 @@ class Corpus:
 
 
 def save_label_map(label_map: LabelMap, path: str | Path) -> None:
-    header = (
-        LABEL_MAGIC
-        + fileio.pack_u32(fileio.FORMAT_VERSION)
-        + fileio.pack_u32(label_map.width, label_map.height, label_map.vocab_size)
-    )
+    header = fileio.pack_u32(label_map.width, label_map.height, label_map.vocab_size)
     labels = label_map.labels.astype("<u2", copy=False)
-    fileio.atomic_write_bytes(path, b"".join((header, memoryview(labels).cast("B"))))
+    fileio.write_artifact(path, LABEL_MAGIC, header, memoryview(labels).cast("B"))
 
 
 def load_label_map(path: str | Path) -> LabelMap:
-    r = fileio.Reader(Path(path).read_bytes(), str(path))
-    r.magic(LABEL_MAGIC)
-    r.version()
+    r = fileio.Reader(path, LABEL_MAGIC)
     width, height, vocab = r.u32(), r.u32(), r.u32()
     if width == 0 or height == 0:
         raise ValidationError(f"{path}: empty label map")
@@ -173,20 +167,14 @@ def load_label_map(path: str | Path) -> LabelMap:
 
 
 def save_feature_map(feature_map: FeatureMap, path: str | Path) -> None:
-    header = (
-        FEATURE_MAGIC
-        + fileio.pack_u32(fileio.FORMAT_VERSION)
-        + fileio.pack_u32(feature_map.width, feature_map.height, feature_map.channels)
-    )
-    # the join is the payload's one copy: a float32 map is not cast
+    header = fileio.pack_u32(feature_map.width, feature_map.height, feature_map.channels)
+    # the frame's join is the payload's one copy: a float32 map is not cast
     values = feature_map.values.astype("<f4", copy=False)
-    fileio.atomic_write_bytes(path, b"".join((header, memoryview(values).cast("B"))))
+    fileio.write_artifact(path, FEATURE_MAGIC, header, memoryview(values).cast("B"))
 
 
 def load_feature_map(path: str | Path) -> FeatureMap:
-    r = fileio.Reader(Path(path).read_bytes(), str(path))
-    r.magic(FEATURE_MAGIC)
-    r.version()
+    r = fileio.Reader(path, FEATURE_MAGIC)
     width, height, channels = r.u32(), r.u32(), r.u32()
     if width == 0 or height == 0 or channels == 0:
         raise ValidationError(f"{path}: empty feature map")

@@ -1,7 +1,11 @@
 """Low-level helpers for the little-endian binary artifact formats.
 
-All writers go through :func:`atomic_write_bytes` so a failure never leaves
-a partially written output file behind.
+Every binary artifact shares one frame: a 4-byte magic, the u32
+``FORMAT_VERSION``, the format's own header and payload, and no trailing
+bytes.  :func:`write_artifact` writes the frame and :class:`Reader` checks
+it, so a format module states only its fields.  All writers go through
+:func:`atomic_write_bytes` so a failure never leaves a partially written
+output file behind.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def write_artifact(path: str | Path, magic: bytes, *parts) -> None:
+    """Write ``magic``, the version and ``parts`` (bytes or byte buffers) as one file.
+
+    The join is the contents' one copy, so a buffer part is not copied first.
+    """
+    atomic_write_bytes(path, b"".join((magic, pack_u32(FORMAT_VERSION), *parts)))
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -49,19 +61,18 @@ def pack_f64(value: float) -> bytes:
 
 
 class Reader:
-    """Sequential reader over an in-memory payload with truncation checks."""
+    """Sequential reader over an artifact's bytes with truncation checks.
 
-    def __init__(self, data: bytes, label: str):
-        self._data = data
-        self._pos = 0
-        self._label = label
+    Opening reads the whole file and checks its magic and version; the
+    reader then stands at the format's header.
+    """
 
-    def magic(self, expected: bytes) -> None:
-        if len(self._data) < self._pos + 4 or self._data[self._pos : self._pos + 4] != expected:
-            raise FormatError(f"{self._label}: missing {expected.decode()} magic")
-        self._pos += 4
-
-    def version(self) -> None:
+    def __init__(self, path: str | Path, magic: bytes):
+        self._data = Path(path).read_bytes()
+        self._label = str(path)
+        if self._data[:4] != magic:
+            raise FormatError(f"{self._label}: missing {magic.decode()} magic")
+        self._pos = 4
         got = self.u32()
         if got != FORMAT_VERSION:
             raise FormatError(f"{self._label}: unsupported version {got}")

@@ -13,8 +13,9 @@ and O(kcd + k^2 d) plus an O(nd) gather once the graph holds its label sums
 ``P^T V``.  The graph is the one input of the graph layer
 (``nn.propagate``) and of the graph modes (``model.forward_parts``).
 Between products a graph holds O(n) indices and O(k^2 + kc) floats; the
-k x n one-hot ``P^T`` that its products multiply by is written into a
-:class:`OneHotBuffer`, one k_max x n array that the graphs of a run share.
+k x n one-hot ``P^T`` that its products multiply by is written, by each
+product, into a :class:`OneHotBuffer`, one k_max x n array that the graphs
+of a run share.
 The dense n x n affinity and adjacency are built only on request, by
 ``extract_local_knowledge`` and ``row_normalize`` over the node ids, as
 ``dgn inspect`` builds them.
@@ -38,29 +39,22 @@ class OneHotBuffer:
     :meth:`one_hot` returns a graph's k x n ``P^T`` as the first k rows of
     the array, a C-contiguous view, so a product reads the same 0/1 operand
     as from an array of its own.  The array grows to the largest k it is
-    asked for, and is rewritten only when another graph's one-hot is asked
-    for.  The view is valid until the next call: graphs that share a buffer
-    must not run products concurrently.
+    asked for, and every call rewrites the one-hot.  The view is valid until
+    the next call: graphs that share a buffer must not run products
+    concurrently.
     """
 
     def __init__(self) -> None:
         self._array = np.empty((0, 0))
-        # the label indices and k of the one-hot the array holds: the indices,
-        # not their graph, so a graph and its buffer form no reference cycle
-        self._inverse: np.ndarray | None = None
-        self._k = 0
 
     def one_hot(self, inverse: np.ndarray, k: int) -> np.ndarray:
         """(k, n): row l is 1 at the nodes whose label index in ``inverse`` is l."""
         n = inverse.size
         if self._array.shape[0] < k or self._array.shape[1] != n:
             self._array = np.empty((k, n))
-            self._inverse = None
         out = self._array[:k]
-        if self._inverse is not inverse or self._k != k:
-            out.fill(0.0)
-            out[inverse, np.arange(n)] = 1.0
-            self._inverse, self._k = inverse, k
+        out.fill(0.0)
+        out[inverse, np.arange(n)] = 1.0
         return out
 
 

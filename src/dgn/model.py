@@ -438,22 +438,19 @@ def save_model(model: DgnModel, path: str | Path) -> None:
 
     Every block is row-major little-endian float64.
     """
-    payload = (
-        MODEL_MAGIC
-        + fileio.pack_u32(fileio.FORMAT_VERSION)
-        + fileio.pack_u8(_MODE_BYTE[model.mode])
-        + fileio.pack_u32(model.in_channels, model.hidden_dim, model.num_classes)
-        + fileio.pack_f64(model.lam)
-        + b"".join(p.astype("<f8").tobytes() for p in model.blocks())
+    fileio.write_artifact(
+        path,
+        MODEL_MAGIC,
+        fileio.pack_u8(_MODE_BYTE[model.mode]),
+        fileio.pack_u32(model.in_channels, model.hidden_dim, model.num_classes),
+        fileio.pack_f64(model.lam),
+        *(p.astype("<f8").tobytes() for p in model.blocks()),
     )
-    fileio.atomic_write_bytes(path, payload)
 
 
 def load_model(path: str | Path) -> DgnModel:
     """Read a checkpoint; the header and every parameter block are validated."""
-    r = fileio.Reader(Path(path).read_bytes(), str(path))
-    r.magic(MODEL_MAGIC)
-    r.version()
+    r = fileio.Reader(path, MODEL_MAGIC)
     mode_byte = r.u8()
     mode = _BYTE_MODE.get(mode_byte)
     if mode is None:

@@ -266,23 +266,20 @@ def build_prototype(
 
 
 def save_prototype(prototype: Prototype, path: str | Path) -> None:
-    payload = (
-        PROTOTYPE_MAGIC
-        + fileio.pack_u32(fileio.FORMAT_VERSION)
-        + fileio.pack_u32(prototype.vocab_size)
-        + fileio.pack_u8(_MODE_BYTE[prototype.mode])
-        + fileio.pack_u8(_METRIC_BYTE[prototype.metric])
-        + fileio.pack_u8(1 if prototype.passivated else 0)
-        + fileio.pack_u32(prototype.num_classes)
-        + prototype.omega.astype("<f8").tobytes()
+    fileio.write_artifact(
+        path,
+        PROTOTYPE_MAGIC,
+        fileio.pack_u32(prototype.vocab_size),
+        fileio.pack_u8(_MODE_BYTE[prototype.mode]),
+        fileio.pack_u8(_METRIC_BYTE[prototype.metric]),
+        fileio.pack_u8(1 if prototype.passivated else 0),
+        fileio.pack_u32(prototype.num_classes),
+        prototype.omega.astype("<f8").tobytes(),
     )
-    fileio.atomic_write_bytes(path, payload)
 
 
 def load_prototype(path: str | Path) -> Prototype:
-    r = fileio.Reader(Path(path).read_bytes(), str(path))
-    r.magic(PROTOTYPE_MAGIC)
-    r.version()
+    r = fileio.Reader(path, PROTOTYPE_MAGIC)
     vocab = r.u32()
     mode_byte, metric_byte, passivated = r.u8(), r.u8(), r.u8()
     if mode_byte not in _BYTE_MODE or metric_byte not in _BYTE_METRIC or passivated > 1:

@@ -814,8 +814,25 @@ def test_damaged_magic_reading_as_a_label_map_exits_2(trained_artifacts, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+MISSING = ("output directory", "does not exist")
+A_DIRECTORY = ("output path is a directory",)
+
+
+def refused_before_any_work(tmp_path, messages, *argv):
+    """Run ``dgn *argv`` beside an empty directory ``made``: exit 2 with
+    ``messages`` on stderr, no stdout, nothing written."""
+    (tmp_path / "made").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    result = run_cli(*argv)
+    assert result.returncode == 2, result.stderr
+    assert all(m in result.stderr for m in messages), result.stderr
+    assert result.stdout == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestMissingOutputDirectory:
-    """An output in a directory that does not exist is refused before any work."""
+    """An output in a directory that does not exist, or that is a directory, is
+    refused before any work."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -826,41 +843,48 @@ class TestMissingOutputDirectory:
             monkeypatch.setattr(cli, name, refused)
 
     @pytest.mark.parametrize(
-        "outputs",
-        [("m.dgnm", "nodir/t.csv"), ("nodir/m.dgnm", None)],
-        ids=["missing trace directory", "missing checkpoint directory"],
+        "outputs, messages",
+        [
+            (("m.dgnm", "nodir/t.csv"), MISSING),
+            (("nodir/m.dgnm", None), MISSING),
+            (("m.dgnm", "made"), A_DIRECTORY),
+            (("made", None), A_DIRECTORY),
+        ],
+        ids=[
+            "missing trace directory",
+            "missing checkpoint directory",
+            "trace is a directory",
+            "checkpoint is a directory",
+        ],
     )
-    def test_train(self, trained_artifacts, tmp_path, no_work, outputs):
+    def test_train(self, trained_artifacts, tmp_path, no_work, outputs, messages):
         data, proto, _, _ = trained_artifacts
         checkpoint, trace = outputs
         argv = [
             "train", "--manifest", data / "train.manifest", "--prototype", proto,
             "--epochs", 1, "--checkpoint", tmp_path / checkpoint,
         ]
-        result = run_cli(*argv, *(("--out", tmp_path / trace) if trace else ()))
-        assert result.returncode == 2, result.stderr
-        assert "output directory" in result.stderr and "does not exist" in result.stderr
-        assert result.stdout == ""
-        assert list(tmp_path.iterdir()) == []
+        refused_before_any_work(
+            tmp_path, messages, *argv, *(("--out", tmp_path / trace) if trace else ())
+        )
 
-    def test_iodp(self, tiny_corpus_dir, tmp_path, no_work):
+    @pytest.mark.parametrize(
+        "out, messages", [("nodir/p.dgnp", MISSING), ("made", A_DIRECTORY)],
+        ids=["missing directory", "out is a directory"],
+    )
+    def test_iodp(self, tiny_corpus_dir, tmp_path, no_work, out, messages):
         data, _ = tiny_corpus_dir
-        result = run_cli(
-            "iodp", "--manifest", data / "train.manifest",
-            "--out", tmp_path / "nodir" / "p.dgnp",
+        refused_before_any_work(
+            tmp_path, messages, "iodp", "--manifest", data / "train.manifest", "--out", tmp_path / out
         )
-        assert result.returncode == 2, result.stderr
-        assert "output directory" in result.stderr and "does not exist" in result.stderr
-        assert result.stdout == ""
-        assert list(tmp_path.iterdir()) == []
 
-    def test_eval(self, trained_artifacts, tmp_path, no_work):
+    @pytest.mark.parametrize(
+        "out, messages", [("nodir/r.csv", MISSING), ("made", A_DIRECTORY)],
+        ids=["missing directory", "out is a directory"],
+    )
+    def test_eval(self, trained_artifacts, tmp_path, no_work, out, messages):
         data, proto, _, full = trained_artifacts
-        result = run_cli(
-            "eval", "--manifest", data / "test.manifest", "--checkpoint", full,
-            "--prototype", proto, "--out", tmp_path / "nodir" / "r.csv",
+        refused_before_any_work(
+            tmp_path, messages, "eval", "--manifest", data / "test.manifest", "--checkpoint", full,
+            "--prototype", proto, "--out", tmp_path / out,
         )
-        assert result.returncode == 2, result.stderr
-        assert "output directory" in result.stderr and "does not exist" in result.stderr
-        assert result.stdout == ""
-        assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dgn import corpus as cp
+from dgn import model as md
+from dgn import prototype as pt
 from dgn.errors import FormatError, ValidationError
 
 
@@ -47,32 +49,60 @@ def test_empty_map_rejected(tmp_path):
         cp.load_label_map(path)
 
 
-def test_bad_magic_and_version(tmp_path):
-    good = tmp_path / "good.dgnl"
-    cp.save_label_map(cp.LabelMap(np.array([[0]]), 1), good)
+def write_small_artifact(suffix, path):
+    """Save a small artifact of the format ``suffix`` to ``path``; return its loader."""
+    if suffix == "dgnl":
+        cp.save_label_map(cp.LabelMap(np.array([[0, 1], [2, 1]]), 3), path)
+        return cp.load_label_map
+    if suffix == "dgnf":
+        cp.save_feature_map(cp.FeatureMap(np.arange(12, dtype=np.float32).reshape(2, 2, 3)), path)
+        return cp.load_feature_map
+    if suffix == "dgnp":
+        omega = np.array([[1.0, 0.5], [0.5, 0.0]])
+        mode, metric = pt.CooccurrenceMode.INDEPENDENT, pt.DispersionMetric.COEFF_VAR
+        pt.save_prototype(pt.Prototype(2, omega, mode, metric, True, 2), path)
+        return pt.load_prototype
+    rng = np.random.default_rng(23)
+    model = md.DgnModel.assemble(md.AblationMode.FULL, 2, 3, 2, 0.5, rng.standard_normal)
+    md.save_model(model, path)
+    return md.load_model
+
+
+# every binary format shares one frame: magic, u32 version, header, payload
+FORMATS = {"dgnl": b"DGNL", "dgnf": b"DGNF", "dgnp": b"DGNP", "dgnm": b"DGNM"}
+
+
+@pytest.mark.parametrize("suffix", FORMATS)
+def test_bad_magic_and_version(tmp_path, suffix):
+    good = tmp_path / f"good.{suffix}"
+    load = write_small_artifact(suffix, good)
     data = good.read_bytes()
-    bad_magic = tmp_path / "bad_magic.dgnl"
-    bad_magic.write_bytes(b"NOPE" + data[4:])
-    with pytest.raises(FormatError):
-        cp.load_label_map(bad_magic)
-    bad_version = tmp_path / "bad_version.dgnl"
+    assert data[:4] == FORMATS[suffix] and data[4:8] == struct.pack("<I", 1)
+    for name, contents in (("bad_magic", b"NOPE" + data[4:]), ("short", data[:2]), ("empty", b"")):
+        bad = tmp_path / f"{name}.{suffix}"
+        bad.write_bytes(contents)
+        with pytest.raises(FormatError, match=f"missing {FORMATS[suffix].decode()} magic"):
+            load(bad)
+    bad_version = tmp_path / f"bad_version.{suffix}"
     bad_version.write_bytes(data[:4] + struct.pack("<I", 9) + data[8:])
-    with pytest.raises(FormatError):
-        cp.load_label_map(bad_version)
+    with pytest.raises(FormatError, match="unsupported version 9"):
+        load(bad_version)
 
 
-def test_truncated_and_trailing_payload(tmp_path):
-    good = tmp_path / "good.dgnl"
-    cp.save_label_map(cp.LabelMap(np.array([[0, 1], [2, 1]]), 3), good)
+@pytest.mark.parametrize("suffix", FORMATS)
+def test_truncated_and_trailing_payload(tmp_path, suffix):
+    good = tmp_path / f"good.{suffix}"
+    load = write_small_artifact(suffix, good)
     data = good.read_bytes()
-    truncated = tmp_path / "short.dgnl"
-    truncated.write_bytes(data[:-3])
-    with pytest.raises(EOFError):
-        cp.load_label_map(truncated)
-    trailing = tmp_path / "long.dgnl"
+    for cut in (3, len(data) - 6):  # inside the payload, then inside the version
+        truncated = tmp_path / f"short.{suffix}"
+        truncated.write_bytes(data[:-cut])
+        with pytest.raises(EOFError, match="truncated payload"):
+            load(truncated)
+    trailing = tmp_path / f"long.{suffix}"
     trailing.write_bytes(data + b"x")
-    with pytest.raises(FormatError):
-        cp.load_label_map(trailing)
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        load(trailing)
 
 
 def test_feature_map_round_trip(tmp_path):
