@@ -87,8 +87,9 @@ weights = nn.propagate_adjoint(adjacency, np.full((n, 1), 1.0 / n))[:, 0]
 check("pooling through the adjoint equals pooling the propagation",
       np.allclose(weights @ features, pooled_after, atol=1e-12, rtol=0))
 
-# forward_parts takes the graph alone; a train-eval-iodp model's hidden layer
+# forward_parts takes the graph alone and returns the activations of a
+# train-eval-iodp model: its hidden layer and logits
 model = dgn.init_model(dgn.AblationMode.TRAIN_EVAL_IODP, spec.channels, spec.num_classes,
                        dgn.TrainConfig(hidden_dim=4))
-logits, _, record = dgn.model.forward_parts(model, adjacency)
-print("hidden layer", record.hidden.shape, "logits", np.round(logits, 3))
+record = dgn.model.forward_parts(model, adjacency)
+print("hidden layer", record.hidden.shape, "logits", np.round(record.main_logits, 3))

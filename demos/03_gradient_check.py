@@ -22,6 +22,8 @@ parameters.  The demo exits 1 if any deviation passes 1e-6, or if the
 auxiliary gradients at ``lam = 0`` are not exactly zero.
 """
 
+import dataclasses
+
 import numpy as np
 
 import dgn
@@ -77,12 +79,15 @@ for title, adjacency in (
 ):
 
     def loss_of(p):
-        logits, aux_logits, _ = md.forward_parts(model_of(p), adjacency)
-        return md.total_loss(nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam)
+        record = md.forward_parts(model_of(p), adjacency)
+        return md.total_loss(
+            nn.softmax_ce(record.main_logits, target), nn.softmax_ce(record.aux_logits, target), lam
+        )
 
     print(f"{title}: loss at the starting point {loss_of(params):.6f}")
-    _, _, record = md.forward_parts(model_of(params), adjacency)
-    analytic = list(nn.backward(record, target))
+    model = model_of(params)
+    record = md.forward_parts(model, adjacency)
+    analytic = list(nn.backward(model, record, target))
     numeric = oracle.fd_gradient(loss_of, params)
     for name, a, f in zip(names, analytic, numeric):
         report = oracle.compare(a, f)
@@ -90,8 +95,8 @@ for title, adjacency in (
         print(f"  {name:14s} max |analytic - numeric| = {report.max_abs_deviation:.3e}")
 
 print("\nwith lam = 0 the auxiliary path contributes nothing:")
-record.lam = 0.0
-zeroed = nn.backward(record, target)
+# the same forward record, differentiated for the model with lam 0
+zeroed = nn.backward(dataclasses.replace(model, lam=0.0), record, target)
 exactly_zero = not zeroed[names.index("aux weight")].any()
 print("aux weight gradient is exactly zero:", exactly_zero)
 assert exactly_zero, "with lam = 0 the aux weight gradient is not zero"

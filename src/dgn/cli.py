@@ -169,17 +169,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _require_output_dirs(*paths) -> None:
-    """Refuse, before any work, an output whose directory does not exist or that is one."""
-    for path in map(Path, filter(None, paths)):
+def _require_output_dirs(*outputs, inputs=()) -> None:
+    """Refuse, before any work, an output whose directory does not exist or that is one,
+    and two of the command's paths, outputs or ``inputs``, that resolve to one file."""
+    for path in map(Path, filter(None, outputs)):
         if not path.parent.is_dir():
             raise ValidationError(f"{path}: output directory {path.parent} does not exist")
         if path.is_dir():
             raise ValidationError(f"{path}: output path is a directory")
+    seen = {}
+    for path in map(Path, filter(None, (*outputs, *inputs))):
+        first = seen.setdefault(path.resolve(), path)
+        if first is not path:
+            raise ValidationError(f"{first} and {path} resolve to the same file")
 
 
 def cmd_iodp(args) -> int:
-    _require_output_dirs(args.out)
+    _require_output_dirs(args.out, inputs=[args.manifest])
     # the prototype reads label maps only; the feature maps stay on disk
     corpus = load_corpus(args.manifest, features=False)
     proto = build_prototype(
@@ -201,7 +207,7 @@ def cmd_train(args) -> int:
         print(f"dgn train: error: --mode {args.mode} requires --prototype", file=sys.stderr)
         return 1
     trace_path = args.out or f"{args.checkpoint}.trace.csv"
-    _require_output_dirs(args.checkpoint, trace_path)
+    _require_output_dirs(args.checkpoint, trace_path, inputs=[args.manifest, args.prototype])
     corpus = load_corpus(args.manifest)
     proto = load_prototype(args.prototype) if args.prototype else None
     config = TrainConfig(
@@ -227,7 +233,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_output_dirs(args.out)
+    _require_output_dirs(args.out, inputs=[args.manifest, args.checkpoint, args.prototype])
     corpus = load_corpus(args.manifest)
     model = load_model(args.checkpoint)
     proto = load_prototype(args.prototype) if args.prototype else None

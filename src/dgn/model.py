@@ -184,8 +184,8 @@ def forward_parts(
     model: DgnModel,
     x: np.ndarray | LabelAdjacency,
     mode: AblationMode | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, ForwardRecord]:
-    """Forward pass of one instance.
+) -> ForwardRecord:
+    """Forward pass of one instance; its ``ForwardRecord`` holds the activations and logits.
 
     ``x`` is the node-feature matrix in the baseline mode, and in the graph
     modes the ``graph.LabelAdjacency`` that ``build_graph`` made, which
@@ -195,14 +195,14 @@ def forward_parts(
     ``V W``.  The eval-only mode pools the propagation through its adjoint,
     ``gap(M V) = (M^T 1/n)^T V``, one column wide.  The features may be a
     feature map's float32 array; the graph modes cast them to float64 once
-    and keep the cast in the record for ``backward``.
+    and keep the cast in the record for ``backward``, which reads the
+    parameters from ``model``.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
         pooled = gap(x)
         logits = linear(pooled, model.main_head)
-        record = ForwardRecord(x, pooled, model.main_head, logits)
-        return logits, None, record
+        return ForwardRecord(x, pooled, logits)
     if not isinstance(x, LabelAdjacency):
         raise ValidationError(
             f"mode {mode.value}: the input must be a graph.LabelAdjacency, not {type(x).__name__}"
@@ -212,35 +212,19 @@ def forward_parts(
         weights = propagate_adjoint(x, np.full((n, 1), 1.0 / n))
         pooled = weights[:, 0] @ x.features
         logits = linear(pooled, model.main_head)
-        record = ForwardRecord(x.features, pooled, model.main_head, logits, adjacency=x)
-        return logits, None, record
+        return ForwardRecord(x.features, pooled, logits, adjacency=x)
 
     v = np.asarray(x.features, dtype=np.float64)
     fw = v @ model.gc_weight
     hidden = sigmoid(propagate(x, model.gc_weight, fw))
     pooled = gap(hidden)
     logits = linear(pooled, model.main_head)
-    record = ForwardRecord(
-        v,
-        pooled,
-        model.main_head,
-        logits,
-        lam=model.lam,
-        adjacency=x,
-        gc_weight=model.gc_weight,
-        hidden=hidden,
-    )
-    if mode is not AblationMode.FULL or model.aux_head is None:
-        return logits, None, record
-
-    aux_hidden = sigmoid(fw)
-    aux_pooled = gap(aux_hidden)
-    aux_logits = linear(aux_pooled, model.aux_head)
-    record.aux_hidden = aux_hidden
-    record.aux_pooled = aux_pooled
-    record.aux_head = model.aux_head
-    record.aux_logits = aux_logits
-    return logits, aux_logits, record
+    record = ForwardRecord(v, pooled, logits, adjacency=x, hidden=hidden)
+    if mode is AblationMode.FULL:
+        record.aux_hidden = sigmoid(fw)
+        record.aux_pooled = gap(record.aux_hidden)
+        record.aux_logits = linear(record.aux_pooled, model.aux_head)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +341,18 @@ def train(
                 grad_sums = [np.zeros_like(p) for p in params]
                 for idx in batch:
                     x, target = data[idx]
-                    logits, aux_logits, record = forward_parts(model, x, mode)
-                    loss_main = softmax_ce(logits, target)
-                    loss_aux = softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
+                    record = forward_parts(model, x, mode)
+                    loss_main = softmax_ce(record.main_logits, target)
+                    loss_aux = 0.0 if record.aux_logits is None else softmax_ce(record.aux_logits, target)
                     loss = total_loss(loss_main, loss_aux, model.lam)
                     # gradients come in block order; zip drops an untrained aux tail
-                    for acc, g in zip(grad_sums, backward(record, target)):
+                    for acc, g in zip(grad_sums, backward(model, record, target)):
                         acc += g
                     batch_loss += loss
                     sums["loss"] += loss
                     sums["main"] += loss_main
                     sums["aux"] += loss_aux
-                    correct += int(np.argmax(logits) == target)
+                    correct += int(np.argmax(record.main_logits) == target)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"non-finite loss in epoch {epoch}")
             # the loop owns the sums, so their mean is taken in place
@@ -420,7 +404,7 @@ def evaluate(
     # such logits are refused rather than scored
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (x, target) in enumerate(data):
-            logits, _, _ = forward_parts(model, x, mode)
+            logits = forward_parts(model, x, mode).main_logits
             if not np.isfinite(logits).all():
                 raise ValidationError(f"instance {i}: non-finite logits; the inputs overflow")
             totals[target] += 1

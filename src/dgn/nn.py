@@ -6,17 +6,22 @@ a training step casts them once and ``backward`` reuses the cast.  The
 network is small enough (one graph convolution plus two affine heads) that
 hand-derived gradients are simpler and more testable than an autodiff
 layer; the shared hidden weight receives the sum of the main-path and
-auxiliary-path contributions.
+auxiliary-path contributions.  ``backward`` reads the parameters from the
+model and the activations of one forward pass from its ``ForwardRecord``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import LabelAdjacency
+
+if TYPE_CHECKING:
+    from .model import DgnModel
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -154,24 +159,19 @@ def softmax_ce(logits: np.ndarray, target: int | np.ndarray) -> float | np.ndarr
 
 @dataclass(eq=False)
 class ForwardRecord:
-    """Everything the backward pass needs from one forward evaluation.
+    """The activations of one forward pass; ``backward`` reads the parameters from the model.
 
-    ``adjacency`` and ``gc_weight`` are None for the plain pooled-feature
-    path (no graph layer); the auxiliary fields are None when the auxiliary
-    head is absent.
+    ``adjacency`` is None in the baseline mode and ``hidden`` without a graph
+    layer; the auxiliary fields are set in the full mode only.
     """
 
     features: np.ndarray  # V, (n, c); in graph modes its float64 cast, which backward reuses
     pooled: np.ndarray  # input to the main head
-    main_head: ClassifierParams
     main_logits: np.ndarray
-    lam: float = 0.0
     adjacency: LabelAdjacency | None = None  # A
-    gc_weight: np.ndarray | None = None  # shared hidden weight W
     hidden: np.ndarray | None = None  # sigmoid(propagate(A, W))
     aux_hidden: np.ndarray | None = None  # per-node sigmoid(V @ W)
     aux_pooled: np.ndarray | None = None
-    aux_head: ClassifierParams | None = None
     aux_logits: np.ndarray | None = None
 
 
@@ -183,11 +183,13 @@ def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return grad
 
 
-def backward(record: ForwardRecord, target: int) -> list[np.ndarray]:
+def backward(model: DgnModel, record: ForwardRecord, target: int) -> list[np.ndarray]:
     """Exact gradients of loss_main + lam * loss_aux for every parameter.
 
-    Returns them in ``DgnModel.blocks()`` order, skipping blocks the record
-    does not hold: hidden weight, main weight and bias, aux weight and bias.
+    ``record`` is ``model.forward_parts`` of ``model``, whose weights and
+    ``lam`` are read.  Returns the gradients in ``DgnModel.blocks()`` order,
+    skipping a baseline's hidden weight and an aux head the record did not
+    run: hidden weight, main weight and bias, aux weight and bias.
 
     Both paths start from ``V @ W``, so the shared weight's gradient is
     ``V^T (M^T d_pre + d_aux_pre)``, with ``M^T d_pre`` formed at node size
@@ -202,11 +204,11 @@ def backward(record: ForwardRecord, target: int) -> list[np.ndarray]:
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
     heads = [np.outer(record.pooled, delta_m), delta_m]
-    if record.gc_weight is None:
+    if model.gc_weight is None:
         return heads
 
     n = record.features.shape[0]
-    d_pooled = record.main_head.weight @ delta_m  # (d,)
+    d_pooled = model.main_head.weight @ delta_m  # (d,)
     # GAP spreads the pooled gradient evenly; sigmoid' = s * (1 - s)
     a = record.adjacency
     if not a.holds_label_sums:
@@ -219,9 +221,9 @@ def backward(record: ForwardRecord, target: int) -> list[np.ndarray]:
     if record.aux_logits is not None:
         delta_a = softmax(record.aux_logits)
         delta_a[target] -= 1.0
-        delta_a *= record.lam
+        delta_a *= model.lam
         heads += [np.outer(record.aux_pooled, delta_a), delta_a]
-        d_aux_pooled = record.aux_head.weight @ delta_a
+        d_aux_pooled = model.aux_head.weight @ delta_a
         d_fw += _sigmoid_grad(record.aux_hidden, d_aux_pooled / n)
 
     gc_grad = record.features.T @ d_fw

@@ -1,5 +1,7 @@
 """Run Python in a child process, or the ``dgn`` CLI in this one, against this
-checkout's sources; build the dense adjacency that a label-space graph stands for."""
+checkout's sources; build the dense adjacency that a label-space graph stands for;
+build a graph-mode model from its parameter blocks and take its loss, for the
+gradient checks."""
 
 import contextlib
 import io
@@ -10,7 +12,10 @@ import traceback
 from pathlib import Path
 
 from dgn import cli
+from dgn import model as md
+from dgn import nn
 from dgn.graph import extract_local_knowledge, row_normalize
+from dgn.model import AblationMode
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -62,3 +67,24 @@ def dense_adjacency(semantics, prototype):
     tests build it, to check the graph and to feed the scalar-loop oracles.
     """
     return row_normalize(extract_local_knowledge(semantics, prototype))
+
+
+def model_of(mode, lam, classes, blocks):
+    """The graph-mode model of ``mode`` made of the five ``blocks``, in ``DgnModel.blocks()`` order.
+
+    The blocks are used, not copied.  ``lam`` weights the auxiliary loss in
+    the full mode; every other mode has lam 0, as ``model.init_model`` gives.
+    """
+    c, d = blocks[0].shape
+    return md.DgnModel(
+        mode, c, d, classes, lam if mode is AblationMode.FULL else 0.0,
+        nn.ClassifierParams(blocks[1], blocks[2]),
+        gc_weight=blocks[0], aux_head=nn.ClassifierParams(blocks[3], blocks[4]),
+    )
+
+
+def loss_and_record(model, graph, target):
+    """The training loss of ``model`` on one graph, ``loss_main + lam * loss_aux``, and its record."""
+    record = md.forward_parts(model, graph)
+    loss_aux = 0.0 if record.aux_logits is None else nn.softmax_ce(record.aux_logits, target)
+    return md.total_loss(nn.softmax_ce(record.main_logits, target), loss_aux, model.lam), record

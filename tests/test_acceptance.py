@@ -16,7 +16,7 @@ from dgn import nn, oracle
 from dgn import prototype as pt
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric
-from tests.helpers import run_python
+from tests.helpers import loss_and_record, model_of, run_python
 from tests.test_oracle import graph_over, random_graph
 from tests.test_prototype import presence_corpus, random_presence_corpus
 
@@ -190,22 +190,11 @@ def test_criterion_6_gradient_check():
             rng.standard_normal(C) * 0.2,
         ]
 
-        def model_of(p):
-            return md.DgnModel(
-                AblationMode.FULL, c, d, C, lam,
-                nn.ClassifierParams(p[1], p[2]),
-                gc_weight=p[0],
-                aux_head=nn.ClassifierParams(p[3], p[4]),
-            )
-
         def loss_of(p):
-            logits, aux_logits, _ = md.forward_parts(model_of(p), a)
-            return md.total_loss(
-                nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam
-            )
+            return loss_and_record(model_of(AblationMode.FULL, lam, C, p), a, target)[0]
 
-        _, _, record = md.forward_parts(model_of(params), a)
-        analytic = nn.backward(record, target)
+        model = model_of(AblationMode.FULL, lam, C, params)
+        analytic = nn.backward(model, md.forward_parts(model, a), target)
         assert len(analytic) == 5
         numeric = oracle.fd_gradient(loss_of, params)
         for a_, f_ in zip(analytic, numeric):
@@ -224,7 +213,7 @@ def test_criterion_7_gcn_numerics():
     np.testing.assert_array_equal(a.mix[np.ix_(a.inverse, a.inverse)], dense)
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, 1, 1, 2, 0.0, np.ones)
     propagated = nn.propagate(a)
-    _, _, record = md.forward_parts(model, a)
+    record = md.forward_parts(model, a)
     # with the unit hidden weight the propagation is the pre-activation
     np.testing.assert_array_equal(propagated.ravel(), [0.75, 0.5])
     expected = np.array([1 / (1 + math.exp(-0.75)), 1 / (1 + math.exp(-0.5))])

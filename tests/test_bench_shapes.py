@@ -27,6 +27,7 @@ from dgn import model as md
 from dgn import nn, oracle
 from dgn.model import AblationMode
 from bench.workloads import SHAPES
+from tests.helpers import loss_and_record, model_of
 
 REGIMES = ["paper", "large-n"]
 # (mode, lam): train-eval-iodp, and full with the auxiliary loss on and off
@@ -62,28 +63,14 @@ def xavier_blocks(mode, lam, classes, graph):
     return md.init_model(mode, c, classes, md.TrainConfig(lam=lam, seed=22)).blocks()
 
 
-def model_of(mode, lam, classes, p):
-    """The model of ``mode`` made of the blocks ``p``."""
-    c, d = p[0].shape
-    return md.DgnModel(
-        mode, c, d, classes, lam if mode is AblationMode.FULL else 0.0,
-        nn.ClassifierParams(p[1], p[2]), gc_weight=p[0], aux_head=nn.ClassifierParams(p[3], p[4]),
-    )
-
-
-def loss_and_record(model, graph, target):
-    logits, aux_logits, record = md.forward_parts(model, graph)
-    loss_aux = nn.softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
-    return md.total_loss(nn.softmax_ce(logits, target), loss_aux, model.lam), record
-
-
 @pytest.mark.parametrize("mode, lam", CONFIGURATIONS, ids=["train-eval-iodp", "full", "full-lam0"])
 @pytest.mark.parametrize("name", REGIMES)
 def test_gradients_match_directional_derivatives(name, mode, lam):
     graph, target, classes = bench_instance(name)
     params = xavier_blocks(mode, lam, classes, graph)
-    _, record = loss_and_record(model_of(mode, lam, classes, params), graph, target)
-    grads = nn.backward(record, target)
+    model = model_of(mode, lam, classes, params)
+    _, record = loss_and_record(model, graph, target)
+    grads = nn.backward(model, record, target)
     # train-eval-iodp has no auxiliary gradient: its loss does not read that head
     grads = list(grads) + [np.zeros_like(p) for p in params[len(grads):]]
 
@@ -119,9 +106,9 @@ def test_propagation_is_adjoint_and_row_stochastic(name):
 def test_held_label_sums_give_the_node_sized_gradients(mode, lam, monkeypatch):
     graph, target, classes = bench_instance("large-n")
     model = model_of(mode, lam, classes, xavier_blocks(mode, lam, classes, graph))
-    held = nn.backward(loss_and_record(model, graph, target)[1], target)
+    held = nn.backward(model, loss_and_record(model, graph, target)[1], target)
     monkeypatch.setattr(gr.LabelAdjacency, "holds_label_sums", property(lambda a: False))
-    node_sized = nn.backward(loss_and_record(model, graph, target)[1], target)
+    node_sized = nn.backward(model, loss_and_record(model, graph, target)[1], target)
     assert len(held) == len(node_sized)
     for h, s in zip(held, node_sized):
         assert np.abs(h - s).max() <= 1e-10 * np.abs(s).max()

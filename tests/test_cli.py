@@ -816,23 +816,36 @@ def test_damaged_magic_reading_as_a_label_map_exits_2(trained_artifacts, tmp_pat
 
 MISSING = ("output directory", "does not exist")
 A_DIRECTORY = ("output path is a directory",)
+SAME_FILE = ("resolve to the same file",)
+
+
+def tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
 def refused_before_any_work(tmp_path, messages, *argv):
     """Run ``dgn *argv`` beside an empty directory ``made``: exit 2 with
     ``messages`` on stderr, no stdout, nothing written."""
     (tmp_path / "made").mkdir()
-    before = sorted(tmp_path.rglob("*"))
+    before = tree(tmp_path)
     result = run_cli(*argv)
     assert result.returncode == 2, result.stderr
     assert all(m in result.stderr for m in messages), result.stderr
     assert result.stdout == ""
-    assert sorted(tmp_path.rglob("*")) == before
+    assert tree(tmp_path) == before
+
+
+def copy_into(tmp_path, *files):
+    """Copies of ``files`` in ``tmp_path``, under their own names."""
+    for f in files:
+        shutil.copyfile(f, tmp_path / f.name)
 
 
 class TestMissingOutputDirectory:
     """An output in a directory that does not exist, or that is a directory, is
-    refused before any work."""
+    refused before any work; so are two paths of one command that name one
+    file, an output and another output or an input."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -887,4 +900,61 @@ class TestMissingOutputDirectory:
         refused_before_any_work(
             tmp_path, messages, "eval", "--manifest", data / "test.manifest", "--checkpoint", full,
             "--prototype", proto, "--out", tmp_path / out,
+        )
+
+    @pytest.mark.parametrize(
+        "checkpoint, trace",
+        [
+            ("full.dgnm", "full.dgnm"),
+            ("full.dgnm", "made/../full.dgnm"),
+            ("train.manifest", None),
+            ("full.dgnm", "p.dgnp"),
+        ],
+        ids=[
+            "trace names the checkpoint",
+            "trace names the checkpoint by another path",
+            "checkpoint names the manifest",
+            "trace names the prototype",
+        ],
+    )
+    def test_train_paths_naming_one_file(self, trained_artifacts, tmp_path, no_work, checkpoint, trace):
+        data, proto, _, full = trained_artifacts
+        copy_into(tmp_path, data / "train.manifest", proto, full)
+        argv = [
+            "train", "--manifest", tmp_path / "train.manifest", "--prototype", tmp_path / "p.dgnp",
+            "--epochs", 1, "--checkpoint", tmp_path / checkpoint,
+        ]
+        refused_before_any_work(
+            tmp_path, SAME_FILE, *argv, *(("--out", tmp_path / trace) if trace else ())
+        )
+
+    @pytest.mark.parametrize(
+        "out",
+        ["full.dgnm", "made/../full.dgnm", "test.manifest", "p.dgnp"],
+        ids=[
+            "report names the checkpoint",
+            "report names the checkpoint by another path",
+            "report names the manifest",
+            "report names the prototype",
+        ],
+    )
+    def test_eval_report_naming_an_input(self, trained_artifacts, tmp_path, no_work, out):
+        data, proto, _, full = trained_artifacts
+        copy_into(tmp_path, data / "test.manifest", proto, full)
+        refused_before_any_work(
+            tmp_path, SAME_FILE, "eval", "--manifest", tmp_path / "test.manifest",
+            "--checkpoint", tmp_path / "full.dgnm", "--prototype", tmp_path / "p.dgnp",
+            "--out", tmp_path / out,
+        )
+
+    @pytest.mark.parametrize(
+        "out", ["train.manifest", "made/../train.manifest"],
+        ids=["prototype names the manifest", "prototype names the manifest by another path"],
+    )
+    def test_iodp_prototype_naming_the_manifest(self, tiny_corpus_dir, tmp_path, no_work, out):
+        data, _ = tiny_corpus_dir
+        copy_into(tmp_path, data / "train.manifest")
+        refused_before_any_work(
+            tmp_path, SAME_FILE, "iodp", "--manifest", tmp_path / "train.manifest",
+            "--out", tmp_path / out,
         )

@@ -67,12 +67,12 @@ def expr_propagate_adjoint(a, y):
     return z + expr_adjoint_rows(a, z)[a.inverse]
 
 
-def expr_backward(record, target):
+def expr_backward(model, record, target):
     delta_m = nn.softmax(record.main_logits)
     delta_m[target] -= 1.0
     n = record.features.shape[0]
     a = record.adjacency
-    d_pooled = record.main_head.weight @ delta_m
+    d_pooled = model.main_head.weight @ delta_m
     slope = record.hidden * (1.0 - record.hidden)
     if not a.holds_label_sums:
         d_fw = expr_propagate_adjoint(a, (d_pooled / n)[None, :] * slope)
@@ -84,9 +84,9 @@ def expr_backward(record, target):
     if record.aux_logits is not None:
         delta_a = nn.softmax(record.aux_logits)
         delta_a[target] -= 1.0
-        delta_a *= record.lam
+        delta_a *= model.lam
         grads += [np.outer(record.aux_pooled, delta_a), delta_a]
-        d_aux_pooled = record.aux_head.weight @ delta_a
+        d_aux_pooled = model.aux_head.weight @ delta_a
         d_fw = d_fw + (d_aux_pooled / n)[None, :] * (record.aux_hidden * (1.0 - record.aux_hidden))
     gc = record.features.T @ d_fw
     return [gc if mixed is None else gc + mixed, *grads]
@@ -134,13 +134,13 @@ def graph_case(name, seed):
 
 
 def records(v, a, seed):
-    """Forward records of a train-eval-iodp and a full model (lam > 0) on the graph ``a``."""
+    """(model, forward record) of a train-eval-iodp and a full model (lam > 0) on the graph ``a``."""
     rng = np.random.default_rng(seed)
     c, d, k = v.shape[1], 4, 3
     out = []
     for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
         model = md.DgnModel.assemble(mode, c, d, k, 0.5, lambda shape: rng.standard_normal(shape))
-        out.append(md.forward_parts(model, a)[2])
+        out.append((model, md.forward_parts(model, a)))
     return out
 
 
@@ -186,10 +186,10 @@ class TestSameBytes:
 
     def test_backward(self, name, seed):
         v, a, _ = graph_case(name, seed)
-        for record in records(v, a, seed):
+        for model, record in records(v, a, seed):
             for target in range(3):
-                fast = list(nn.backward(record, target))
-                slow = expr_backward(record, target)
+                fast = list(nn.backward(model, record, target))
+                slow = expr_backward(model, record, target)
                 assert len(fast) == len(slow)
                 for f, s in zip(fast, slow):
                     assert f.tobytes() == s.tobytes()
@@ -216,12 +216,12 @@ class TestNoAliasing:
 
     def test_backward(self, name):
         v, a, _ = graph_case(name, 4)
-        for record in records(v, a, 4):
-            inputs = [record.hidden, record.gc_weight, *adjacency_arrays(a)]
+        for model, record in records(v, a, 4):
+            inputs = [record.hidden, model.gc_weight, *adjacency_arrays(a)]
             if record.aux_hidden is not None:
                 inputs.append(record.aux_hidden)
             before = [x.copy() for x in inputs]
-            grads = list(nn.backward(record, 1))
+            grads = list(nn.backward(model, record, 1))
             for x, b in zip(inputs, before):
                 assert x.tobytes() == b.tobytes()
             one_hot = written_one_hot(a)
@@ -264,20 +264,20 @@ def relative_error(actual, expected):
     return float(np.abs(actual - expected).max() / np.abs(expected).max())
 
 
-def dense_hidden_weight_gradient(record, dense, target):
+def dense_hidden_weight_gradient(model, record, dense, target):
     """``V^T (M^T d_pre + d_aux_pre)`` with ``M = D^-1 (I + A)`` the dense matrix of the layer."""
     n = record.features.shape[0]
     delta_m = nn.softmax(record.main_logits)
     delta_m[target] -= 1.0
     slope = record.hidden * (1.0 - record.hidden)
-    d_pre = (record.main_head.weight @ delta_m / n)[None, :] * slope
+    d_pre = (model.main_head.weight @ delta_m / n)[None, :] * slope
     m = (np.eye(n) + dense) / (dense.sum(axis=1) + 1.0)[:, None]
     d_fw = m.T @ d_pre
     if record.aux_logits is not None:
         delta_a = nn.softmax(record.aux_logits)
         delta_a[target] -= 1.0
         aux_slope = record.aux_hidden * (1.0 - record.aux_hidden)
-        d_fw = d_fw + (record.aux_head.weight @ (record.lam * delta_a) / n)[None, :] * aux_slope
+        d_fw = d_fw + (model.aux_head.weight @ (model.lam * delta_a) / n)[None, :] * aux_slope
     return record.features.T @ d_fw
 
 
@@ -288,10 +288,10 @@ def test_label_space_layer_matches_the_dense_path_and_the_oracle(name, seed):
     w = hidden_weight(v, seed)
     forward = nn.propagate(a, w)
     assert relative_error(forward, oracle.naive_propagate(dense, v @ w)) <= 1e-12
-    for record in records(v, a, seed):
+    for model, record in records(v, a, seed):
         for target in range(3):
-            label_grad = nn.backward(record, target)[0]
-            expected = dense_hidden_weight_gradient(record, dense, target)
+            label_grad = nn.backward(model, record, target)[0]
+            expected = dense_hidden_weight_gradient(model, record, dense, target)
             assert relative_error(label_grad, expected) <= 1e-12
 
 
@@ -312,6 +312,6 @@ def test_held_label_sums_are_the_one_hot_times_the_features(name):
         products(a, v, w)
         nn.propagate(a, w)
         nn.propagate_adjoint(a, v)
-        for record in records(v, a, 5):
-            nn.backward(record, 1)
+        for model, record in records(v, a, 5):
+            nn.backward(model, record, 1)
         assert "_label_sums" not in vars(a)

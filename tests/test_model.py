@@ -12,6 +12,7 @@ from dgn import nn, oracle
 from dgn.errors import ValidationError
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
+from tests.helpers import loss_and_record, model_of
 from tests.test_acceptance import _gradcheck_relative_error
 from tests.test_oracle import factored_graph, graph_over, zero_affinity_rows
 
@@ -35,9 +36,9 @@ class TestForward:
     def test_baseline_pooled_affine(self):
         head = nn.ClassifierParams(np.array([[1.0, 0.0]]), np.zeros(2))
         model = md.DgnModel(AblationMode.BASELINE, 1, 1, 2, 0.0, head)
-        logits, aux, _ = md.forward_parts(model, np.array([[1.0], [3.0]]))
-        np.testing.assert_array_equal(logits, [2.0, 0.0])
-        assert aux is None
+        record = md.forward_parts(model, np.array([[1.0], [3.0]]))
+        np.testing.assert_array_equal(record.main_logits, [2.0, 0.0])
+        assert record.aux_logits is None
 
     def test_single_node_main_equals_aux_with_equal_heads(self):
         rng = np.random.default_rng(0)
@@ -52,8 +53,8 @@ class TestForward:
         np.testing.assert_array_equal(dense, [[1.0]])
         propagated = nn.propagate(adjacency)
         np.testing.assert_allclose(propagated, v, atol=1e-15, rtol=0)
-        logits, aux_logits, _ = md.forward_parts(model, adjacency)
-        np.testing.assert_allclose(logits, aux_logits, atol=1e-15, rtol=0)
+        record = md.forward_parts(model, adjacency)
+        np.testing.assert_allclose(record.main_logits, record.aux_logits, atol=1e-15, rtol=0)
 
     def test_eval_only_matches_baseline_on_half_mean_shift(self):
         rng = np.random.default_rng(1)
@@ -63,10 +64,10 @@ class TestForward:
         np.testing.assert_allclose(dense, np.full((6, 6), 1.0 / 6), atol=1e-15, rtol=0)
         head = nn.ClassifierParams(rng.standard_normal((4, 3)), rng.standard_normal(3))
         baseline = md.DgnModel(AblationMode.BASELINE, 4, 4, 3, 0.0, head)
-        plug_logits, _, _ = md.forward_parts(baseline, adjacency, AblationMode.EVAL_ONLY_IODP)
+        plug_logits = md.forward_parts(baseline, adjacency, AblationMode.EVAL_ONLY_IODP).main_logits
         v = v.astype(np.float64)
         shifted = (v + v.mean(axis=0)) / 2
-        base_logits, _, _ = md.forward_parts(baseline, shifted)
+        base_logits = md.forward_parts(baseline, shifted).main_logits
         np.testing.assert_allclose(plug_logits, base_logits, atol=1e-12, rtol=0)
 
     def test_graph_mode_requires_propagation(self):
@@ -80,14 +81,12 @@ class TestForward:
         model = md.init_model(AblationMode.FULL, 3, 2, config)
         rng = np.random.default_rng(2)
         _, adjacency, _ = factored_graph(rng.integers(0, 3, size=(2, 2)), np.full((3, 3), 0.4), rng)
-        _, _, record = md.forward_parts(model, adjacency)
-        assert record.gc_weight is model.gc_weight
-        # the aux path reads the same array: mutating it changes both paths
-        before_main, before_aux, _ = md.forward_parts(model, adjacency)
+        # both paths read the model's one array: mutating it changes both
+        before = md.forward_parts(model, adjacency)
         model.gc_weight[:] = 0.0
-        after_main, after_aux, recer = md.forward_parts(model, adjacency)
-        assert not np.array_equal(before_main, after_main)
-        assert not np.array_equal(before_aux, after_aux)
+        after = md.forward_parts(model, adjacency)
+        assert not np.array_equal(before.main_logits, after.main_logits)
+        assert not np.array_equal(before.aux_logits, after.aux_logits)
 
 
 def test_total_loss():
@@ -158,8 +157,9 @@ class TestTrain:
             losses, hits, grad_sums = md._baseline_batch(model, pooled[batch], targets[batch])
             per_instance, expected_hits = [], 0
             for j, i in enumerate(batch):
-                logits, _, record = md.forward_parts(model, features[i])
-                per_instance.append(list(nn.backward(record, int(targets[i]))))
+                record = md.forward_parts(model, features[i])
+                logits = record.main_logits
+                per_instance.append(list(nn.backward(model, record, int(targets[i]))))
                 assert losses[j] == nn.softmax_ce(logits, int(targets[i]))
                 expected_hits += int(np.argmax(logits) == targets[i])
             assert hits == expected_hits
@@ -395,8 +395,8 @@ def test_cached_graphs_hold_no_node_sized_one_hot(trained_setup, monkeypatch):
 
 def layer_bytes(model, a):
     """The bytes of a forward, its gradients and an eval-only pooling on one graph."""
-    _, _, record = md.forward_parts(model, a)
-    out = [record.hidden, *nn.backward(record, 1), nn.propagate_adjoint(a, record.hidden)]
+    record = md.forward_parts(model, a)
+    out = [record.hidden, *nn.backward(model, record, 1), nn.propagate_adjoint(a, record.hidden)]
     return [x.tobytes() for x in out]
 
 
@@ -436,22 +436,14 @@ def test_gradients_through_a_zero_weight_label_match_finite_differences():
         v, adjacency, _ = factored_graph(labels, omega, rng, channels=c)
         assert 0 < zero_affinity_rows(labels, omega) < v.shape[0]
         assert adjacency.holds_label_sums == (c == 3)
-        lam = 0.5 if mode is AblationMode.FULL else 0.0
         params = [rng.standard_normal(shape) * 0.6 for shape in ((c, d), (d, k), (k,), (d, k), (k,))]
 
-        def model_of(p):
-            return md.DgnModel(
-                mode, c, d, k, lam, nn.ClassifierParams(p[1], p[2]),
-                gc_weight=p[0], aux_head=nn.ClassifierParams(p[3], p[4]),
-            )
-
         def loss_of(p):
-            logits, aux_logits, _ = md.forward_parts(model_of(p), adjacency)
-            loss_aux = nn.softmax_ce(aux_logits, target) if aux_logits is not None else 0.0
-            return md.total_loss(nn.softmax_ce(logits, target), loss_aux, lam)
+            # lam 0.5 in the full mode; train-eval-iodp has lam 0
+            return loss_and_record(model_of(mode, 0.5, k, p), adjacency, target)[0]
 
-        _, _, record = md.forward_parts(model_of(params), adjacency)
-        analytic = list(nn.backward(record, target))
+        model = model_of(mode, 0.5, k, params)
+        analytic = list(nn.backward(model, md.forward_parts(model, adjacency), target))
         numeric = oracle.fd_gradient(loss_of, params)
         # train-eval-iodp never reads the aux head: its gradient blocks are absent
         assert len(analytic) == (5 if mode is AblationMode.FULL else 3)
@@ -535,8 +527,7 @@ class TestCheckpoints:
             resized = dgn.nn_resize(inst.label_map, inst.feature_map.width, inst.feature_map.height)
             graph = gr.build_graph(inst.feature_map, resized, proto)
             x = features if mode is AblationMode.BASELINE else graph
-            _, _, record = md.forward_parts(model, x)
-            grads = list(nn.backward(record, inst.scene_id))
+            grads = list(nn.backward(model, md.forward_parts(model, x), inst.scene_id))
             expected = [a.shape for a in arrays]
             if mode is not AblationMode.FULL:
                 expected = expected[: len(grads)]  # no aux loss, no aux gradients

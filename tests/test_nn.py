@@ -9,6 +9,7 @@ from dgn.corpus import Corpus, FeatureMap, Instance, LabelMap
 from dgn.errors import ValidationError
 from dgn.model import AblationMode
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
+from tests.helpers import loss_and_record, model_of
 from tests.test_acceptance import _gradcheck_relative_error
 from tests.test_oracle import factored_graph, graph_over, random_graph
 
@@ -18,8 +19,7 @@ def graph_layer(adjacency, weight):
     c, d = np.shape(weight)
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, c, d, 2, 0.0, np.zeros)
     model.gc_weight = np.asarray(weight, dtype=np.float64)
-    _, _, record = md.forward_parts(model, adjacency)
-    return nn.propagate(adjacency), record.hidden
+    return nn.propagate(adjacency), md.forward_parts(model, adjacency).hidden
 
 
 class TestGcnForward:
@@ -262,46 +262,29 @@ class TestXavierInit:
 
 class TestBackward:
     def _record(self, lam, rng):
+        """A full model of aux weight ``lam`` and its forward record on a random graph."""
         c, d, C = 3, 4, 3
-        v, a, _ = random_graph(rng, 4, (1, 5), channels=c)
+        _, a, _ = random_graph(rng, 4, (1, 5), channels=c)
         w = rng.standard_normal((c, d)) * 0.4
-        hidden = nn.sigmoid(nn.propagate(a, w))
-        pooled = nn.gap(hidden)
         main = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
         aux = nn.ClassifierParams(rng.standard_normal((d, C)) * 0.4, rng.standard_normal(C) * 0.1)
-        v = v.astype(np.float64)  # the record keeps the float64 cast, as forward_parts does
-        aux_hidden = nn.sigmoid(v @ w)
-        aux_pooled = nn.gap(aux_hidden)
-        return nn.ForwardRecord(
-            features=v,
-            pooled=pooled,
-            main_head=main,
-            main_logits=nn.linear(pooled, main),
-            lam=lam,
-            adjacency=a,
-            gc_weight=w,
-            hidden=hidden,
-            aux_hidden=aux_hidden,
-            aux_pooled=aux_pooled,
-            aux_head=aux,
-            aux_logits=nn.linear(aux_pooled, aux),
-        )
+        model = md.DgnModel(AblationMode.FULL, c, d, C, lam, main, gc_weight=w, aux_head=aux)
+        return model, md.forward_parts(model, a)
 
     def test_lambda_zero_zeroes_aux_gradients(self):
-        rec = self._record(0.0, np.random.default_rng(5))
-        grads = nn.backward(rec, 1)
+        grads = nn.backward(*self._record(0.0, np.random.default_rng(5)), 1)
         # blocks: hidden weight, main weight, main bias, aux weight, aux bias
         np.testing.assert_array_equal(grads[3], np.zeros_like(grads[3]))
         np.testing.assert_array_equal(grads[4], np.zeros_like(grads[4]))
         # shared-weight gradient reduces to the main-path term
-        rec_main = self._record(0.25, np.random.default_rng(5))
+        model, rec_main = self._record(0.25, np.random.default_rng(5))
         rec_main.aux_logits = None
-        main_only = nn.backward(rec_main, 1)
+        main_only = nn.backward(model, rec_main, 1)
         np.testing.assert_array_equal(grads[0], main_only[0])
 
     def test_doubling_lambda_doubles_aux_gradient(self):
-        g1 = nn.backward(self._record(0.25, np.random.default_rng(6)), 2)
-        g2 = nn.backward(self._record(0.5, np.random.default_rng(6)), 2)
+        g1 = nn.backward(*self._record(0.25, np.random.default_rng(6)), 2)
+        g2 = nn.backward(*self._record(0.5, np.random.default_rng(6)), 2)
         np.testing.assert_array_equal(g2[3], 2.0 * g1[3])
         np.testing.assert_array_equal(g2[4], 2.0 * g1[4])
         np.testing.assert_array_equal(g1[1], g2[1])
@@ -322,20 +305,11 @@ class TestBackward:
             target = int(rng.integers(0, C))
             params = [rng.standard_normal(shape) * 0.6 for shape in ((c, d), (d, C), (C,), (d, C), (C,))]
 
-            def model_of(p):
-                return md.DgnModel(
-                    AblationMode.FULL, c, d, C, lam, nn.ClassifierParams(p[1], p[2]),
-                    gc_weight=p[0], aux_head=nn.ClassifierParams(p[3], p[4]),
-                )
-
             def loss_of(p):
-                logits, aux_logits, _ = md.forward_parts(model_of(p), adjacency)
-                return md.total_loss(
-                    nn.softmax_ce(logits, target), nn.softmax_ce(aux_logits, target), lam
-                )
+                return loss_and_record(model_of(AblationMode.FULL, lam, C, p), adjacency, target)[0]
 
-            _, _, record = md.forward_parts(model_of(params), adjacency)
-            analytic = list(nn.backward(record, target))
+            model = model_of(AblationMode.FULL, lam, C, params)
+            analytic = list(nn.backward(model, md.forward_parts(model, adjacency), target))
             numeric = oracle.fd_gradient(loss_of, params)
             for a_, f_ in zip(analytic, numeric):
                 assert _gradcheck_relative_error(a_, f_) <= 1e-6

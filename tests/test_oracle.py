@@ -176,7 +176,7 @@ def assert_eval_only_pool_matches_dense(v, adjacency, dense):
     """The eval-only mode pools through the adjoint; the oracle pools the propagation."""
     c = v.shape[1]
     baseline = md.DgnModel.assemble(md.AblationMode.BASELINE, c, c, 2, 0.0, np.zeros)
-    _, _, record = md.forward_parts(baseline, adjacency, md.AblationMode.EVAL_ONLY_IODP)
+    record = md.forward_parts(baseline, adjacency, md.AblationMode.EVAL_ONLY_IODP)
     slow = nn.gap(oracle.naive_propagate(dense, v))
     assert oracle.compare(record.pooled, slow).max_abs_deviation <= 1e-12
 
@@ -357,7 +357,7 @@ def check_evaluation_oracle(model, corpus, proto, eval_mode):
     logits = oracle.naive_evaluate(dense_instances(corpus, proto), model.blocks(), eval_mode)
     graphs = md._prepared_inputs(corpus, proto, eval_mode is not md.AblationMode.BASELINE)
     for (x, _), expected in zip(graphs, logits):
-        fast = md.forward_parts(model, x, eval_mode)[0]
+        fast = md.forward_parts(model, x, eval_mode).main_logits
         assert oracle.compare(fast, expected).max_abs_deviation <= 1e-12 * np.abs(expected).max()
     # argmax ties go to the lowest class, as np.argmax breaks them
     totals, hits = np.zeros(corpus.num_classes), np.zeros(corpus.num_classes)
