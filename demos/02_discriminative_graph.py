@@ -10,9 +10,9 @@ class evidence and averages noise away.
 ``build_graph`` returns the adjacency in label space (one prototype block over
 the object ids present), holding the node features it propagates.
 ``extract_local_knowledge`` gathers the raw n x n affinity from the node ids,
-and ``row_normalize`` turns it into the dense adjacency, built here to look at
-and to check against the scalar-loop oracle.  The demo exits 1 if a check
-fails.
+shown here to look at; the dense adjacency it normalizes to is built by the
+oracle's scalar loops, to check the label-space graph against.  The demo
+exits 1 if a check fails.
 """
 
 import numpy as np
@@ -52,11 +52,13 @@ print("affinity row of a common node (attention concentrates on the",
       "discriminative columns):")
 affinity = dgn.extract_local_knowledge(semantics, proto)
 print(np.round(affinity[np.flatnonzero(~disc)[0]], 2).reshape(spec.grid_cells, spec.grid_cells))
-dense = dgn.row_normalize(affinity)
+dense = oracle.naive_adjacency(semantics, proto)
 k = adjacency.mix.shape[0]
 print(f"label-space block mix {k}x{k} (A = P mix P^T),",
       f"dense adjacency {dense.shape[0]}x{dense.shape[1]}")
 check("every adjacency row sums to one", np.allclose(dense.sum(axis=1), 1.0))
+check("the label-space block blows up to the dense adjacency",
+      np.allclose(adjacency.mix[np.ix_(adjacency.inverse, adjacency.inverse)], dense, atol=1e-15, rtol=0))
 mixed = nn.propagate(adjacency)
 check("label-space propagation equals the scalar loop over the dense adjacency",
       np.allclose(mixed, oracle.naive_propagate(dense, features), atol=1e-12, rtol=0))

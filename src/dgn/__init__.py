@@ -1,6 +1,8 @@
 """Object co-occurrence statistics and a one-layer graph-convolution scene
 classifier over pixel-level features, with synthetic benchmark tooling."""
 
+import types as _types
+
 from .corpus import (
     Corpus,
     FeatureMap,
@@ -46,40 +48,7 @@ from .prototype import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AblationMode",
-    "Corpus",
-    "CooccurrenceMode",
-    "DgnModel",
-    "DispersionMetric",
-    "EvalReport",
-    "FeatureMap",
-    "FormatError",
-    "Instance",
-    "LabelAdjacency",
-    "LabelMap",
-    "Prototype",
-    "SyntheticSpec",
-    "TrainConfig",
-    "ValidationError",
-    "build_graph",
-    "build_prototype",
-    "evaluate",
-    "extract_local_knowledge",
-    "generate_synthetic_corpus",
-    "init_model",
-    "load_corpus",
-    "load_feature_map",
-    "load_label_map",
-    "load_model",
-    "load_prototype",
-    "nn_resize",
-    "row_normalize",
-    "save_corpus",
-    "save_feature_map",
-    "save_label_map",
-    "save_model",
-    "save_prototype",
-    "total_loss",
-    "train",
-]
+# the public names are the ones imported above; a submodule is not one
+__all__ = sorted(
+    k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _types.ModuleType)
+)

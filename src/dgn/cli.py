@@ -49,9 +49,8 @@ from .prototype import (
 
 TEST_SPLIT_DIVISOR = 5  # gen writes per_class // 5 test instances per class
 # inspect builds two dense n x n float64 matrices for a label map (2 x 128 MiB
-# at the limit) and writes each as CSV text, whose join grows as n^2 too: a
-# 2048-node CSV peaked at 288 MB under tracemalloc and took 21.7 s (2 vCPUs,
-# numpy 2.4.6), so at the limit each CSV takes ~1.2 GB and ~90 s.  Refuse
+# at the limit) and writes each as CSV text, row by row: a 2048-node CSV took
+# 21.7 s (2 vCPUs, numpy 2.4.6), so at the limit each CSV takes ~90 s.  Refuse
 # beyond this many nodes rather than allocate without bound
 INSPECT_MAX_NODES = 4096
 
@@ -187,7 +186,7 @@ def _require_output_dirs(*outputs, inputs=()) -> None:
 def cmd_iodp(args) -> int:
     _require_output_dirs(args.out, inputs=[args.manifest])
     # the prototype reads label maps only; the feature maps stay on disk
-    corpus = load_corpus(args.manifest, features=False)
+    corpus = load_corpus(args.manifest, features=False, outputs=[args.out])
     proto = build_prototype(
         corpus, CooccurrenceMode(args.mode), DispersionMetric(args.metric), args.passivate
     )
@@ -208,7 +207,7 @@ def cmd_train(args) -> int:
         return 1
     trace_path = args.out or f"{args.checkpoint}.trace.csv"
     _require_output_dirs(args.checkpoint, trace_path, inputs=[args.manifest, args.prototype])
-    corpus = load_corpus(args.manifest)
+    corpus = load_corpus(args.manifest, outputs=[args.checkpoint, trace_path])
     proto = load_prototype(args.prototype) if args.prototype else None
     config = TrainConfig(
         epochs=args.epochs,
@@ -234,7 +233,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_output_dirs(args.out, inputs=[args.manifest, args.checkpoint, args.prototype])
-    corpus = load_corpus(args.manifest)
+    corpus = load_corpus(args.manifest, outputs=[args.out])
     model = load_model(args.checkpoint)
     proto = load_prototype(args.prototype) if args.prototype else None
     report = evaluate(model, corpus, proto, AblationMode(args.mode) if args.mode else None)
@@ -366,6 +365,7 @@ def write_pgm16(matrix: np.ndarray, path) -> None:
 
 
 def write_matrix_csv(matrix: np.ndarray, path) -> None:
-    rows = np.asarray(matrix, dtype=np.float64)
-    lines = [",".join(format(v, ".17g") for v in row) for row in rows]
-    fileio.atomic_write_text(path, "\n".join(lines) + "\n")
+    """One line of ``.17g`` values per row, written row by row: no n^2 string is built."""
+    with fileio.atomic_writer(path) as fh:
+        for row in np.asarray(matrix, dtype=np.float64):
+            fh.write((",".join(format(v, ".17g") for v in row) + "\n").encode("utf-8"))

@@ -13,6 +13,7 @@ without its feature maps.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,12 +214,26 @@ def save_corpus(corpus: Corpus, out_dir: str | Path, name: str) -> Path:
 _HEADER_RE = re.compile(r"^#DGN-MANIFEST v1 C=(\d+) L=(\d+)$")
 
 
-def load_corpus(manifest_path: str | Path, features: bool = True) -> Corpus:
+def _file_identity(path) -> tuple[int, int] | None:
+    """``(st_dev, st_ino)`` of the file at ``path``, or None if it cannot be stat'ed."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def load_corpus(manifest_path: str | Path, features: bool = True, outputs=()) -> Corpus:
     """Read a manifest back into memory.
 
     With ``features=False`` every instance's feature map is left unread
-    (None): only the manifest and the label maps are decoded.
+    (None): only the manifest and the label maps are decoded.  A listed
+    label or feature map that is one of ``outputs``, the paths a command
+    will write, by ``os.stat`` identity, is refused.
     """
+    # only an output that exists can be a listed file: with none, no row is stat'ed
+    taken = {_file_identity(out): out for out in filter(None, outputs)}
+    taken.pop(None, None)
     manifest_path = Path(manifest_path)
     try:
         text = manifest_path.read_text(encoding="utf-8")
@@ -242,6 +257,9 @@ def load_corpus(manifest_path: str | Path, features: bool = True) -> Corpus:
             scene_id = int(parts[0])
         except ValueError:
             raise FormatError(f"{manifest_path}: non-integer scene id in row {ln!r}") from None
+        for listed in parts[1:] if taken else ():
+            if listed != "-" and (out := taken.get(_file_identity(base / listed))):
+                raise ValidationError(f"{out}: the output is {listed}, a file {manifest_path} lists")
         label_map = load_label_map(base / parts[1])
         feature_map = None if parts[2] == "-" or not features else load_feature_map(base / parts[2])
         instances.append(Instance(scene_id, label_map, feature_map))

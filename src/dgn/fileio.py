@@ -4,12 +4,13 @@ Every binary artifact shares one frame: a 4-byte magic, the u32
 ``FORMAT_VERSION``, the format's own header and payload, and no trailing
 bytes.  :func:`write_artifact` writes the frame and :class:`Reader` checks
 it, so a format module states only its fields.  All writers go through
-:func:`atomic_write_bytes` so a failure never leaves a partially written
-output file behind.
+:func:`atomic_writer`, most of them by :func:`atomic_write_bytes`, so a
+failure never leaves a partially written output file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -22,18 +23,28 @@ from .errors import FormatError
 FORMAT_VERSION = 1
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a sibling temp file and rename."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path):
+    """A binary file on a sibling temp file, renamed to ``path`` when the block ends.
+
+    An exception in the block removes the temp file and leaves ``path`` as it was.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def write_artifact(path: str | Path, magic: bytes, *parts) -> None:

@@ -194,15 +194,15 @@ def forward_parts(
     in label space, so the full mode's auxiliary path reuses the same
     ``V W``.  The eval-only mode pools the propagation through its adjoint,
     ``gap(M V) = (M^T 1/n)^T V``, one column wide.  The features may be a
-    feature map's float32 array; the graph modes cast them to float64 once
-    and keep the cast in the record for ``backward``, which reads the
-    parameters from ``model``.
+    feature map's float32 array; the graph modes cast them to float64 only
+    to form ``V W``, and the record keeps no copy of them, so ``backward``,
+    which reads the parameters from ``model``, casts the graph's ``V`` again.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
         pooled = gap(x)
         logits = linear(pooled, model.main_head)
-        return ForwardRecord(x, pooled, logits)
+        return ForwardRecord(pooled, logits)
     if not isinstance(x, LabelAdjacency):
         raise ValidationError(
             f"mode {mode.value}: the input must be a graph.LabelAdjacency, not {type(x).__name__}"
@@ -212,14 +212,13 @@ def forward_parts(
         weights = propagate_adjoint(x, np.full((n, 1), 1.0 / n))
         pooled = weights[:, 0] @ x.features
         logits = linear(pooled, model.main_head)
-        return ForwardRecord(x.features, pooled, logits, adjacency=x)
+        return ForwardRecord(pooled, logits, adjacency=x)
 
-    v = np.asarray(x.features, dtype=np.float64)
-    fw = v @ model.gc_weight
+    fw = np.asarray(x.features, dtype=np.float64) @ model.gc_weight
     hidden = sigmoid(propagate(x, model.gc_weight, fw))
     pooled = gap(hidden)
     logits = linear(pooled, model.main_head)
-    record = ForwardRecord(v, pooled, logits, adjacency=x, hidden=hidden)
+    record = ForwardRecord(pooled, logits, adjacency=x, hidden=hidden)
     if mode is AblationMode.FULL:
         record.aux_hidden = sigmoid(fw)
         record.aux_pooled = gap(record.aux_hidden)
@@ -353,22 +352,17 @@ def train(
                     sums["main"] += loss_main
                     sums["aux"] += loss_aux
                     correct += int(np.argmax(record.main_logits) == target)
+                    # free the activations now, not when the next forward rebinds
+                    # the name: no forward_parts or adam_step runs beside them
+                    del record
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"non-finite loss in epoch {epoch}")
             # the loop owns the sums, so their mean is taken in place
             for g in grad_sums:
                 g /= batch.size
             adam_step(params, grad_sums, state)
-        trace.append(
-            EpochStats(
-                epoch,
-                state.lr,
-                sums["loss"] / n_total,
-                sums["main"] / n_total,
-                sums["aux"] / n_total,
-                correct / n_total,
-            )
-        )
+        # the means of the loss, main and aux sums, in EpochStats' field order
+        trace.append(EpochStats(epoch, state.lr, *(s / n_total for s in sums.values()), correct / n_total))
     return model, trace
 
 

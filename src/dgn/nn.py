@@ -2,7 +2,8 @@
 
 Everything runs in float64.  Node features arrive as the float32 arrays a
 ``corpus.FeatureMap`` holds and are cast to float64 at use, which is exact;
-a training step casts them once and ``backward`` reuses the cast.  The
+a training step casts them in ``forward_parts`` and again in ``backward``,
+so no record holds a float64 copy of them between the two.  The
 network is small enough (one graph convolution plus two affine heads) that
 hand-derived gradients are simpler and more testable than an autodiff
 layer; the shared hidden weight receives the sum of the main-path and
@@ -162,10 +163,10 @@ class ForwardRecord:
     """The activations of one forward pass; ``backward`` reads the parameters from the model.
 
     ``adjacency`` is None in the baseline mode and ``hidden`` without a graph
-    layer; the auxiliary fields are set in the full mode only.
+    layer; the auxiliary fields are set in the full mode only.  The node
+    features ``V`` are not kept: the graph holds them.
     """
 
-    features: np.ndarray  # V, (n, c); in graph modes its float64 cast, which backward reuses
     pooled: np.ndarray  # input to the main head
     main_logits: np.ndarray
     adjacency: LabelAdjacency | None = None  # A
@@ -207,10 +208,10 @@ def backward(model: DgnModel, record: ForwardRecord, target: int) -> list[np.nda
     if model.gc_weight is None:
         return heads
 
-    n = record.features.shape[0]
+    a = record.adjacency
+    n = a.inverse.size
     d_pooled = model.main_head.weight @ delta_m  # (d,)
     # GAP spreads the pooled gradient evenly; sigmoid' = s * (1 - s)
-    a = record.adjacency
     if not a.holds_label_sums:
         d_fw = propagate_adjoint(a, _sigmoid_grad(record.hidden, d_pooled / n))
         mixed = None
@@ -226,7 +227,7 @@ def backward(model: DgnModel, record: ForwardRecord, target: int) -> list[np.nda
         d_aux_pooled = model.aux_head.weight @ delta_a
         d_fw += _sigmoid_grad(record.aux_hidden, d_aux_pooled / n)
 
-    gc_grad = record.features.T @ d_fw
+    gc_grad = np.asarray(a.features, dtype=np.float64).T @ d_fw
     if mixed is not None:
         gc_grad += mixed
     return [gc_grad, *heads]

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 These share only the domain types with the modules they verify: counting is
-a pixel scan into Python sets, statistics are scalar loops, propagation is a
+a pixel scan into Python sets, statistics are scalar loops, the dense
+adjacency is a gather and a row division in scalar loops, propagation is a
 scalar triple loop, gradients come from five-point central differences,
 training is those gradients fed to a scalar-loop AdamW, and evaluation is
 the scalar-loop forward over the dense adjacency.  A directional derivative
@@ -97,6 +98,24 @@ def naive_prototype(
                     theta *= C
             omega[i][j] = math.sqrt(theta) if passivated else theta
     return Prototype(L, np.array(omega, dtype=np.float64), mode, metric, passivated, C)
+
+
+def naive_adjacency(semantics: Sequence[int], prototype: Prototype) -> np.ndarray:
+    """The dense row-stochastic adjacency over the node ids ``semantics``, in scalar loops.
+
+    Entry (i, j) is the prototype entry of the ids of nodes i and j over its
+    row's sum; a row whose sum is 0 is ``1/n`` throughout.
+    """
+    ids = [int(s) for s in np.asarray(semantics).reshape(-1)]
+    if any(not 0 <= s < prototype.vocab_size for s in ids):
+        raise ValidationError(f"object id out of range for prototype vocab {prototype.vocab_size}")
+    n = len(ids)
+    out = np.zeros((n, n))
+    for i in range(n):
+        row = [float(prototype.omega[ids[i]][ids[j]]) for j in range(n)]
+        total = sum(row)
+        out[i] = [1.0 / n if total == 0.0 else w / total for w in row]
+    return out
 
 
 def naive_propagate(adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:

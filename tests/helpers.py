@@ -13,8 +13,7 @@ from pathlib import Path
 
 from dgn import cli
 from dgn import model as md
-from dgn import nn
-from dgn.graph import extract_local_knowledge, row_normalize
+from dgn import nn, oracle
 from dgn.model import AblationMode
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,8 +64,10 @@ def dense_adjacency(semantics, prototype):
 
     The label-space graph holds no n x n matrix; this is the one place the
     tests build it, to check the graph and to feed the scalar-loop oracles.
+    It is the oracle's scalar-loop definition, so no check of graph.py
+    takes graph.py's own dense code.
     """
-    return row_normalize(extract_local_knowledge(semantics, prototype))
+    return oracle.naive_adjacency(semantics, prototype)
 
 
 def model_of(mode, lam, classes, blocks):

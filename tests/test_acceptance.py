@@ -6,6 +6,7 @@ Each test prints a single pass line once its assertions hold, so
 
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -346,3 +347,14 @@ def test_criterion_11_format_round_trips(tmp_path):
         md.save_model(md.load_model(m1), m2)
         assert m1.read_bytes() == m2.read_bytes()
     passed(11, "format round trips")
+
+
+def test_the_public_names_are_the_package_imports():
+    # ``dgn.__all__`` is derived from the package's imports: every public
+    # name they bind, and no submodule or private helper
+    names = set(dgn.__all__)
+    assert {"build_graph", "load_corpus", "train", "ValidationError"} <= names
+    assert not any(name.startswith("_") or isinstance(getattr(dgn, name), types.ModuleType) for name in names)
+    star = {}
+    exec("from dgn import *", star)
+    assert set(star) - {"__builtins__"} == names

@@ -958,3 +958,104 @@ class TestMissingOutputDirectory:
             tmp_path, SAME_FILE, "iodp", "--manifest", tmp_path / "train.manifest",
             "--out", tmp_path / out,
         )
+
+
+LISTED = ("a file", "lists")
+
+
+class TestOutputIsAListedFile:
+    """An output that is a label or feature map the manifest lists, by its own
+    path, another spelling or a hard link, is refused with exit 2 and nothing
+    written; rows that share a file are still read."""
+
+    @pytest.fixture
+    def corpus(self, trained_artifacts, tmp_path):
+        data, proto, _, full = trained_artifacts
+        shutil.copytree(data, tmp_path / "c")
+        (tmp_path / "c" / "alias.dgnl").hardlink_to(tmp_path / "c" / "train" / "00003.dgnl")
+        return tmp_path / "c", proto, full
+
+    @pytest.mark.parametrize("out", ["train/00000.dgnl", "train/../train/00003.dgnf", "alias.dgnl"])
+    def test_iodp(self, corpus, tmp_path, out):
+        c, _, _ = corpus
+        refused_before_any_work(tmp_path, LISTED, "iodp", "--manifest", c / "train.manifest", "--out", c / out)
+
+    @pytest.mark.parametrize(
+        "checkpoint, trace", [("train/00001.dgnf", None), ("m.dgnm", "train/00004.dgnl")]
+    )
+    def test_train(self, corpus, tmp_path, checkpoint, trace):
+        c, proto, _ = corpus
+        argv = [
+            "train", "--manifest", c / "train.manifest", "--prototype", proto, "--epochs", 1,
+            "--checkpoint", c / checkpoint, *(("--out", c / trace) if trace else ()),
+        ]
+        refused_before_any_work(tmp_path, LISTED, *argv)
+
+    @pytest.mark.parametrize("out", ["test/00000.dgnf", "test/00001.dgnl"])
+    def test_eval(self, corpus, tmp_path, out):
+        c, proto, full = corpus
+        refused_before_any_work(
+            tmp_path, LISTED, "eval", "--manifest", c / "test.manifest", "--checkpoint", full,
+            "--prototype", proto, "--out", c / out,
+        )
+
+    def test_rows_sharing_a_file_are_read(self, corpus, tmp_path):
+        c, proto, _ = corpus
+        lines = (c / "train.manifest").read_text().splitlines()
+        scene, label_map, feature_map = lines[1].split("\t")
+        lines[2] = "\t".join([scene, label_map, feature_map])
+        (c / "train.manifest").write_text("\n".join(lines) + "\n")
+        result = run_cli("iodp", "--manifest", c / "train.manifest", "--out", tmp_path / "p.dgnp")
+        assert result.returncode == 0, result.stderr
+        result = run_cli(
+            "train", "--manifest", c / "train.manifest", "--prototype", proto, "--epochs", 1,
+            "--checkpoint", tmp_path / "m.dgnm",
+        )
+        assert result.returncode == 0, result.stderr
+
+
+class TestMatrixCsv:
+    """``write_matrix_csv`` streams rows into one atomic write: the bytes of the
+    whole-text join, no n^2 string, and no file left by a failed write."""
+
+    @staticmethod
+    def joined(matrix):
+        return ("\n".join(",".join(format(v, ".17g") for v in row) for row in matrix) + "\n").encode()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 1), (5, 7)])
+    def test_bytes_equal_the_join(self, tmp_path, shape):
+        m = np.random.default_rng(sum(shape)).standard_normal(shape) * 10.0 ** np.arange(shape[1])
+        m.flat[0] = 0.0
+        m.flat[m.size // 2] = 1e-300
+        cli.write_matrix_csv(m, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == self.joined(m)
+        cli.write_matrix_csv(m.astype(np.float32), tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == self.joined(m.astype(np.float32).astype(np.float64))
+
+    def test_holds_one_row_of_text(self, tmp_path):
+        # 1024-value rows, as a 1024-node adjacency has: the whole-text join
+        # peaked at 63 MB for 1024 such rows, and at 7.9 MB for these 128
+        m = np.random.default_rng(3).random((128, 1024))
+        tracemalloc.start()
+        try:
+            cli.write_matrix_csv(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+        assert (tmp_path / "m.csv").read_bytes() == self.joined(m)
+
+    def test_a_failure_mid_write_leaves_no_file(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_format(value, spec):
+            calls.append(value)
+            if len(calls) == 20:
+                raise RuntimeError("disk gone")
+            return format(value, spec)
+
+        monkeypatch.setattr(cli, "format", failing_format, raising=False)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            cli.write_matrix_csv(np.ones((8, 8)), tmp_path / "m.csv")
+        assert len(calls) == 20
+        assert list(tmp_path.iterdir()) == []

@@ -70,8 +70,8 @@ def expr_propagate_adjoint(a, y):
 def expr_backward(model, record, target):
     delta_m = nn.softmax(record.main_logits)
     delta_m[target] -= 1.0
-    n = record.features.shape[0]
     a = record.adjacency
+    n = a.inverse.size
     d_pooled = model.main_head.weight @ delta_m
     slope = record.hidden * (1.0 - record.hidden)
     if not a.holds_label_sums:
@@ -88,7 +88,7 @@ def expr_backward(model, record, target):
         grads += [np.outer(record.aux_pooled, delta_a), delta_a]
         d_aux_pooled = model.aux_head.weight @ delta_a
         d_fw = d_fw + (d_aux_pooled / n)[None, :] * (record.aux_hidden * (1.0 - record.aux_hidden))
-    gc = record.features.T @ d_fw
+    gc = np.asarray(a.features, dtype=np.float64).T @ d_fw
     return [gc if mixed is None else gc + mixed, *grads]
 
 
@@ -266,7 +266,7 @@ def relative_error(actual, expected):
 
 def dense_hidden_weight_gradient(model, record, dense, target):
     """``V^T (M^T d_pre + d_aux_pre)`` with ``M = D^-1 (I + A)`` the dense matrix of the layer."""
-    n = record.features.shape[0]
+    n = record.adjacency.inverse.size
     delta_m = nn.softmax(record.main_logits)
     delta_m[target] -= 1.0
     slope = record.hidden * (1.0 - record.hidden)
@@ -278,7 +278,7 @@ def dense_hidden_weight_gradient(model, record, dense, target):
         delta_a[target] -= 1.0
         aux_slope = record.aux_hidden * (1.0 - record.aux_hidden)
         d_fw = d_fw + (model.aux_head.weight @ (model.lam * delta_a) / n)[None, :] * aux_slope
-    return record.features.T @ d_fw
+    return np.asarray(record.adjacency.features, dtype=np.float64).T @ d_fw
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import itertools
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
 from tests.helpers import loss_and_record, model_of
 from tests.test_acceptance import _gradcheck_relative_error
-from tests.test_oracle import factored_graph, graph_over, zero_affinity_rows
+from tests.test_oracle import factored_graph, graph_over, random_graph, zero_affinity_rows
 
 
 def small_corpus(noise=3.0, seed=304, classes=3, per_class=30):
@@ -391,6 +393,57 @@ def test_cached_graphs_hold_no_node_sized_one_hot(trained_setup, monkeypatch):
         # training grew the buffer to the largest k: no graph moves it again
         one_hots = [a._one_hot() for a in graphs]
         assert all(np.shares_memory(one_hot, one_hots[-1]) for one_hot in one_hots)
+
+
+def test_training_frees_each_record_before_the_next_forward_and_the_step(trained_setup, monkeypatch):
+    # a graph-mode record holds node-sized activations that nothing reads once
+    # its gradients are summed: neither the next forward nor Adam's step may
+    # run while it is alive
+    train_corpus, _, proto = trained_setup
+    records, checked = [], []
+
+    def check_released(where):
+        if records:
+            assert records[-1]() is None, f"the previous record is alive at {where}"
+            checked.append(where)
+
+    def forward(*args, **kwargs):
+        check_released("forward_parts")
+        record = forward_parts(*args, **kwargs)
+        records.append(weakref.ref(record))
+        return record
+
+    def step(*args, **kwargs):
+        check_released("adam_step")
+        return adam_step(*args, **kwargs)
+
+    forward_parts, adam_step = md.forward_parts, md.adam_step
+    monkeypatch.setattr(md, "forward_parts", forward)
+    monkeypatch.setattr(md, "adam_step", step)
+    n = len(train_corpus.instances)
+    for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
+        records.clear()
+        checked.clear()
+        md.train(train_corpus, proto, TrainConfig(epochs=1, batch_size=4, seed=304), mode)
+        assert checked.count("forward_parts") == n - 1
+        assert checked.count("adam_step") == math.ceil(n / 4)
+
+
+def test_a_record_holds_no_float64_copy_of_the_features():
+    # the graph holds V; a record of activations keeps no (n, c) float64 cast
+    # of it, in any mode
+    rng = np.random.default_rng(8)
+    v, a, _ = random_graph(rng, 4, (3, 4), channels=6)
+    n, c = v.shape
+    assert "features" not in {f.name for f in dataclasses.fields(nn.ForwardRecord)}
+    for mode in AblationMode:
+        trained = AblationMode.BASELINE if mode is AblationMode.EVAL_ONLY_IODP else mode
+        model = md.init_model(trained, c, 3, TrainConfig(hidden_dim=5, seed=8))
+        record = md.forward_parts(model, v if mode is AblationMode.BASELINE else a, mode)
+        held = [getattr(record, f.name) for f in dataclasses.fields(record)]
+        assert not any(
+            isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (n, c) for x in held
+        ), mode
 
 
 def layer_bytes(model, a):

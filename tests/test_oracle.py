@@ -67,6 +67,43 @@ class TestNaivePropagate:
             oracle.naive_propagate(np.eye(3), np.ones((2, 2)))
 
 
+class TestNaiveAdjacency:
+    """The scalar-loop adjacency agrees with graph.py's label-space block and dense path."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_the_label_space_block_and_row_normalize(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = int(rng.integers(1, 8))
+        omega = rng.random((vocab, vocab))
+        if seed % 2:
+            # about half the pairs relate to nothing; some rows may be all 0
+            omega *= rng.random((vocab, vocab)) > 0.5
+        omega = (omega + omega.T) / 2
+        proto = Prototype(vocab, omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2)
+        labels = rng.integers(0, vocab, size=tuple(rng.integers(1, 6, size=2)))
+        ids = labels.reshape(-1)
+        naive = oracle.naive_adjacency(ids, proto)
+        a = build_graph(FeatureMap(rng.standard_normal((*labels.shape, 2))), LabelMap(labels, vocab), proto)
+        zero = omega[np.ix_(ids, ids)].sum(axis=1) == 0
+        for fast in (a.mix[np.ix_(a.inverse, a.inverse)], gr.row_normalize(gr.extract_local_knowledge(ids, proto))):
+            assert oracle.compare(fast, naive).max_rel_deviation <= 1e-14
+            np.testing.assert_array_equal(fast[zero], naive[zero])
+        np.testing.assert_allclose(naive.sum(axis=1), 1.0, atol=1e-14, rtol=0)
+
+    def test_rows_without_relations_are_uniform(self):
+        proto = Prototype(2, np.array([[0.0, 0.0], [0.0, 2.0]]), CooccurrenceMode.INDEPENDENT,
+                          DispersionMetric.COEFF_VAR, True, 2)
+        np.testing.assert_array_equal(
+            oracle.naive_adjacency([0, 1, 1], proto), [[1 / 3] * 3, [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+        )
+
+    def test_out_of_range_id(self):
+        proto = Prototype(2, np.ones((2, 2)), CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2)
+        for ids in ([0, 2], [-1, 0]):
+            with pytest.raises(ValidationError, match="out of range"):
+                oracle.naive_adjacency(ids, proto)
+
+
 def graph_over(values, labels, omega, buffer=None):
     """(node features, label-space graph, dense adjacency) of the map ``values`` over ``labels``.
 
