@@ -103,8 +103,9 @@ class DgnModel:
         """Every parameter block, in checkpoint order.
 
         The order is shared hidden weight, main weight, main bias, aux weight,
-        aux bias, skipping blocks the model does not have, as ``nn.backward``
-        returns gradients; ``aux=False`` leaves out the auxiliary head.
+        aux bias, skipping blocks the model does not have, the order in
+        which ``nn.backward`` adds gradients; ``aux=False`` leaves out the
+        auxiliary head.
         """
         out = [] if self.gc_weight is None else [self.gc_weight]
         out += [self.main_head.weight, self.main_head.bias]
@@ -296,9 +297,11 @@ def train(
     losses.  The baseline pools every instance once, before the first
     epoch, since pooling carries no weight; a batch step is then one head
     forward and one gradient product over the batch's (B, c) block.  Graph
-    modes run ``forward_parts`` and ``backward`` per instance and sum the
-    gradients.  The learning rate drops by ``DECAY_FACTOR`` at each epoch
-    in ``decay_epochs``.
+    modes run ``forward_parts`` per instance, and ``backward`` adds its
+    gradients into the batch sums that the loop owns, so no instance makes
+    a gradient array of a weight's size; ``adam_step`` then updates each
+    block in row chunks.  The learning rate drops by ``DECAY_FACTOR`` at
+    each epoch in ``decay_epochs``.
     """
     config.validate()
     if mode is AblationMode.EVAL_ONLY_IODP:
@@ -344,9 +347,8 @@ def train(
                     loss_main = softmax_ce(record.main_logits, target)
                     loss_aux = 0.0 if record.aux_logits is None else softmax_ce(record.aux_logits, target)
                     loss = total_loss(loss_main, loss_aux, model.lam)
-                    # gradients come in block order; zip drops an untrained aux tail
-                    for acc, g in zip(grad_sums, backward(model, record, target)):
-                        acc += g
+                    # adds into the sums in block order, leaving out an untrained aux tail
+                    backward(model, record, target, grad_sums)
                     batch_loss += loss
                     sums["loss"] += loss
                     sums["main"] += loss_main

@@ -8,11 +8,16 @@ network is small enough (one graph convolution plus two affine heads) that
 hand-derived gradients are simpler and more testable than an autodiff
 layer; the shared hidden weight receives the sum of the main-path and
 auxiliary-path contributions.  ``backward`` reads the parameters from the
-model and the activations of one forward pass from its ``ForwardRecord``.
+model and the activations of one forward pass from its ``ForwardRecord``,
+and adds the gradients into the batch sums that its caller owns.  It and
+``adam_step`` work through a weight in row chunks of at most
+``CHUNK_ENTRIES`` entries, so a training step makes no temporary of a
+weight's size; the chunks keep every byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -23,6 +28,13 @@ from .graph import LabelAdjacency
 
 if TYPE_CHECKING:
     from .model import DgnModel
+
+# The shared weight's gradient and each Adam step run in row chunks of at
+# most this many entries (512 KiB of float64), so no temporary of a large
+# weight's size is made.  At the paper's 512 x 512 weight that is 128 rows,
+# which ran at parity with one full-size product; 64-row chunks cost about
+# 3 % of an instance-step.  The baseline's 512 x 67 head is one chunk.
+CHUNK_ENTRIES = 65536
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -83,7 +95,11 @@ def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch: {a.inverse.size} nodes, gradient {y.shape}")
     # every degree of a row-stochastic adjacency is 2; y * 0.5 has the bytes
     # of y / 2.0
-    z = y * 0.5
+    return _adjoint_sum(a, y * 0.5)
+
+
+def _adjoint_sum(a: LabelAdjacency, z: np.ndarray) -> np.ndarray:
+    """``z + A^T z`` in one new node-sized array: ``M^T y`` for ``z = y / 2``."""
     out = a.adjoint_rows(z)[a.inverse]
     out += z
     return out
@@ -184,40 +200,53 @@ def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return grad
 
 
-def backward(model: DgnModel, record: ForwardRecord, target: int) -> list[np.ndarray]:
-    """Exact gradients of loss_main + lam * loss_aux for every parameter.
+def _chunk_rows(shape: tuple[int, ...]) -> int:
+    """Rows per chunk of an array of ``shape``: at most ``CHUNK_ENTRIES`` entries, or one row."""
+    return max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:])))
+
+
+def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.ndarray]) -> None:
+    """Add one instance's exact gradients of loss_main + lam * loss_aux into ``sums``.
 
     ``record`` is ``model.forward_parts`` of ``model``, whose weights and
-    ``lam`` are read.  Returns the gradients in ``DgnModel.blocks()`` order,
-    skipping a baseline's hidden weight and an aux head the record did not
-    run: hidden weight, main weight and bias, aux weight and bias.
+    ``lam`` are read.  ``sums`` are the batch's gradient sums in
+    ``DgnModel.blocks()`` order, each of its block's shape: hidden weight
+    (graph modes only), main weight and bias, aux weight and bias.  Aux
+    gradients are added only when the record ran the aux head and ``sums``
+    holds its blocks, so a list without them leaves out an untrained aux
+    head.  Sums of zeros give one instance's gradients.
 
     Both paths start from ``V @ W``, so the shared weight's gradient is
-    ``V^T (M^T d_pre + d_aux_pre)``, with ``M^T d_pre`` formed at node size
-    by :func:`propagate_adjoint`.  When the graph holds its label sums, the
-    degree 2 is folded into the pooled-gradient scale,
-    ``y = s (1 - s) (W_head delta / 2n)``, and ``M^T d_pre = y + A^T y``;
-    the gradient is then
-    ``V^T (y + d_aux_pre) + V^T A^T y``, whose second term comes from the
-    label sums (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no
-    node-sized gather.
+    ``V^T (M^T d_pre + d_aux_pre)``.  GAP spreads the pooled gradient
+    evenly and every degree is 2, so the degree is folded into the
+    pooled-gradient scale, ``y = s (1 - s) (W_head delta / 2n)``, and
+    ``M^T d_pre = y + A^T y``.  A graph without label sums forms
+    ``y + A^T y`` at node size.  A graph that holds them leaves ``y`` as
+    it is and takes ``V^T A^T y`` from the label sums
+    (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no node-sized
+    gather.  ``V^T (...)`` is formed in row chunks of at most
+    ``CHUNK_ENTRIES`` entries, each from its own columns of ``V`` cast to
+    float64, and added straight into the sum, so no weight-sized array is
+    made.
     """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
     heads = [np.outer(record.pooled, delta_m), delta_m]
     if model.gc_weight is None:
-        return heads
+        for acc, g in zip(sums, heads):
+            acc += g
+        return
 
     a = record.adjacency
     n = a.inverse.size
     d_pooled = model.main_head.weight @ delta_m  # (d,)
-    # GAP spreads the pooled gradient evenly; sigmoid' = s * (1 - s)
-    if not a.holds_label_sums:
-        d_fw = propagate_adjoint(a, _sigmoid_grad(record.hidden, d_pooled / n))
-        mixed = None
+    # sigmoid' = s * (1 - s); (x / n) * 0.5 has the bytes of x / (2n)
+    y = _sigmoid_grad(record.hidden, d_pooled / (2 * n))
+    if a.holds_label_sums:
+        d_fw, mixed = y, a.feature_adjoint(y)
     else:
-        d_fw = _sigmoid_grad(record.hidden, d_pooled / (2 * n))
-        mixed = a.feature_adjoint(d_fw)
+        d_fw, mixed = _adjoint_sum(a, y), None
+    del y  # a wide graph's y is dead: it is not kept beside the aux slope and the chunks
 
     if record.aux_logits is not None:
         delta_a = softmax(record.aux_logits)
@@ -227,10 +256,18 @@ def backward(model: DgnModel, record: ForwardRecord, target: int) -> list[np.nda
         d_aux_pooled = model.aux_head.weight @ delta_a
         d_fw += _sigmoid_grad(record.aux_hidden, d_aux_pooled / n)
 
-    gc_grad = np.asarray(a.features, dtype=np.float64).T @ d_fw
-    if mixed is not None:
-        gc_grad += mixed
-    return [gc_grad, *heads]
+    gc_sum = sums[0]
+    chunk = _chunk_rows(gc_sum.shape)
+    for start in range(0, len(gc_sum), chunk):
+        rows = slice(start, start + chunk)
+        part = np.ascontiguousarray(a.features[:, rows], dtype=np.float64).T @ d_fw
+        if mixed is not None:
+            part += mixed[rows]
+        gc_sum[rows] += part
+        del part  # the next chunk is not made beside this one
+    # zip leaves out an aux tail that sums does not hold
+    for acc, g in zip(sums[1:], heads):
+        acc += g
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +289,7 @@ class AdamState:
     """
 
     lr: float
-    weight_decay: float = 0.0
+    weight_decay: float
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -274,7 +311,9 @@ def adam_step(
     so a zero-gradient step with decay is a pure shrink.  Updates ``params``
     and the moments in place, leaves ``grads`` alone and returns ``params``.
     Each update is ``p *= 1 - lr * wd; p -= lr * (m / bc1) / (sqrt(v / bc2)
-    + eps)``, in that operation order.
+    + eps)``, in that operation order.  A block is updated in row chunks of
+    at most ``CHUNK_ENTRIES`` entries, through two chunk-sized scratch
+    arrays, so the step makes no temporary of a large block's size.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValidationError("params/grads/state length mismatch")
@@ -285,21 +324,27 @@ def adam_step(
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        step = np.multiply(g, 1.0 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m += step
-        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
-        step *= g
-        v *= ADAM_BETA2
-        v += step
-        np.divide(v, bc2, out=step)
-        np.sqrt(step, out=step)
-        step += ADAM_EPS
-        update = np.divide(m, bc1)
-        update *= state.lr
-        update /= step
-        p *= 1.0 - state.lr * state.weight_decay
-        p -= update
+        chunk = _chunk_rows(p.shape)
+        scratch = np.empty((2, *p[:chunk].shape))
+        for start in range(0, len(p), chunk):
+            rows = slice(start, start + chunk)
+            gr, mr, vr, pr = g[rows], m[rows], v[rows], p[rows]
+            step, update = scratch[0, : len(pr)], scratch[1, : len(pr)]
+            np.multiply(gr, 1.0 - ADAM_BETA1, out=step)
+            mr *= ADAM_BETA1
+            mr += step
+            np.multiply(gr, 1.0 - ADAM_BETA2, out=step)
+            step *= gr
+            vr *= ADAM_BETA2
+            vr += step
+            np.divide(vr, bc2, out=step)
+            np.sqrt(step, out=step)
+            step += ADAM_EPS
+            np.divide(mr, bc1, out=update)
+            update *= state.lr
+            update /= step
+            pr *= 1.0 - state.lr * state.weight_decay
+            pr -= update
     return params
 
 

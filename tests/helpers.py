@@ -1,7 +1,7 @@
 """Run Python in a child process, or the ``dgn`` CLI in this one, against this
 checkout's sources; build the dense adjacency that a label-space graph stands for;
-build a graph-mode model from its parameter blocks and take its loss, for the
-gradient checks."""
+build a graph-mode model from its parameter blocks and take its loss and its
+gradients, for the gradient checks."""
 
 import contextlib
 import io
@@ -10,6 +10,8 @@ import subprocess
 import sys
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 from dgn import cli
 from dgn import model as md
@@ -89,3 +91,15 @@ def loss_and_record(model, graph, target):
     record = md.forward_parts(model, graph)
     loss_aux = 0.0 if record.aux_logits is None else nn.softmax_ce(record.aux_logits, target)
     return md.total_loss(nn.softmax_ce(record.main_logits, target), loss_aux, model.lam), record
+
+
+def gradients(model, record, target):
+    """The gradients of one instance: ``nn.backward`` of ``record`` into zeros.
+
+    One array per block of ``model.blocks()``, in that order; the aux head's
+    blocks only when the record ran it.  Each entry is ``0.0 + g`` for the
+    gradient ``g``, so a gradient's ``-0.0`` reads ``+0.0``.
+    """
+    sums = [np.zeros_like(p) for p in model.blocks(aux=record.aux_logits is not None)]
+    nn.backward(model, record, target, sums)
+    return sums

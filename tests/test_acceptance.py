@@ -17,7 +17,7 @@ from dgn import nn, oracle
 from dgn import prototype as pt
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric
-from tests.helpers import loss_and_record, model_of, run_python
+from tests.helpers import gradients, loss_and_record, model_of, run_python
 from tests.test_oracle import graph_over, random_graph
 from tests.test_prototype import presence_corpus, random_presence_corpus
 
@@ -195,7 +195,7 @@ def test_criterion_6_gradient_check():
             return loss_and_record(model_of(AblationMode.FULL, lam, C, p), a, target)[0]
 
         model = model_of(AblationMode.FULL, lam, C, params)
-        analytic = nn.backward(model, md.forward_parts(model, a), target)
+        analytic = gradients(model, md.forward_parts(model, a), target)
         assert len(analytic) == 5
         numeric = oracle.fd_gradient(loss_of, params)
         for a_, f_ in zip(analytic, numeric):

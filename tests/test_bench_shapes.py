@@ -27,7 +27,7 @@ from dgn import model as md
 from dgn import nn, oracle
 from dgn.model import AblationMode
 from bench.workloads import SHAPES
-from tests.helpers import loss_and_record, model_of
+from tests.helpers import gradients, loss_and_record, model_of
 
 REGIMES = ["paper", "large-n"]
 # (mode, lam): train-eval-iodp, and full with the auxiliary loss on and off
@@ -70,7 +70,7 @@ def test_gradients_match_directional_derivatives(name, mode, lam):
     params = xavier_blocks(mode, lam, classes, graph)
     model = model_of(mode, lam, classes, params)
     _, record = loss_and_record(model, graph, target)
-    grads = nn.backward(model, record, target)
+    grads = gradients(model, record, target)
     # train-eval-iodp has no auxiliary gradient: its loss does not read that head
     grads = list(grads) + [np.zeros_like(p) for p in params[len(grads):]]
 
@@ -106,9 +106,9 @@ def test_propagation_is_adjoint_and_row_stochastic(name):
 def test_held_label_sums_give_the_node_sized_gradients(mode, lam, monkeypatch):
     graph, target, classes = bench_instance("large-n")
     model = model_of(mode, lam, classes, xavier_blocks(mode, lam, classes, graph))
-    held = nn.backward(model, loss_and_record(model, graph, target)[1], target)
+    held = gradients(model, loss_and_record(model, graph, target)[1], target)
     monkeypatch.setattr(gr.LabelAdjacency, "holds_label_sums", property(lambda a: False))
-    node_sized = nn.backward(model, loss_and_record(model, graph, target)[1], target)
+    node_sized = gradients(model, loss_and_record(model, graph, target)[1], target)
     assert len(held) == len(node_sized)
     for h, s in zip(held, node_sized):
         assert np.abs(h - s).max() <= 1e-10 * np.abs(s).max()

@@ -270,6 +270,31 @@ class TestTrain:
             outputs.append((ckpt.read_bytes(), (tmp_path / f"{name}.csv").read_text()))
         assert outputs[0] == outputs[1]
 
+    def test_default_seed_is_304(self, tiny_corpus_dir, tmp_path):
+        data, _ = tiny_corpus_dir
+        written = {}
+        for name, seed in (("default", ()), ("304", ("--seed", 304)), ("305", ("--seed", 305))):
+            ckpt = tmp_path / f"{name}.dgnm"
+            result = run_cli(
+                "train", "--manifest", data / "train.manifest", "--mode", "baseline",
+                "--epochs", 2, *seed, "--checkpoint", ckpt,
+            )
+            assert result.returncode == 0, result.stderr
+            written[name] = ckpt.read_bytes()
+        assert written["default"] == written["304"] != written["305"]
+
+    def test_zero_learning_rate_exits_2_without_output(self, tiny_corpus_dir, tmp_path):
+        data, _ = tiny_corpus_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        result = run_cli(
+            "train", "--manifest", data / "train.manifest", "--mode", "baseline",
+            "--lr", 0, "--epochs", 1, "--checkpoint", out / "m.dgnm",
+        )
+        assert result.returncode == 2, result.stderr
+        assert "lr must be positive" in result.stderr
+        assert list(out.iterdir()) == []  # no checkpoint, no trace
+
     def test_graph_mode_without_prototype_is_usage_error(self, tiny_corpus_dir, tmp_path):
         data, _ = tiny_corpus_dir
         result = run_cli(
@@ -337,6 +362,30 @@ def test_defective_prototype_file_exits_2_at_load(trained_artifacts, tmp_path, d
     )
     assert result.returncode == 2
     assert "omega" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.dgnp"]
+
+
+# the header offsets of a .dgnp: magic 0-3, version 4-7, vocab 8-11, then one
+# byte each for the mode, the metric and the passivation flag
+@pytest.mark.parametrize(
+    "offset, value", [(12, 2), (13, 3), (14, 2)], ids=["mode 2", "metric 3", "passivation 2"]
+)
+def test_first_invalid_prototype_header_byte_exits_2(trained_artifacts, tmp_path, offset, value):
+    data, proto, _, full = trained_artifacts
+    raw = bytearray(proto.read_bytes())
+    assert raw[12] in (0, 1) and raw[13] in (0, 1, 2) and raw[14] in (0, 1)
+    raw[offset] = value
+    bad = tmp_path / "bad.dgnp"
+    bad.write_bytes(bytes(raw))
+    result = run_cli(
+        "eval", "--manifest", data / "test.manifest", "--checkpoint", full,
+        "--prototype", bad, "--out", tmp_path / "r.csv",
+    )
+    assert result.returncode == 2
+    assert "bad mode/metric/passivation byte" in result.stderr
+    result = run_cli("inspect", bad, "--out", tmp_path)
+    assert result.returncode == 2
+    assert "bad mode/metric/passivation byte" in result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.dgnp"]
 
 

@@ -14,7 +14,7 @@ from dgn import nn, oracle
 from dgn.errors import ValidationError
 from dgn.model import AblationMode, TrainConfig
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
-from tests.helpers import loss_and_record, model_of
+from tests.helpers import gradients, loss_and_record, model_of
 from tests.test_acceptance import _gradcheck_relative_error
 from tests.test_oracle import factored_graph, graph_over, random_graph, zero_affinity_rows
 
@@ -161,7 +161,7 @@ class TestTrain:
             for j, i in enumerate(batch):
                 record = md.forward_parts(model, features[i])
                 logits = record.main_logits
-                per_instance.append(list(nn.backward(model, record, int(targets[i]))))
+                per_instance.append(gradients(model, record, int(targets[i])))
                 assert losses[j] == nn.softmax_ce(logits, int(targets[i]))
                 expected_hits += int(np.argmax(logits) == targets[i])
             assert hits == expected_hits
@@ -252,6 +252,12 @@ class TestEvaluate:
         full, _ = md.train(train_corpus, proto, config, AblationMode.FULL)
         with pytest.raises(ValidationError):
             md.evaluate(full, test_corpus, proto, AblationMode.EVAL_ONLY_IODP)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.0, -1e-3])
+    def test_a_learning_rate_that_is_not_positive_is_refused(self, lr):
+        with pytest.raises(ValidationError, match="lr must be positive"):
+            TrainConfig(lr=lr).validate()
+        TrainConfig(lr=5e-324).validate()
 
     def test_empty_corpus_rejected(self):
         head = nn.ClassifierParams(np.zeros((1, 2)), np.zeros(2))
@@ -449,7 +455,7 @@ def test_a_record_holds_no_float64_copy_of_the_features():
 def layer_bytes(model, a):
     """The bytes of a forward, its gradients and an eval-only pooling on one graph."""
     record = md.forward_parts(model, a)
-    out = [record.hidden, *nn.backward(model, record, 1), nn.propagate_adjoint(a, record.hidden)]
+    out = [record.hidden, *gradients(model, record, 1), nn.propagate_adjoint(a, record.hidden)]
     return [x.tobytes() for x in out]
 
 
@@ -496,7 +502,7 @@ def test_gradients_through_a_zero_weight_label_match_finite_differences():
             return loss_and_record(model_of(mode, 0.5, k, p), adjacency, target)[0]
 
         model = model_of(mode, 0.5, k, params)
-        analytic = list(nn.backward(model, md.forward_parts(model, adjacency), target))
+        analytic = gradients(model, md.forward_parts(model, adjacency), target)
         numeric = oracle.fd_gradient(loss_of, params)
         # train-eval-iodp never reads the aux head: its gradient blocks are absent
         assert len(analytic) == (5 if mode is AblationMode.FULL else 3)
@@ -580,7 +586,7 @@ class TestCheckpoints:
             resized = dgn.nn_resize(inst.label_map, inst.feature_map.width, inst.feature_map.height)
             graph = gr.build_graph(inst.feature_map, resized, proto)
             x = features if mode is AblationMode.BASELINE else graph
-            grads = list(nn.backward(model, md.forward_parts(model, x), inst.scene_id))
+            grads = gradients(model, md.forward_parts(model, x), inst.scene_id)
             expected = [a.shape for a in arrays]
             if mode is not AblationMode.FULL:
                 expected = expected[: len(grads)]  # no aux loss, no aux gradients

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dgn import graph as gr
 from dgn import model as md
 from dgn import nn, oracle
 from dgn.corpus import Corpus, FeatureMap, Instance, LabelMap
 from dgn.errors import ValidationError
 from dgn.model import AblationMode
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
-from tests.helpers import loss_and_record, model_of
+from tests.helpers import gradients, loss_and_record, model_of
 from tests.test_acceptance import _gradcheck_relative_error
 from tests.test_oracle import factored_graph, graph_over, random_graph
 
@@ -236,6 +238,42 @@ class TestAdam:
             for p, expected in zip(arrays, ref):
                 assert p.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("shape", [(512, 512), (300, 301), (70_000,), (3, 70_000), (0, 4)])
+    def test_row_chunks_keep_the_plain_update_bytes(self, shape):
+        # several chunks of whole rows, a last short chunk, one row per chunk
+        # past the chunk size, and an empty block
+        rng = np.random.default_rng(9)
+        p = rng.standard_normal(shape)
+        m, v = np.zeros(shape), np.zeros(shape)
+        state = nn.AdamState.for_params([p], lr=0.01, weight_decay=1e-3)
+        for t in range(1, 4):
+            g = rng.standard_normal(shape)
+            expected = p * (1.0 - 0.01 * 1e-3)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            expected = expected - 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            nn.adam_step([p], [g], state)
+            assert p.tobytes() == expected.tobytes()
+            assert state.m[0].tobytes() == m.tobytes() and state.v[0].tobytes() == v.tobytes()
+
+    # two 512 KiB scratch chunks of 128 rows, where a whole-block step makes
+    # two 2 MiB arrays; a row past the chunk size is a chunk of its own
+    @pytest.mark.parametrize(
+        "shape, chunk_bytes", [((512, 512), 512 * 1024), ((3, 70_000), 70_000 * 8)], ids=["512x512", "3x70000"]
+    )
+    def test_a_step_holds_two_chunks_not_two_blocks(self, shape, chunk_bytes):
+        rng = np.random.default_rng(10)
+        p, g = [rng.standard_normal(shape)], [rng.standard_normal(shape)]
+        state = nn.AdamState.for_params(p, lr=0.01, weight_decay=1e-5)
+        nn.adam_step(p, g, state)
+        tracemalloc.start()
+        try:
+            nn.adam_step(p, g, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * chunk_bytes + 64 * 1024
+
     def test_shape_mismatch(self):
         p = [np.zeros(2)]
         state = nn.AdamState.for_params(p, lr=0.001)
@@ -272,19 +310,19 @@ class TestBackward:
         return model, md.forward_parts(model, a)
 
     def test_lambda_zero_zeroes_aux_gradients(self):
-        grads = nn.backward(*self._record(0.0, np.random.default_rng(5)), 1)
+        grads = gradients(*self._record(0.0, np.random.default_rng(5)), 1)
         # blocks: hidden weight, main weight, main bias, aux weight, aux bias
         np.testing.assert_array_equal(grads[3], np.zeros_like(grads[3]))
         np.testing.assert_array_equal(grads[4], np.zeros_like(grads[4]))
         # shared-weight gradient reduces to the main-path term
         model, rec_main = self._record(0.25, np.random.default_rng(5))
         rec_main.aux_logits = None
-        main_only = nn.backward(model, rec_main, 1)
+        main_only = gradients(model, rec_main, 1)
         np.testing.assert_array_equal(grads[0], main_only[0])
 
     def test_doubling_lambda_doubles_aux_gradient(self):
-        g1 = nn.backward(*self._record(0.25, np.random.default_rng(6)), 2)
-        g2 = nn.backward(*self._record(0.5, np.random.default_rng(6)), 2)
+        g1 = gradients(*self._record(0.25, np.random.default_rng(6)), 2)
+        g2 = gradients(*self._record(0.5, np.random.default_rng(6)), 2)
         np.testing.assert_array_equal(g2[3], 2.0 * g1[3])
         np.testing.assert_array_equal(g2[4], 2.0 * g1[4])
         np.testing.assert_array_equal(g1[1], g2[1])
@@ -309,7 +347,40 @@ class TestBackward:
                 return loss_and_record(model_of(AblationMode.FULL, lam, C, p), adjacency, target)[0]
 
             model = model_of(AblationMode.FULL, lam, C, params)
-            analytic = list(nn.backward(model, md.forward_parts(model, adjacency), target))
+            analytic = gradients(model, md.forward_parts(model, adjacency), target)
             numeric = oracle.fd_gradient(loss_of, params)
             for a_, f_ in zip(analytic, numeric):
                 assert _gradcheck_relative_error(a_, f_) <= 1e-6
+
+    @pytest.mark.parametrize("mode", [AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL], ids=lambda m: m.value)
+    def test_adds_into_the_sums_with_no_weight_sized_temporary(self, mode):
+        # the paper shape: 196 nodes under 512 channels, hidden width 512
+        rng = np.random.default_rng(26)
+        omega = rng.random((6, 6))
+        proto = Prototype(6, (omega + omega.T) / 2, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2)
+        features = FeatureMap(rng.standard_normal((14, 14, 512)))
+        graph = gr.build_graph(features, LabelMap(rng.integers(0, 6, size=(14, 14)), 6), proto)
+        model = md.init_model(mode, 512, 10, md.TrainConfig(seed=26))
+        record = md.forward_parts(model, graph)
+        once = gradients(model, record, 3)
+        sums = [np.zeros_like(g) for g in once]
+        nn.backward(model, record, 3, sums)
+        tracemalloc.start()
+        try:
+            nn.backward(model, record, 3, sums)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.gc_weight.nbytes
+        # a second instance adds to the first: g + g is 2 g exactly
+        for s, g in zip(sums, once):
+            assert s.tobytes() == (2.0 * g).tobytes()
+
+    def test_a_shorter_sum_list_leaves_out_the_aux_tail(self):
+        model, record = self._record(0.25, np.random.default_rng(7))
+        full = gradients(model, record, 0)
+        sums = [np.zeros_like(p) for p in model.blocks(aux=False)]
+        nn.backward(model, record, 0, sums)
+        assert len(full) == 5
+        for s, g in zip(sums, full[:3]):
+            assert s.tobytes() == g.tobytes()

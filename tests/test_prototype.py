@@ -425,6 +425,26 @@ class TestLimits:
         assert "pair_presence" not in vars(counts)
 
 
+    @pytest.mark.parametrize(
+        "mode, admitted, refused",
+        [
+            # C L^2 = 128 * 1024^2 is exactly 2^27; one more class passes it
+            (Mode.NON_INDEPENDENT, (128, 1024), (129, 1024)),
+            # no integer L has L^2 = 2^27: 11585^2 is the largest square under it
+            (Mode.INDEPENDENT, (1, 11585), (1, 11586)),
+        ],
+    )
+    def test_the_limit_admits_its_last_size_and_refuses_the_next(self, mode, admitted, refused):
+        # a pure check on the sizes, so the real limit is tested without allocating
+        C, L = admitted
+        largest = C * L * L if mode is Mode.NON_INDEPENDENT else L * L
+        assert largest <= pt.COUNT_MAX_ENTRIES == 2**27
+        pt._refuse_past_limit(C, L, mode)
+        with pytest.raises(ValidationError, match="iodp allows at most 134217728 entries"):
+            pt._refuse_past_limit(*refused, mode)
+        assert pt._refuse_past_limit(128, 1024, Mode.NON_INDEPENDENT) is None
+
+
 def random_presence_corpus(rng, max_classes=5, max_vocab=8, max_instances=20):
     num_classes = int(rng.integers(2, max_classes + 1))
     vocab = int(rng.integers(2, max_vocab + 1))
