@@ -144,6 +144,8 @@ def main(argv=None) -> int:
 
 
 def cmd_gen(args) -> int:
+    out = Path(args.out)
+    _require_corpus_dirs(out)
     spec = SyntheticSpec(
         num_classes=args.classes,
         vocab_size=args.objects,
@@ -155,7 +157,6 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     train_corpus, test_corpus = generate_synthetic_corpus(spec)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_manifest = save_corpus(train_corpus, out, "train")
     test_manifest = save_corpus(test_corpus, out, "test")
@@ -166,6 +167,22 @@ def cmd_gen(args) -> int:
     print(f"classes={spec.num_classes}")
     print(f"objects={spec.vocab_size}")
     return 0
+
+
+def _require_corpus_dirs(out: Path) -> None:
+    """Refuse, before the first draw, an ``--out`` that ``save_corpus`` would leave half written.
+
+    ``--out``, or the nearest of its parents that exists, and ``--out/train``
+    and ``--out/test`` must be directories where they exist; neither
+    manifest path may be a directory.
+    """
+    nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+    for path in (nearest, out / "train", out / "test"):
+        if path.exists() and not path.is_dir():
+            raise ValidationError(f"{path}: exists and is not a directory")
+    for name in ("train", "test"):
+        if (out / f"{name}.manifest").is_dir():
+            raise ValidationError(f"{out / name}.manifest: output path is a directory")
 
 
 def _require_output_dirs(*outputs, inputs=()) -> None:

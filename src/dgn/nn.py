@@ -9,10 +9,12 @@ hand-derived gradients are simpler and more testable than an autodiff
 layer; the shared hidden weight receives the sum of the main-path and
 auxiliary-path contributions.  ``backward`` reads the parameters from the
 model and the activations of one forward pass from its ``ForwardRecord``,
-and adds the gradients into the batch sums that its caller owns.  It and
-``adam_step`` work through a weight in row chunks of at most
-``CHUNK_ENTRIES`` entries, so a training step makes no temporary of a
-weight's size; the chunks keep every byte.
+and adds each gradient into the batch sums that its caller owns as soon as
+it is formed.  It and ``adam_step`` work through a weight, and the graph
+layer's adjoint through its node rows, in row chunks of at most
+``CHUNK_ENTRIES`` entries: a training step makes no temporary of a
+weight's size, and the backward holds one node-sized array beside its
+record.  The chunks are elementwise, so they keep every byte.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .graph import LabelAdjacency
 if TYPE_CHECKING:
     from .model import DgnModel
 
-# The shared weight's gradient and each Adam step run in row chunks of at
-# most this many entries (512 KiB of float64), so no temporary of a large
-# weight's size is made.  At the paper's 512 x 512 weight that is 128 rows,
-# which ran at parity with one full-size product; 64-row chunks cost about
-# 3 % of an instance-step.  The baseline's 512 x 67 head is one chunk.
+# The shared weight's gradient, each Adam step and the backward's node-sized
+# sums run in row chunks of at most this many entries (512 KiB of float64),
+# so no temporary of a weight's or a node array's size is made.  At the
+# paper's 512 x 512 weight that is 128 rows, which ran at parity with one
+# full-size product; 64-row chunks cost about 3 % of an instance-step.  The
+# baseline's 512 x 67 head is one chunk.
 CHUNK_ENTRIES = 65536
 
 
@@ -83,9 +86,10 @@ def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
     """``M^T y`` for the map ``M = (I + A) / 2`` that ``propagate`` applies.
 
     With ``z = y / 2`` it is ``z + A^T z``, so ``<M V, Y> =
-    <V, propagate_adjoint(A, Y)>``; ``A^T z`` comes from label space
-    (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`).  Any adjacency other
-    than a ``graph.LabelAdjacency`` is refused.
+    <V, propagate_adjoint(A, Y)>``.  ``A^T z`` comes from label space
+    (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`) and is added into
+    ``z`` in node-row chunks, so ``z`` is the one node-sized array made.
+    Any adjacency other than a ``graph.LabelAdjacency`` is refused.
     """
     a = adjacency
     if not isinstance(a, LabelAdjacency):
@@ -95,14 +99,29 @@ def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch: {a.inverse.size} nodes, gradient {y.shape}")
     # every degree of a row-stochastic adjacency is 2; y * 0.5 has the bytes
     # of y / 2.0
-    return _adjoint_sum(a, y * 0.5)
+    return _add_adjoint(a, y * 0.5)
 
 
-def _adjoint_sum(a: LabelAdjacency, z: np.ndarray) -> np.ndarray:
-    """``z + A^T z`` in one new node-sized array: ``M^T y`` for ``z = y / 2``."""
-    out = a.adjoint_rows(z)[a.inverse]
-    out += z
-    return out
+def _row_chunks(shape: tuple[int, ...]) -> list[slice]:
+    """Row slices over an array of ``shape``, each of at most ``CHUNK_ENTRIES`` entries or one row.
+
+    An array without rows gets one empty slice.
+    """
+    step = max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:])))
+    return [slice(start, start + step) for start in range(0, shape[0] or 1, step)]
+
+
+def _add_adjoint(a: LabelAdjacency, z: np.ndarray) -> np.ndarray:
+    """Add ``A^T z`` into ``z`` and return ``z``: ``M^T y`` for ``z = y / 2``.
+
+    The k x d rows ``mix^T P^T z`` are formed from the whole of ``z`` first
+    and then gathered to the nodes one row chunk at a time, so no node-sized
+    gather is made.  ``z + A^T z`` has the bytes of ``A^T z + z``.
+    """
+    label_rows = a.adjoint_rows(z)
+    for rows in _row_chunks(z.shape):
+        z[rows] += label_rows[a.inverse[rows]]
+    return z
 
 
 def gap(x: np.ndarray) -> np.ndarray:
@@ -200,41 +219,38 @@ def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _chunk_rows(shape: tuple[int, ...]) -> int:
-    """Rows per chunk of an array of ``shape``: at most ``CHUNK_ENTRIES`` entries, or one row."""
-    return max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:])))
-
-
 def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.ndarray]) -> None:
     """Add one instance's exact gradients of loss_main + lam * loss_aux into ``sums``.
 
     ``record`` is ``model.forward_parts`` of ``model``, whose weights and
     ``lam`` are read.  ``sums`` are the batch's gradient sums in
     ``DgnModel.blocks()`` order, each of its block's shape: hidden weight
-    (graph modes only), main weight and bias, aux weight and bias.  Aux
-    gradients are added only when the record ran the aux head and ``sums``
-    holds its blocks, so a list without them leaves out an untrained aux
-    head.  Sums of zeros give one instance's gradients.
+    (graph modes only), main weight and bias, aux weight and bias.  Each
+    gradient is added into its sum as soon as it is formed.  Aux gradients
+    are added only when the record ran the aux head and ``sums`` holds its
+    blocks, so a list without them leaves out an untrained aux head.  Sums
+    of zeros give one instance's gradients.
 
     Both paths start from ``V @ W``, so the shared weight's gradient is
     ``V^T (M^T d_pre + d_aux_pre)``.  GAP spreads the pooled gradient
     evenly and every degree is 2, so the degree is folded into the
     pooled-gradient scale, ``y = s (1 - s) (W_head delta / 2n)``, and
-    ``M^T d_pre = y + A^T y``.  A graph without label sums forms
-    ``y + A^T y`` at node size.  A graph that holds them leaves ``y`` as
+    ``M^T d_pre = y + A^T y``.  A graph without label sums adds ``A^T y``
+    into ``y`` in node-row chunks.  A graph that holds them leaves ``y`` as
     it is and takes ``V^T A^T y`` from the label sums
     (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no node-sized
-    gather.  ``V^T (...)`` is formed in row chunks of at most
-    ``CHUNK_ENTRIES`` entries, each from its own columns of ``V`` cast to
-    float64, and added straight into the sum, so no weight-sized array is
-    made.
+    gather.  The full mode adds its aux slope ``d_aux_pre`` into ``y`` in
+    the same row chunks.  ``V^T (...)`` is formed in row chunks of the
+    weight, each from its own columns of ``V`` cast to float64, and added
+    straight into the sum.  So beside the record the backward holds ``y``
+    and one chunk, and no weight-sized array.
     """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
-    heads = [np.outer(record.pooled, delta_m), delta_m]
+    head_sums = sums if model.gc_weight is None else sums[1:]
+    head_sums[0] += np.outer(record.pooled, delta_m)
+    head_sums[1] += delta_m
     if model.gc_weight is None:
-        for acc, g in zip(sums, heads):
-            acc += g
         return
 
     a = record.adjacency
@@ -242,32 +258,29 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     d_pooled = model.main_head.weight @ delta_m  # (d,)
     # sigmoid' = s * (1 - s); (x / n) * 0.5 has the bytes of x / (2n)
     y = _sigmoid_grad(record.hidden, d_pooled / (2 * n))
-    if a.holds_label_sums:
-        d_fw, mixed = y, a.feature_adjoint(y)
-    else:
-        d_fw, mixed = _adjoint_sum(a, y), None
-    del y  # a wide graph's y is dead: it is not kept beside the aux slope and the chunks
+    mixed = a.feature_adjoint(y) if a.holds_label_sums else None
+    if mixed is None:
+        _add_adjoint(a, y)
 
     if record.aux_logits is not None:
         delta_a = softmax(record.aux_logits)
         delta_a[target] -= 1.0
         delta_a *= model.lam
-        heads += [np.outer(record.aux_pooled, delta_a), delta_a]
-        d_aux_pooled = model.aux_head.weight @ delta_a
-        d_fw += _sigmoid_grad(record.aux_hidden, d_aux_pooled / n)
+        # a sum list without the aux blocks leaves out an untrained aux head
+        if len(sums) == len(model.blocks()):
+            head_sums[2] += np.outer(record.aux_pooled, delta_a)
+            head_sums[3] += delta_a
+        d_aux = (model.aux_head.weight @ delta_a) / n
+        for rows in _row_chunks(y.shape):
+            y[rows] += _sigmoid_grad(record.aux_hidden[rows], d_aux)
 
     gc_sum = sums[0]
-    chunk = _chunk_rows(gc_sum.shape)
-    for start in range(0, len(gc_sum), chunk):
-        rows = slice(start, start + chunk)
-        part = np.ascontiguousarray(a.features[:, rows], dtype=np.float64).T @ d_fw
+    for rows in _row_chunks(gc_sum.shape):
+        part = np.ascontiguousarray(a.features[:, rows], dtype=np.float64).T @ y
         if mixed is not None:
             part += mixed[rows]
         gc_sum[rows] += part
         del part  # the next chunk is not made beside this one
-    # zip leaves out an aux tail that sums does not hold
-    for acc, g in zip(sums[1:], heads):
-        acc += g
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +337,9 @@ def adam_step(
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        chunk = _chunk_rows(p.shape)
-        scratch = np.empty((2, *p[:chunk].shape))
-        for start in range(0, len(p), chunk):
-            rows = slice(start, start + chunk)
+        chunks = _row_chunks(p.shape)
+        scratch = np.empty((2, *p[chunks[0]].shape))
+        for rows in chunks:
             gr, mr, vr, pr = g[rows], m[rows], v[rows], p[rows]
             step, update = scratch[0, : len(pr)], scratch[1, : len(pr)]
             np.multiply(gr, 1.0 - ADAM_BETA1, out=step)

@@ -75,6 +75,44 @@ class TestGen:
             assert result.stdout == ""
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "file, directory, out",
+        [
+            ("d", None, "d"),  # --out is a file
+            ("d", None, "d/sub"),  # a parent of --out is a file
+            ("d/train", None, "d"),
+            ("d/test", None, "d"),
+            (None, "d/train.manifest", "d"),
+            (None, "d/test.manifest", "d"),
+        ],
+    )
+    def test_refuses_an_out_it_cannot_fill_before_the_first_draw(
+        self, tmp_path, monkeypatch, capsys, file, directory, out
+    ):
+        drawn = []
+        draw = cli.generate_synthetic_corpus
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", lambda spec: drawn.append(spec) or draw(spec))
+        if file:
+            (tmp_path / file).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / file).write_bytes(b"kept")
+        if directory:
+            (tmp_path / directory).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main([
+            "gen", "--classes", "2", "--objects", "6", "--per-class", "5", "--out", str(tmp_path / out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert drawn == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_writes_over_a_corpus_it_wrote(self, tmp_path):
+        args = ["gen", "--classes", "2", "--objects", "6", "--per-class", "5", "--out", str(tmp_path / "d")]
+        assert cli.main(args) == 0
+        first = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert cli.main(args) == 0
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == first
 
     def test_features_beyond_float32_exit_2_without_output(self, tmp_path, capsys):
         # noise 1e39 is finite in float64 but overflows the float32 a .dgnf stores
