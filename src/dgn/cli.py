@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -145,7 +146,6 @@ def main(argv=None) -> int:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    _require_corpus_dirs(out)
     spec = SyntheticSpec(
         num_classes=args.classes,
         vocab_size=args.objects,
@@ -156,6 +156,7 @@ def cmd_gen(args) -> int:
         noise=args.noise,
         seed=args.seed,
     )
+    _require_corpus_dirs(out, spec)
     train_corpus, test_corpus = generate_synthetic_corpus(spec)
     out.mkdir(parents=True, exist_ok=True)
     train_manifest = save_corpus(train_corpus, out, "train")
@@ -169,20 +170,37 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _require_corpus_dirs(out: Path) -> None:
+def _require_corpus_dirs(out: Path, spec: SyntheticSpec) -> None:
     """Refuse, before the first draw, an ``--out`` that ``save_corpus`` would leave half written.
 
     ``--out``, or the nearest of its parents that exists, and ``--out/train``
     and ``--out/test`` must be directories where they exist; neither
-    manifest path may be a directory.
+    manifest path, nor any instance file ``--out/<split>/NNNNN.dgnl|.dgnf``
+    that ``save_corpus`` writes for ``spec``, may be a directory.
     """
+    per_class = {"train": spec.train_per_class, "test": spec.test_per_class}
+    counts = {name: spec.num_classes * k for name, k in per_class.items()}
     nearest = next((p for p in (out, *out.parents) if p.exists()), out)
     for path in (nearest, out / "train", out / "test"):
         if path.exists() and not path.is_dir():
             raise ValidationError(f"{path}: exists and is not a directory")
-    for name in ("train", "test"):
-        if (out / f"{name}.manifest").is_dir():
-            raise ValidationError(f"{out / name}.manifest: output path is a directory")
+    for name, count in counts.items():
+        _refuse_directories(out / f"{name}.manifest")
+        if not (out / name).is_dir():
+            continue
+        with os.scandir(out / name) as entries:
+            for entry in entries:
+                stem, _, suffix = entry.name.partition(".")
+                written = stem.isdigit() and int(stem) < count and f"{int(stem):05d}" == stem
+                if written and suffix in ("dgnl", "dgnf") and entry.is_dir():
+                    _refuse_directories(out / name / entry.name)
+
+
+def _refuse_directories(*paths: Path) -> None:
+    """Refuse an output path that is an existing directory: replacing it would fail."""
+    for path in paths:
+        if path.is_dir():
+            raise ValidationError(f"{path}: output path is a directory")
 
 
 def _require_output_dirs(*outputs, inputs=()) -> None:
@@ -191,8 +209,7 @@ def _require_output_dirs(*outputs, inputs=()) -> None:
     for path in map(Path, filter(None, outputs)):
         if not path.parent.is_dir():
             raise ValidationError(f"{path}: output directory {path.parent} does not exist")
-        if path.is_dir():
-            raise ValidationError(f"{path}: output path is a directory")
+        _refuse_directories(path)
     seen = {}
     for path in map(Path, filter(None, (*outputs, *inputs))):
         first = seen.setdefault(path.resolve(), path)
@@ -301,9 +318,10 @@ def cmd_inspect(args) -> int:
 
 def _inspect_prototype(path: Path, out_dir: Path) -> int:
     proto = load_prototype(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pgm = out_dir / f"{path.stem}.omega.pgm"
     csv = out_dir / f"{path.stem}.omega.csv"
+    _refuse_directories(pgm, csv)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm16(proto.omega, pgm)
     write_matrix_csv(proto.omega, csv)
     print(f"prototype={path}")
@@ -328,16 +346,17 @@ def _inspect_label_map(path: Path, label_map, proto, out_dir: Path) -> int:
             f"{path}: {semantics.size} nodes would need {2 * semantics.size**2 * 8} bytes "
             f"for the dense affinity and adjacency; inspect allows at most {INSPECT_MAX_NODES} nodes"
         )
+    written = {
+        name: (out_dir / f"{path.stem}.{name}.pgm", out_dir / f"{path.stem}.{name}.csv")
+        for name in ("affinity", "adjacency")
+    }
+    _refuse_directories(*(p for pair in written.values() for p in pair))
     affinity = extract_local_knowledge(semantics, proto)
     adjacency = row_normalize(affinity)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = {}
-    for name, matrix in (("affinity", affinity), ("adjacency", adjacency)):
-        pgm = out_dir / f"{path.stem}.{name}.pgm"
-        csv = out_dir / f"{path.stem}.{name}.csv"
+    for matrix, (pgm, csv) in zip((affinity, adjacency), written.values()):
         write_pgm16(matrix, pgm)
         write_matrix_csv(matrix, csv)
-        written[name] = (pgm, csv)
     print(f"label_map={path}")
     print(f"nodes={semantics.size}")
     for name, (pgm, csv) in written.items():

@@ -12,10 +12,8 @@ O(nkd + k^2 d) time and O(nd + kn) memory instead of O(n^2 d) and O(n^2),
 and O(kcd + k^2 d) plus an O(nd) gather once the graph holds its label sums
 ``P^T V``.  The graph is the one input of the graph layer
 (``nn.propagate``) and of the graph modes (``model.forward_parts``).
-Between products a graph holds O(n) indices and O(k^2 + kc) floats; the
-k x n one-hot ``P^T`` that its products multiply by is written, by each
-product, into a :class:`OneHotBuffer`, one k_max x n array that the graphs
-of a run share.
+Between products a graph holds O(n) indices and O(k^2 + kc) floats; each
+product forms the k x n one-hot ``P^T`` it multiplies by and frees it.
 The dense n x n affinity and adjacency are built only on request, by
 ``extract_local_knowledge`` and ``row_normalize`` over the node ids, as
 ``dgn inspect`` builds them.
@@ -31,31 +29,6 @@ import numpy as np
 from .corpus import FeatureMap, LabelMap
 from .errors import ValidationError
 from .prototype import Prototype
-
-
-class OneHotBuffer:
-    """One float64 array that the graphs sharing it write their one-hot ``P^T`` into.
-
-    :meth:`one_hot` returns a graph's k x n ``P^T`` as the first k rows of
-    the array, a C-contiguous view, so a product reads the same 0/1 operand
-    as from an array of its own.  The array grows to the largest k it is
-    asked for, and every call rewrites the one-hot.  The view is valid until
-    the next call: graphs that share a buffer must not run products
-    concurrently.
-    """
-
-    def __init__(self) -> None:
-        self._array = np.empty((0, 0))
-
-    def one_hot(self, inverse: np.ndarray, k: int) -> np.ndarray:
-        """(k, n): row l is 1 at the nodes whose label index in ``inverse`` is l."""
-        n = inverse.size
-        if self._array.shape[0] < k or self._array.shape[1] != n:
-            self._array = np.empty((k, n))
-        out = self._array[:k]
-        out.fill(0.0)
-        out[inverse, np.arange(n)] = 1.0
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +51,13 @@ class LabelAdjacency:
     ``(mix^T P^T y)[inverse]`` (:meth:`adjoint_rows`).  The graph is not an
     array: ``A @ V`` and ``A + 1`` raise.
 
-    The graphs of a training or evaluation run share one :attr:`buffer`, so
-    a cached graph holds its indices, ``mix`` and label sums but no k x n
-    array; graphs that share a buffer must not run products concurrently.
+    A cached graph holds its indices, ``mix`` and label sums but no k x n
+    array: every product forms its one-hot ``P^T`` and frees it.
     """
 
     inverse: np.ndarray  # (n,) index of each node's id among the present ids
     mix: np.ndarray  # (k, k) row-normalized prototype block of the present ids
     features: np.ndarray  # (n, c) node features V, a float32 view of the feature map
-    buffer: OneHotBuffer  # where every product writes the graph's one-hot P^T
 
     @property
     def holds_label_sums(self) -> bool:
@@ -100,8 +71,11 @@ class LabelAdjacency:
         return c < n
 
     def _one_hot(self) -> np.ndarray:
-        """The k x n one-hot ``P^T`` of node labels, a view of :attr:`buffer` until its next write."""
-        return self.buffer.one_hot(self.inverse, self.mix.shape[0])
+        """(k, n), a new array: row l of ``P^T`` is 1 at the nodes of label l."""
+        n = self.inverse.size
+        out = np.zeros((self.mix.shape[0], n))
+        out[self.inverse, np.arange(n)] = 1.0
+        return out
 
     @functools.cached_property
     def _label_sums(self) -> np.ndarray:
@@ -183,14 +157,10 @@ def build_graph(
     feature_map: FeatureMap,
     resized_labels: LabelMap,
     prototype: Prototype,
-    *,
-    buffer: OneHotBuffer | None = None,
 ) -> LabelAdjacency:
     """The adjacency of the graph over the pixels of ``feature_map``.
 
-    Its products write its one-hot into ``buffer``, shared with the other
-    graphs given it, or into a buffer of its own by default.  Refuses a
-    prototype whose label weights ``omega_k cnt`` overflow.
+    Refuses a prototype whose label weights ``omega_k cnt`` overflow.
     """
     features, semantics = flatten(feature_map, resized_labels)
     sem = _checked_ids(semantics, prototype)
@@ -205,4 +175,4 @@ def build_graph(
     zero = weights == 0
     mix /= np.where(zero, 1.0, weights)[:, None]
     mix[zero] = 1.0 / sem.size
-    return LabelAdjacency(inverse, mix, features, buffer or OneHotBuffer())
+    return LabelAdjacency(inverse, mix, features)

@@ -23,7 +23,7 @@ import numpy as np
 from . import fileio
 from .corpus import Corpus, nn_resize
 from .errors import ValidationError
-from .graph import LabelAdjacency, OneHotBuffer, build_graph
+from .graph import LabelAdjacency, build_graph
 from .nn import (
     AdamState,
     ClassifierParams,
@@ -236,22 +236,20 @@ def _prepared_inputs(
 ) -> list[tuple[np.ndarray | LabelAdjacency, int]]:
     """(forward input, scene id) per instance: node features, or their graph.
 
-    The graphs share one one-hot buffer, which grows to the largest k of
-    the corpus, so a cached graph holds no k x n array; the training and
-    evaluation loops run their products one at a time.
+    A cached graph holds no k x n array: each of its products forms its
+    one-hot ``P^T`` and frees it.
     """
     shape = corpus.feature_shape
     if shape is None:
         raise ValidationError("corpus carries no feature maps")
     h1, w1, c = shape
-    buffer = OneHotBuffer()
     out = []
     for inst in corpus.instances:
         if inst.feature_map is None:
             raise ValidationError("every instance needs a feature map")
         if needs_graph:
             resized = nn_resize(inst.label_map, w1, h1)
-            x = build_graph(inst.feature_map, resized, prototype, buffer=buffer)
+            x = build_graph(inst.feature_map, resized, prototype)
         else:
             x = inst.feature_map.values.reshape(h1 * w1, c)
         out.append((x, inst.scene_id))

@@ -84,6 +84,10 @@ class TestGen:
             ("d/test", None, "d"),
             (None, "d/train.manifest", "d"),
             (None, "d/test.manifest", "d"),
+            # 2 classes of 5: gen writes train/00000-00009 and test/00000-00001
+            (None, "d/train/00003.dgnl", "d"),
+            (None, "d/train/00009.dgnf", "d"),
+            (None, "d/test/00001.dgnf", "d"),
         ],
     )
     def test_refuses_an_out_it_cannot_fill_before_the_first_draw(
@@ -104,8 +108,20 @@ class TestGen:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ") and captured.out == ""
+        if directory:
+            assert captured.err == f"error: {tmp_path / directory}: output path is a directory\n"
         assert drawn == []
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_writes_beside_directories_that_no_instance_is_named(self, tmp_path):
+        names = ["train/00010.dgnl", "test/00002.dgnf", "train/000003.dgnl", "train/3.dgnl",
+                 "train/00003.dgnm", "train/00003.dgnl.d"]
+        for name in names:
+            (tmp_path / "d" / name).mkdir(parents=True)
+        args = ["gen", "--classes", "2", "--objects", "6", "--per-class", "5", "--out", str(tmp_path / "d")]
+        assert cli.main(args) == 0
+        assert all((tmp_path / "d" / name).is_dir() for name in names)
+        assert (tmp_path / "d" / "test.manifest").is_file()
 
     def test_writes_over_a_corpus_it_wrote(self, tmp_path):
         args = ["gen", "--classes", "2", "--objects", "6", "--per-class", "5", "--out", str(tmp_path / "d")]
@@ -867,6 +883,43 @@ def test_inspect_creates_the_directory_it_writes(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "c" / "m.adjacency.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "artifact, output",
+    [
+        ("toy.dgnp", "toy.omega.pgm"),
+        ("toy.dgnp", "toy.omega.csv"),
+        ("m.dgnl", "m.affinity.pgm"),
+        ("m.dgnl", "m.affinity.csv"),
+        ("m.dgnl", "m.adjacency.pgm"),
+        ("m.dgnl", "m.adjacency.csv"),
+    ],
+)
+def test_inspect_refuses_an_output_that_is_a_directory_before_the_first_write(
+    tmp_path, monkeypatch, capsys, artifact, output
+):
+    proto = Prototype(
+        3, TOY_OMEGA, CooccurrenceMode.NON_INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
+    )
+    save_prototype(proto, tmp_path / "toy.dgnp")
+    dgn.save_label_map(dgn.LabelMap(np.array([[0, 1]]), 3), tmp_path / "m.dgnl")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the n x n matrices were built before the outputs were checked")
+
+    monkeypatch.setattr(cli, "extract_local_knowledge", refused)
+    (tmp_path / "o" / output).mkdir(parents=True)
+    before = tree(tmp_path)
+    code = cli.main([
+        "inspect", str(tmp_path / artifact), "--prototype", str(tmp_path / "toy.dgnp"),
+        "--out", str(tmp_path / "o"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {tmp_path / 'o' / output}: output path is a directory\n"
+    assert captured.out == ""
+    assert tree(tmp_path) == before
 
 
 def magic_read_as_a_label_map(data: bytes, damage: str) -> bytes:

@@ -1,6 +1,8 @@
-"""README's "Command line" section names every command, flag and exit code the CLI has."""
+"""README's "Command line" section names every command, flag and exit code the CLI has,
+and every module attribute README names, such as `graph.LabelAdjacency`, exists."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -59,3 +61,37 @@ def test_a_flag_deleted_from_readme_is_caught():
     section = command_line_section(README.read_text())
     assert undocumented(section.replace("--hidden-dim", "")) == ["--hidden-dim"]
     assert undocumented(section.replace("dgn inspect", "")) == ["dgn inspect"]
+
+
+MODULES = ("graph", "nn", "model", "corpus", "prototype", "fileio", "oracle", "cli")
+# `module.name` at the start of a name, not the `graph.py` of a file path
+MODULE_NAME = re.compile(rf"(?<![\w/.])({'|'.join(MODULES)})\.(?!py\b)(\w+(?:\.\w+)*)")
+
+
+def unresolved_names(text):
+    """The ``module.name`` spellings in ``text``'s backtick spans that are no attribute of ``dgn.module``."""
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for module, dotted in MODULE_NAME.findall(span):
+            target = importlib.import_module(f"dgn.{module}")
+            for attr in dotted.split("."):
+                if not hasattr(target, attr):
+                    missing.append(f"{module}.{dotted}")
+                    break
+                target = getattr(target, attr)
+    return missing
+
+
+def test_every_module_name_in_readme_exists():
+    assert unresolved_names(README.read_text()) == []
+
+
+def test_a_name_deleted_from_the_code_is_caught():
+    text = README.read_text()
+    assert "`graph.LabelAdjacency`" in text
+    renamed = text.replace("`graph.LabelAdjacency`", "`graph.DenseAdjacency`", 1)
+    assert unresolved_names(renamed) == ["graph.DenseAdjacency"]
+    assert unresolved_names("`nn.backward(model)` and `model.TrainConfig.lr`") == []
+    assert unresolved_names("`model.TrainConfig.rate`, `src/dgn/graph.py`, `graph.py`") == [
+        "model.TrainConfig.rate"
+    ]

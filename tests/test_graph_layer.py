@@ -151,13 +151,13 @@ def hidden_weight(v, seed):
 
 
 def adjacency_arrays(a):
-    """The arrays a graph holds between products; its one-hot is in the buffer it shares."""
+    """The arrays a graph holds between products; each product forms its own one-hot."""
     held = [a._label_sums] if a.holds_label_sums else []
     return [a.inverse, a.mix, a.features, *held]
 
 
 def written_one_hot(a):
-    """The buffer view a product multiplies by, checked to hold the graph's ``P^T``."""
+    """The one-hot a product multiplies by, checked to hold the graph's ``P^T``."""
     one_hot = a._one_hot()
     assert one_hot.flags.c_contiguous
     assert one_hot.tobytes() == expr_one_hot(a).tobytes()

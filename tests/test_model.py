@@ -359,13 +359,13 @@ def test_eval_only_pooling_computes_no_label_sums(trained_setup, tmp_path, monke
         graphs.append(gr.build_graph(*args, **kwargs))
         return graphs[-1]
 
-    def one_hot(buffer, inverse, k):
-        written.append(inverse)
-        return one_hot_of(buffer, inverse, k)
+    def one_hot(a):
+        written.append(a.inverse)
+        return one_hot_of(a)
 
-    one_hot_of = gr.OneHotBuffer.one_hot
+    one_hot_of = gr.LabelAdjacency._one_hot
     monkeypatch.setattr(md, "build_graph", recorded)
-    monkeypatch.setattr(gr.OneHotBuffer, "one_hot", one_hot)
+    monkeypatch.setattr(gr.LabelAdjacency, "_one_hot", one_hot)
     md.evaluate(baseline, test_corpus, proto, AblationMode.EVAL_ONLY_IODP)
     assert len(graphs) == len(test_corpus.instances)
     assert all(a.holds_label_sums for a in graphs)
@@ -375,9 +375,8 @@ def test_eval_only_pooling_computes_no_label_sums(trained_setup, tmp_path, monke
 
 
 def test_cached_graphs_hold_no_node_sized_one_hot(trained_setup, monkeypatch):
-    # a cached graph holds O(n) indices and O(k^2 + kc) floats: the k x n
-    # one-hot P^T its products read is written into one buffer that every
-    # graph of the run shares
+    # a cached graph holds O(n) indices and O(k^2 + kc) floats: each of its
+    # products forms the k x n one-hot P^T it reads and frees it
     train_corpus, _, proto = trained_setup
     runs = []
 
@@ -396,9 +395,6 @@ def test_cached_graphs_hold_no_node_sized_one_hot(trained_setup, monkeypatch):
             assert k < n
             held = [x for x in vars(a).values() if isinstance(x, np.ndarray)]
             assert not any(x.dtype == np.float64 and x.size == k * n for x in held)
-        # training grew the buffer to the largest k: no graph moves it again
-        one_hots = [a._one_hot() for a in graphs]
-        assert all(np.shares_memory(one_hot, one_hots[-1]) for one_hot in one_hots)
 
 
 def test_training_frees_each_record_before_the_next_forward_and_the_step(trained_setup, monkeypatch):
@@ -450,34 +446,6 @@ def test_a_record_holds_no_float64_copy_of_the_features():
         assert not any(
             isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (n, c) for x in held
         ), mode
-
-
-def layer_bytes(model, a):
-    """The bytes of a forward, its gradients and an eval-only pooling on one graph."""
-    record = md.forward_parts(model, a)
-    out = [record.hidden, *gradients(model, record, 1), nn.propagate_adjoint(a, record.hidden)]
-    return [x.tobytes() for x in out]
-
-
-@pytest.mark.parametrize("channels", [3, 16])  # over 12 nodes: label sums held or not
-def test_graphs_sharing_a_buffer_give_the_bytes_of_graphs_built_alone(channels):
-    rng = np.random.default_rng(2121)
-    omega = rng.random((6, 6))
-    omega = (omega + omega.T) / 2
-    # k = 3, then two maps of k = 6, the first of which grows the shared buffer
-    label_maps = [rng.permutation(np.arange(12) % 3).reshape(3, 4)]
-    label_maps += [rng.permutation(np.arange(12) % 6).reshape(3, 4) for _ in range(2)]
-    values = [rng.standard_normal((3, 4, channels)) for _ in label_maps]
-    alone = [graph_over(x, labels, omega)[1] for x, labels in zip(values, label_maps)]
-    buffer = gr.OneHotBuffer()
-    shared = [graph_over(x, labels, omega, buffer=buffer)[1] for x, labels in zip(values, label_maps)]
-    assert [a.mix.shape[0] for a in shared] == [3, 6, 6]
-    assert all(a.holds_label_sums == (channels == 3) for a in shared)
-    model = md.DgnModel.assemble(
-        AblationMode.FULL, channels, 4, 3, 0.5, lambda shape: rng.standard_normal(shape)
-    )
-    for i in (0, 1, 0, 0, 1, 2, 1):
-        assert layer_bytes(model, shared[i]) == layer_bytes(model, alone[i]), i
 
 
 def test_gradients_through_a_zero_weight_label_match_finite_differences():

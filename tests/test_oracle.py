@@ -104,17 +104,16 @@ class TestNaiveAdjacency:
                 oracle.naive_adjacency(ids, proto)
 
 
-def graph_over(values, labels, omega, buffer=None):
+def graph_over(values, labels, omega):
     """(node features, label-space graph, dense adjacency) of the map ``values`` over ``labels``.
 
-    The node features are the graph's own; the graph writes its one-hot
-    into ``buffer``, or into a buffer of its own.
+    The node features are the graph's own.
     """
     proto = Prototype(
         omega.shape[0], omega, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2
     )
     features = FeatureMap(values)
-    adjacency = build_graph(features, LabelMap(labels, omega.shape[0]), proto, buffer=buffer)
+    adjacency = build_graph(features, LabelMap(labels, omega.shape[0]), proto)
     return adjacency.features, adjacency, dense_adjacency(labels.reshape(-1), proto)
 
 
