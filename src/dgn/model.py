@@ -30,6 +30,7 @@ from .nn import (
     ForwardRecord,
     adam_step,
     backward,
+    feature_product,
     gap,
     linear,
     propagate,
@@ -195,9 +196,12 @@ def forward_parts(
     in label space, so the full mode's auxiliary path reuses the same
     ``V W``.  The eval-only mode pools the propagation through its adjoint,
     ``gap(M V) = (M^T 1/n)^T V``, one column wide.  The features may be a
-    feature map's float32 array; the graph modes cast them to float64 only
-    to form ``V W``, and the record keeps no copy of them, so ``backward``,
-    which reads the parameters from ``model``, casts the graph's ``V`` again.
+    feature map's float32 array; the graph modes cast them to float64 one
+    tile of node rows at a time, to form ``V W`` (``nn.feature_product``,
+    or inside ``nn.propagate`` when the graph holds its label sums), and
+    the record keeps no copy of them.  The sigmoids run in place: over the
+    propagated array, and in the full mode over ``V W`` itself, which
+    becomes the aux path's activations.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
@@ -215,13 +219,15 @@ def forward_parts(
         logits = linear(pooled, model.main_head)
         return ForwardRecord(pooled, logits, adjacency=x)
 
-    fw = np.asarray(x.features, dtype=np.float64) @ model.gc_weight
-    hidden = sigmoid(propagate(x, model.gc_weight, fw))
+    # only the full mode's aux path needs the whole V W beside the layer
+    fw = feature_product(x, model.gc_weight) if mode is AblationMode.FULL else None
+    hidden = propagate(x, model.gc_weight, fw)
+    sigmoid(hidden, out=hidden)
     pooled = gap(hidden)
     logits = linear(pooled, model.main_head)
     record = ForwardRecord(pooled, logits, adjacency=x, hidden=hidden)
     if mode is AblationMode.FULL:
-        record.aux_hidden = sigmoid(fw)
+        record.aux_hidden = sigmoid(fw, out=fw)
         record.aux_pooled = gap(record.aux_hidden)
         record.aux_logits = linear(record.aux_pooled, model.aux_head)
     return record

@@ -1,9 +1,12 @@
 """Numeric core: propagation, pooling, heads, losses, gradients, Adam.
 
 Everything runs in float64.  Node features arrive as the float32 arrays a
-``corpus.FeatureMap`` holds and are cast to float64 at use, which is exact;
-a training step casts them in ``forward_parts`` and again in ``backward``,
-so no record holds a float64 copy of them between the two.  The
+``corpus.FeatureMap`` holds and are cast to float64 at use, which is exact.
+The graph layer runs in tiles of ``TILE_ROWS`` node rows: where the graph
+holds its label sums, the forward casts one tile of ``V`` at a time into a
+tile-sized scratch to form ``V W``, and the backward always casts one tile
+of a weight chunk's columns at a time, so a training step on such a graph
+makes no float64 copy of the whole ``V``, and no record holds one.  The
 network is small enough (one graph convolution plus two affine heads) that
 hand-derived gradients are simpler and more testable than an autodiff
 layer; the shared hidden weight receives the sum of the main-path and
@@ -14,7 +17,13 @@ it is formed.  It and ``adam_step`` work through a weight, and the graph
 layer's adjoint through its node rows, in row chunks of at most
 ``CHUNK_ENTRIES`` entries: a training step makes no temporary of a
 weight's size, and the backward holds one node-sized array beside its
-record.  The chunks are elementwise, so they keep every byte.
+record.  The chunks are elementwise, so they keep every byte.  A graph of
+at most ``TILE_ROWS`` nodes is one tile, with the bytes of whole-graph
+products.  A larger one sums the shared weight's gradient over its tiles,
+which rounds differently from one product over all nodes; its tiles of
+``V W`` have the bytes of the whole product only where the BLAS computes a
+block of rows as it computes the whole (this build's OpenBLAS does at the
+bench's 4096 x 32 x 32, not at every width).
 """
 
 from __future__ import annotations
@@ -39,17 +48,58 @@ if TYPE_CHECKING:
 # baseline's 512 x 67 head is one chunk.
 CHUNK_ENTRIES = 65536
 
+# The graph layer casts V to float64, and forms V W, one tile of this many
+# node rows at a time, in tile-sized scratch.  A graph of at most this many
+# nodes (the paper's 196, the desk's 49) is one tile, whose products are the
+# whole-graph ones.  At 4096 nodes and 32 channels a tile's cast is 128 KiB
+# where the whole cast is 1 MiB.
+TILE_ROWS = 512
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as ``0.5 * (1 + tanh(x / 2))``, in one new array.
 
-    It cannot overflow; below about -37 it returns exactly 0 where
-    ``1 / (1 + e^-x)`` would give ``e^x``.
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as ``0.5 * (1 + tanh(x / 2))``, in a new array or in ``out``.
+
+    ``out`` may be ``x`` itself, which then holds the result.  It cannot
+    overflow; below about -37 it returns exactly 0 where ``1 / (1 + e^-x)``
+    would give ``e^x``.
     """
-    out = np.multiply(x, 0.5, dtype=np.float64)
+    out = np.multiply(x, 0.5, out=out, dtype=np.float64)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
+    return out
+
+
+def _tiles(n: int) -> list[slice]:
+    """Slices of ``TILE_ROWS`` node rows over ``n`` nodes."""
+    return [slice(start, start + TILE_ROWS) for start in range(0, n, TILE_ROWS)]
+
+
+def _cast(src: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``src`` cast to float64 into the front of the flat scratch ``buf``, C-contiguous, of ``src``'s shape."""
+    out = buf[: src.size].reshape(src.shape)
+    np.copyto(out, src)
+    return out
+
+
+def feature_product(adjacency: LabelAdjacency, weight: np.ndarray | None = None) -> np.ndarray:
+    """``V W`` for the graph's node features ``V``, as a new (n, d) float64 array.
+
+    ``weight`` defaults to the identity: ``V`` cast to float64.  A graph
+    that holds its label sums (fewer channels than nodes) forms ``V W``
+    tile by tile, each tile of ``V`` cast into one tile-sized scratch, so
+    no float64 copy of the whole ``V`` is made.  A wider graph's ``V`` is
+    cast whole and multiplied in one product, so its ``V W`` has the bytes
+    of that product at any node count.
+    """
+    v = adjacency.features
+    if weight is None or not adjacency.holds_label_sums:
+        x = np.asarray(v, dtype=np.float64)
+        return x if weight is None else x @ weight
+    out = np.empty((v.shape[0], weight.shape[1]))
+    buf = np.empty(min(v.shape[0], TILE_ROWS) * v.shape[1])
+    for tile in _tiles(v.shape[0]):
+        np.matmul(_cast(v[tile], buf), weight, out=out[tile])
     return out
 
 
@@ -68,16 +118,32 @@ def propagate(
     the caller holds it already.  ``A V W`` is mixed in label space
     (:meth:`~dgn.graph.LabelAdjacency.label_rows`), from the graph's label
     sums when it holds them.  Any other adjacency is refused.
+
+    The label rows are gathered into the one (n, d) output, ``V W`` is
+    added and the sum halved in place: ``out = R[inverse]; out += V W; out
+    *= 0.5``.  A graph that holds its label sums needs no whole ``V W``:
+    without ``product``, each tile of ``TILE_ROWS`` rows of ``V`` is cast
+    and multiplied by ``weight`` in tile-sized scratch and added into its
+    rows of the output, as ``feature_product`` would form it.
     """
     a = adjacency
     if not isinstance(a, LabelAdjacency):
         raise ValidationError(f"the adjacency must be a graph.LabelAdjacency, not {type(a).__name__}")
-    if weight is None:
-        x = np.asarray(a.features, dtype=np.float64)
+    if product is None and not a.holds_label_sums:
+        product = feature_product(a, weight)
+    out = np.take(a.label_rows(product, weight), a.inverse, axis=0)
+    v = a.features
+    if product is not None:
+        out += product
+    elif weight is None:
+        # float32 to float64 is exact, so this adds V's float64 cast
+        out += v
     else:
-        x = np.asarray(a.features, dtype=np.float64) @ weight if product is None else product
-    out = a.label_rows(x, weight)[a.inverse]
-    out += x
+        buf = np.empty(min(v.shape[0], TILE_ROWS) * v.shape[1])
+        tile_product = np.empty((min(v.shape[0], TILE_ROWS), weight.shape[1]))
+        for tile in _tiles(v.shape[0]):
+            rows = out[tile]
+            rows += np.matmul(_cast(v[tile], buf), weight, out=tile_product[: len(rows)])
     out *= 0.5
     return out
 
@@ -211,9 +277,9 @@ class ForwardRecord:
     aux_logits: np.ndarray | None = None
 
 
-def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    """``d_out[None, :] * (s * (1 - s))`` in one new array, same bytes."""
-    grad = 1.0 - s
+def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``d_out[None, :] * (s * (1 - s))``, in a new array or in ``out``, same bytes."""
+    grad = np.subtract(1.0, s, out=out)
     grad *= s
     grad *= d_out[None, :]
     return grad
@@ -239,11 +305,16 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     into ``y`` in node-row chunks.  A graph that holds them leaves ``y`` as
     it is and takes ``V^T A^T y`` from the label sums
     (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no node-sized
-    gather.  The full mode adds its aux slope ``d_aux_pre`` into ``y`` in
-    the same row chunks.  ``V^T (...)`` is formed in row chunks of the
-    weight, each from its own columns of ``V`` cast to float64, and added
-    straight into the sum.  So beside the record the backward holds ``y``
-    and one chunk, and no weight-sized array.
+    gather.  The full mode forms its aux slope ``d_aux_pre`` in the same
+    row chunks, in one chunk-sized scratch, and adds it into ``y``.
+
+    ``V^T (...)`` is formed in row chunks of the weight.  Each chunk is the
+    sum over the node tiles of ``V_t[:, rows]^T y_t``, each tile's columns
+    cast into one tile-sized float64 scratch, and is added straight into
+    the sum.  So beside the record the backward holds ``y``, the tile
+    scratch and a chunk, no float64 copy of the whole ``V`` and no
+    weight-sized array.  A graph of one tile forms each chunk as one
+    product; a larger one sums its tiles in node order.
     """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
@@ -254,7 +325,8 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
         return
 
     a = record.adjacency
-    n = a.inverse.size
+    v = a.features
+    n = v.shape[0]
     d_pooled = model.main_head.weight @ delta_m  # (d,)
     # sigmoid' = s * (1 - s); (x / n) * 0.5 has the bytes of x / (2n)
     y = _sigmoid_grad(record.hidden, d_pooled / (2 * n))
@@ -271,12 +343,21 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
             head_sums[2] += np.outer(record.aux_pooled, delta_a)
             head_sums[3] += delta_a
         d_aux = (model.aux_head.weight @ delta_a) / n
-        for rows in _row_chunks(y.shape):
-            y[rows] += _sigmoid_grad(record.aux_hidden[rows], d_aux)
+        chunks = _row_chunks(y.shape)
+        slope = np.empty_like(y[chunks[0]])
+        for rows in chunks:
+            y_rows = y[rows]
+            y_rows += _sigmoid_grad(record.aux_hidden[rows], d_aux, out=slope[: len(y_rows)])
+        del slope  # the weight's chunks are not made beside it
 
     gc_sum = sums[0]
-    for rows in _row_chunks(gc_sum.shape):
-        part = np.ascontiguousarray(a.features[:, rows], dtype=np.float64).T @ y
+    chunks = _row_chunks(gc_sum.shape)
+    tiles = _tiles(n)
+    buf = np.empty(min(n, TILE_ROWS) * len(gc_sum[chunks[0]]))
+    for rows in chunks:
+        part = _cast(v[tiles[0], rows], buf).T @ y[tiles[0]]
+        for tile in tiles[1:]:
+            part += _cast(v[tile, rows], buf).T @ y[tile]
         if mixed is not None:
             part += mixed[rows]
         gc_sum[rows] += part

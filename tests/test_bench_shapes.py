@@ -6,8 +6,8 @@ generated instance at each of the two graph regimes of ``bench/workloads.py``:
 * ``paper``: 196 nodes under 512 channels, so the graph holds no label sums
   and the backward forms ``M^T`` at node size;
 * ``large-n``: 4096 nodes over 32 channels, so the graph holds its label
-  sums ``S_V = P^T V`` and the backward folds the degree into the pooled
-  gradient.
+  sums ``S_V = P^T V``, the backward folds the degree into the pooled
+  gradient, and the layer runs in eight tiles of ``nn.TILE_ROWS`` nodes.
 
 Each model has the bench's hidden width (the channel count) and its Xavier
 initialization.  The gradient of the full loss is checked along random
@@ -17,6 +17,7 @@ forwards whatever the parameter count.
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,8 @@ def bench_instance(name):
     values = np.random.default_rng(22).standard_normal((g, g, shape.channels)) * shape.noise
     graph = dgn.build_graph(dgn.FeatureMap(values), dgn.nn_resize(inst.label_map, g, g), proto)
     assert graph.holds_label_sums == (name == "large-n")
+    # large-n's layer runs in several node tiles, paper's in one
+    assert (graph.inverse.size > nn.TILE_ROWS) == (name == "large-n")
     return graph, inst.scene_id, shape.classes
 
 
@@ -112,3 +115,67 @@ def test_held_label_sums_give_the_node_sized_gradients(mode, lam, monkeypatch):
     assert len(held) == len(node_sized)
     for h, s in zip(held, node_sized):
         assert np.abs(h - s).max() <= 1e-10 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("mode, lam", CONFIGURATIONS, ids=["train-eval-iodp", "full", "full-lam0"])
+def test_backward_casts_no_node_sized_copy_of_v(mode, lam):
+    graph, target, classes = bench_instance("large-n")
+    model = model_of(mode, lam, classes, xavier_blocks(mode, lam, classes, graph))
+    record = loss_and_record(model, graph, target)[1]
+    sums = [np.zeros_like(g) for g in gradients(model, record, target)]
+    nn.backward(model, record, target, sums)
+    tracemalloc.start()
+    try:
+        nn.backward(model, record, target, sums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, c = graph.features.shape
+    # beside the record: y, and at any one time the largest of the one-hot
+    # P^T that V^T A^T y is taken through, one node-row chunk of the aux
+    # slope, and a tile's float64 columns of V with a chunk of the weight
+    one_hot = graph.mix.shape[0] * n * 8
+    tile = nn.TILE_ROWS * c * 8 + 2 * model.gc_weight.nbytes
+    bound = record.hidden.nbytes + max(one_hot, nn.CHUNK_ENTRIES * 8, tile) + 128 * 1024
+    assert peak < bound
+    # a float64 copy of the whole V beside y would not fit
+    assert record.hidden.nbytes + n * c * 8 > bound
+
+
+@pytest.mark.parametrize("mode", [AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL], ids=["train-eval-iodp", "full"])
+def test_forward_casts_no_node_sized_copy_of_v(mode):
+    graph, _, classes = bench_instance("large-n")
+    model = model_of(mode, 0.25, classes, xavier_blocks(mode, 0.25, classes, graph))
+    md.forward_parts(model, graph)  # the graph's label sums are formed once
+    tracemalloc.start()
+    try:
+        record = md.forward_parts(model, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, c = graph.features.shape
+    # the propagated array, and in the full mode V W as the aux activations,
+    # beside one tile's float64 cast of V and its product
+    outputs = record.hidden.nbytes * (2 if mode is AblationMode.FULL else 1)
+    bound = outputs + nn.TILE_ROWS * (c + model.gc_weight.shape[1]) * 8 + 128 * 1024
+    assert peak < bound
+    assert outputs + n * c * 8 > bound
+
+
+@pytest.mark.parametrize("layer", [nn.propagate, nn.feature_product], ids=["propagate", "feature_product"])
+def test_layer_makes_its_output_and_tile_scratch(layer):
+    # the full mode's V W is freed before its propagation is made, so only
+    # the layer's own peak shows a whole cast of V beside its output
+    graph, _, _ = bench_instance("large-n")
+    n, c = graph.features.shape
+    w = np.random.default_rng(23).standard_normal((c, c))
+    layer(graph, w)  # the graph's label sums are formed once
+    tracemalloc.start()
+    try:
+        out = layer(graph, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = out.nbytes + nn.TILE_ROWS * 2 * c * 8 + 64 * 1024
+    assert peak < bound
+    assert out.nbytes + n * c * 8 > bound

@@ -15,8 +15,11 @@ import pytest
 
 from dgn import model as md
 from dgn import nn, oracle
+from dgn.corpus import FeatureMap, LabelMap
 from dgn.errors import ValidationError
+from dgn.graph import build_graph
 from dgn.model import AblationMode
+from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
 from tests.helpers import gradients
 from tests.test_oracle import factored_graph, random_graph, zero_affinity_rows
 
@@ -317,3 +320,55 @@ def test_held_label_sums_are_the_one_hot_times_the_features(name):
         for model, record in records(v, a, 5):
             gradients(model, record, 1)
         assert "_label_sums" not in vars(a)
+
+
+# ---------------------------------------------------------------------------
+# graphs of more than nn.TILE_ROWS nodes: the layer runs in several tiles
+
+
+def tiled_graph(side, channels, seed):
+    """A label-space graph over a ``side`` x ``side`` map of 8 ids, with no dense adjacency built."""
+    rng = np.random.default_rng(seed)
+    omega = rng.random((8, 8))
+    proto = Prototype(8, (omega + omega.T) / 2, CooccurrenceMode.INDEPENDENT, DispersionMetric.COEFF_VAR, True, 2)
+    values = rng.standard_normal((side, side, channels))
+    return build_graph(FeatureMap(values), LabelMap(rng.integers(0, 8, size=(side, side)), 8), proto)
+
+
+# 4096 nodes over 32 channels hold label sums; 576 nodes under 600 channels do not
+TILED = {"label sums": (64, 32), "no label sums": (24, 600)}
+
+
+@pytest.mark.parametrize("name", TILED)
+def test_several_tiles_keep_the_expression_bytes(name):
+    a = tiled_graph(*TILED[name], seed=12)
+    v = a.features
+    assert v.shape[0] > nn.TILE_ROWS
+    assert a.holds_label_sums == (name == "label sums")
+    # the bench's hidden width, the channel count: at it this build's OpenBLAS
+    # gives a tile of V W the bytes of the same rows of the whole product
+    w = np.random.default_rng(13).standard_normal((v.shape[1], v.shape[1]))
+    assert nn.feature_product(a, w).tobytes() == (v.astype(np.float64) @ w).tobytes()
+    assert nn.propagate(a).tobytes() == expr_propagate(a, v).tobytes()
+    assert nn.propagate(a, w).tobytes() == expr_propagate(a, v, w).tobytes()
+    assert nn.propagate(a, w, v @ w).tobytes() == expr_propagate(a, v, w).tobytes()
+
+
+@pytest.mark.parametrize("name", TILED)
+def test_several_tiles_give_the_single_product_gradients(name, monkeypatch):
+    # the weight's gradient sums V_t^T y_t over the tiles, in node order
+    a = tiled_graph(*TILED[name], seed=14)
+    rng = np.random.default_rng(14)
+    c, d, k = a.features.shape[1], 8, 3
+    for mode in (AblationMode.TRAIN_EVAL_IODP, AblationMode.FULL):
+        model = md.DgnModel.assemble(mode, c, d, k, 0.5, lambda shape: rng.standard_normal(shape) / np.sqrt(shape[0]))
+        record = md.forward_parts(model, a)
+        for target in range(k):
+            tiled = gradients(model, record, target)
+            with monkeypatch.context() as m:
+                m.setattr(nn, "TILE_ROWS", a.inverse.size)
+                single = gradients(model, record, target)
+            assert len(tiled) == len(single)
+            assert np.abs(tiled[0]).max() > 0
+            for t, s in zip(tiled, single):
+                assert np.abs(t - s).max() <= 1e-12 * np.abs(s).max()

@@ -9,8 +9,12 @@ Each mutation point on the chosen lines is an arithmetic operator swapped
 numeric constant plus one.  Each mutant is written into a copy of the
 checkout, where the ``--fast`` tests run first and the whole suite runs on
 every mutant they did not kill; a run past ``--timeout`` seconds counts as
-killed.  Survivors print as ``file:line old -> new``.  Not part of the test
-suite: a file of a few hundred points takes tens of minutes.
+killed.  Survivors print as ``file:line old -> new``.  Before the first
+mutant, the ``--fast`` tests and then the whole suite run on the unmutated
+copy; if either fails (a ``--fast`` string pytest cannot run fails too),
+no mutant is made and the probe exits 1, since a test that fails already
+would count every mutant as killed.  Not part of the test suite: a file of
+a few hundred points takes tens of minutes.
 """
 
 import argparse
@@ -67,13 +71,13 @@ def run(cwd, tests, timeout):
         return False
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("file", help="source file, relative to the checkout root")
     parser.add_argument("--lines", default="", help="e.g. 10-40,52; every line by default")
     parser.add_argument("--fast", default="tests", help='pytest arguments of the subset run first, e.g. "tests/test_nn.py -k adam"')
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     source = (ROOT / args.file).read_text()
     lines = set()
     for part in filter(None, args.lines.split(",")):
@@ -85,6 +89,9 @@ def main():
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
+        for name, tests in (("the --fast tests", shlex.split(args.fast)), ("the whole suite", [])):
+            if not run(copy, tests, args.timeout):
+                sys.exit(f"error: {name} failed on the unmutated checkout; no mutant can be judged by them")
         for i in range(count):
             tree = ast.parse(source)
             node, field, index, old, new, line = list(points(tree, lines))[i]
