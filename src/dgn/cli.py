@@ -267,10 +267,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_output_dirs(args.out, inputs=[args.manifest, args.checkpoint, args.prototype])
-    corpus = load_corpus(args.manifest, outputs=[args.out])
     model = load_model(args.checkpoint)
+    mode = AblationMode(args.mode) if args.mode else model.mode
+    if mode is not AblationMode.BASELINE and not args.prototype:
+        print(f"dgn eval: error: mode {mode.value} requires --prototype", file=sys.stderr)
+        return 1
+    corpus = load_corpus(args.manifest, outputs=[args.out])
     proto = load_prototype(args.prototype) if args.prototype else None
-    report = evaluate(model, corpus, proto, AblationMode(args.mode) if args.mode else None)
+    report = evaluate(model, corpus, proto, mode)
     print(f"accuracy={report.accuracy:.6f}")
     print(f"instances={report.count}")
     for k, acc in enumerate(report.per_class):

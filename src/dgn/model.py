@@ -198,10 +198,9 @@ def forward_parts(
     ``gap(M V) = (M^T 1/n)^T V``, one column wide.  The features may be a
     feature map's float32 array; the graph modes cast them to float64 one
     tile of node rows at a time, to form ``V W`` (``nn.feature_product``,
-    or inside ``nn.propagate`` when the graph holds its label sums), and
-    the record keeps no copy of them.  The sigmoids run in place: over the
-    propagated array, and in the full mode over ``V W`` itself, which
-    becomes the aux path's activations.
+    on which ``nn.propagate`` builds), and the record keeps no copy of
+    them.  The sigmoids run in place: over the propagated array, and in the
+    full mode over ``V W`` itself, which becomes the aux path's activations.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:

@@ -2,28 +2,39 @@
 
 Everything runs in float64.  Node features arrive as the float32 arrays a
 ``corpus.FeatureMap`` holds and are cast to float64 at use, which is exact.
-The graph layer runs in tiles of ``TILE_ROWS`` node rows: where the graph
-holds its label sums, the forward casts one tile of ``V`` at a time into a
-tile-sized scratch to form ``V W``, and the backward always casts one tile
-of a weight chunk's columns at a time, so a training step on such a graph
-makes no float64 copy of the whole ``V``, and no record holds one.  The
-network is small enough (one graph convolution plus two affine heads) that
-hand-derived gradients are simpler and more testable than an autodiff
+The network is small enough (one graph convolution plus two affine heads)
+that hand-derived gradients are simpler and more testable than an autodiff
 layer; the shared hidden weight receives the sum of the main-path and
 auxiliary-path contributions.  ``backward`` reads the parameters from the
 model and the activations of one forward pass from its ``ForwardRecord``,
 and adds each gradient into the batch sums that its caller owns as soon as
-it is formed.  It and ``adam_step`` work through a weight, and the graph
-layer's adjoint through its node rows, in row chunks of at most
-``CHUNK_ENTRIES`` entries: a training step makes no temporary of a
-weight's size, and the backward holds one node-sized array beside its
-record.  The chunks are elementwise, so they keep every byte.  A graph of
-at most ``TILE_ROWS`` nodes is one tile, with the bytes of whole-graph
-products.  A larger one sums the shared weight's gradient over its tiles,
-which rounds differently from one product over all nodes; its tiles of
+it is formed.
+
+Every loop over node or weight rows runs in the row blocks of
+``_row_chunks``: at most ``TILE_ROWS`` rows and ``CHUNK_ENTRIES`` entries
+(or one row).  The graph layer casts ``V`` one tile of node rows at a time
+into a tile-sized scratch, twice per training step (for ``V W`` and for
+``V^T d``), and no step or record holds a float64 copy of the whole ``V``.
+A training step makes no temporary of a weight's size, and the backward
+holds one node-sized array beside its record.  Each node-sized (n x d)
+result is built in one array and finished in place, never in an input,
+with the bytes of the expression its docstring gives.
+``model.forward_parts`` runs its sigmoids in place, so a large-n forward
+makes its output and, in the full mode, ``V W``, and no other node-sized
+array: at 4096 nodes each is 1 MiB, which the C library returns to the
+kernel when freed, so every temporary saved is a page-fault round trip
+saved per step.
+
+Row blocks of an elementwise update keep every byte.  A graph of at most
+``TILE_ROWS`` nodes is one tile, with the bytes of whole-graph products.
+A larger one sums the shared weight's gradient over its tiles, which
+rounds differently from one product over all nodes, and its tiles of
 ``V W`` have the bytes of the whole product only where the BLAS computes a
-block of rows as it computes the whole (this build's OpenBLAS does at the
-bench's 4096 x 32 x 32, not at every width).
+block of rows as it computes the whole: this build's OpenBLAS does at the
+bench's 4096 x 32 x 32 and at 576 x 600 x 600, not at 576 x 600 x 8.  So a
+wide graph (at least as many channels as nodes) of more than ``TILE_ROWS``
+nodes, which no bench shape has, may differ in the last bits from one
+whole product.
 """
 
 from __future__ import annotations
@@ -40,19 +51,20 @@ from .graph import LabelAdjacency
 if TYPE_CHECKING:
     from .model import DgnModel
 
-# The shared weight's gradient, each Adam step and the backward's node-sized
-# sums run in row chunks of at most this many entries (512 KiB of float64),
-# so no temporary of a weight's or a node array's size is made.  At the
-# paper's 512 x 512 weight that is 128 rows, which ran at parity with one
-# full-size product; 64-row chunks cost about 3 % of an instance-step.  The
-# baseline's 512 x 67 head is one chunk.
+# A row block holds at most this many entries (512 KiB of float64), so no
+# temporary of a weight's or a node array's size is made.  At the paper's
+# 512 x 512 weight that is 128 rows, which ran at parity with one full-size
+# product; 64-row chunks cost about 3 % of an instance-step.  The
+# baseline's 512 x 67 head is one block.
 CHUNK_ENTRIES = 65536
 
-# The graph layer casts V to float64, and forms V W, one tile of this many
-# node rows at a time, in tile-sized scratch.  A graph of at most this many
-# nodes (the paper's 196, the desk's 49) is one tile, whose products are the
+# A row block holds at most this many rows: the graph layer casts V to
+# float64, forms V W and gathers its label rows one tile of this many node
+# rows at a time, in tile-sized scratch.  A graph of at most this many nodes
+# (the paper's 196, the desk's 49) is one tile, whose products are the
 # whole-graph ones.  At 4096 nodes and 32 channels a tile's cast is 128 KiB
-# where the whole cast is 1 MiB.
+# where the whole cast is 1 MiB; 2048-row gathers, which the entry bound
+# alone allows there, lift the forward's traced peak past a tile's.
 TILE_ROWS = 512
 
 
@@ -70,9 +82,14 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _tiles(n: int) -> list[slice]:
-    """Slices of ``TILE_ROWS`` node rows over ``n`` nodes."""
-    return [slice(start, start + TILE_ROWS) for start in range(0, n, TILE_ROWS)]
+def _row_chunks(shape: tuple[int, ...]) -> list[slice]:
+    """Row slices over an array of ``shape``, in order, each of at most ``TILE_ROWS`` rows.
+
+    Each also holds at most ``CHUNK_ENTRIES`` entries, unless it is one row.
+    An array without rows gets one empty slice.
+    """
+    step = min(TILE_ROWS, max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:]))))
+    return [slice(start, start + step) for start in range(0, shape[0] or 1, step)]
 
 
 def _cast(src: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -85,20 +102,18 @@ def _cast(src: np.ndarray, buf: np.ndarray) -> np.ndarray:
 def feature_product(adjacency: LabelAdjacency, weight: np.ndarray | None = None) -> np.ndarray:
     """``V W`` for the graph's node features ``V``, as a new (n, d) float64 array.
 
-    ``weight`` defaults to the identity: ``V`` cast to float64.  A graph
-    that holds its label sums (fewer channels than nodes) forms ``V W``
-    tile by tile, each tile of ``V`` cast into one tile-sized scratch, so
-    no float64 copy of the whole ``V`` is made.  A wider graph's ``V`` is
-    cast whole and multiplied in one product, so its ``V W`` has the bytes
-    of that product at any node count.
+    ``weight`` defaults to the identity: a float64 copy of ``V``.  Otherwise
+    ``V W`` is formed one tile of ``TILE_ROWS`` node rows at a time, each
+    tile of ``V`` cast into one tile-sized scratch, so no float64 copy of
+    the whole ``V`` is made.
     """
     v = adjacency.features
-    if weight is None or not adjacency.holds_label_sums:
-        x = np.asarray(v, dtype=np.float64)
-        return x if weight is None else x @ weight
+    if weight is None:
+        return np.array(v, dtype=np.float64)
     out = np.empty((v.shape[0], weight.shape[1]))
-    buf = np.empty(min(v.shape[0], TILE_ROWS) * v.shape[1])
-    for tile in _tiles(v.shape[0]):
+    tiles = _row_chunks(v.shape[:1])
+    buf = np.empty(v[tiles[0]].size)
+    for tile in tiles:
         np.matmul(_cast(v[tile], buf), weight, out=out[tile])
     return out
 
@@ -115,35 +130,20 @@ def propagate(
     average of its own feature and its neighborhood mixture,
     ``(V W + A V W) / 2``, with ``V`` the features the graph holds.
     ``weight`` defaults to the identity; ``product`` is ``V @ weight`` when
-    the caller holds it already.  ``A V W`` is mixed in label space
-    (:meth:`~dgn.graph.LabelAdjacency.label_rows`), from the graph's label
-    sums when it holds them.  Any other adjacency is refused.
+    the caller holds it already, and is left as it is.  ``A V W`` is mixed
+    in label space (:meth:`~dgn.graph.LabelAdjacency.label_rows`).  Any
+    other adjacency is refused.
 
-    The label rows are gathered into the one (n, d) output, ``V W`` is
-    added and the sum halved in place: ``out = R[inverse]; out += V W; out
-    *= 0.5``.  A graph that holds its label sums needs no whole ``V W``:
-    without ``product``, each tile of ``TILE_ROWS`` rows of ``V`` is cast
-    and multiplied by ``weight`` in tile-sized scratch and added into its
-    rows of the output, as ``feature_product`` would form it.
+    It is ``out = X; out += R[inverse]; out *= 0.5``: ``X = V W`` from
+    ``feature_product`` or a copy of ``product``, and the label rows ``R =
+    mix (P^T X)``, or ``mix (S_V W)`` where the graph holds its label sums
+    ``S_V = P^T V``, added in node-row blocks (``_add_label_rows``).
     """
     a = adjacency
     if not isinstance(a, LabelAdjacency):
         raise ValidationError(f"the adjacency must be a graph.LabelAdjacency, not {type(a).__name__}")
-    if product is None and not a.holds_label_sums:
-        product = feature_product(a, weight)
-    out = np.take(a.label_rows(product, weight), a.inverse, axis=0)
-    v = a.features
-    if product is not None:
-        out += product
-    elif weight is None:
-        # float32 to float64 is exact, so this adds V's float64 cast
-        out += v
-    else:
-        buf = np.empty(min(v.shape[0], TILE_ROWS) * v.shape[1])
-        tile_product = np.empty((min(v.shape[0], TILE_ROWS), weight.shape[1]))
-        for tile in _tiles(v.shape[0]):
-            rows = out[tile]
-            rows += np.matmul(_cast(v[tile], buf), weight, out=tile_product[: len(rows)])
+    out = feature_product(a, weight) if product is None else np.array(product, dtype=np.float64)
+    _add_label_rows(a, out, a.label_rows(out, weight))
     out *= 0.5
     return out
 
@@ -154,7 +154,7 @@ def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
     With ``z = y / 2`` it is ``z + A^T z``, so ``<M V, Y> =
     <V, propagate_adjoint(A, Y)>``.  ``A^T z`` comes from label space
     (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`) and is added into
-    ``z`` in node-row chunks, so ``z`` is the one node-sized array made.
+    ``z`` in node-row blocks, so ``z`` is the one node-sized array made.
     Any adjacency other than a ``graph.LabelAdjacency`` is refused.
     """
     a = adjacency
@@ -165,28 +165,26 @@ def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch: {a.inverse.size} nodes, gradient {y.shape}")
     # every degree of a row-stochastic adjacency is 2; y * 0.5 has the bytes
     # of y / 2.0
-    return _add_adjoint(a, y * 0.5)
+    z = y * 0.5
+    return _add_label_rows(a, z, a.adjoint_rows(z))
 
 
-def _row_chunks(shape: tuple[int, ...]) -> list[slice]:
-    """Row slices over an array of ``shape``, each of at most ``CHUNK_ENTRIES`` entries or one row.
+def _add_label_rows(a: LabelAdjacency, z: np.ndarray, label_rows: np.ndarray) -> np.ndarray:
+    """Add ``label_rows[inverse]`` into the (n, d) array ``z`` and return ``z``.
 
-    An array without rows gets one empty slice.
+    ``label_rows`` are the k x d rows of one label each, ``A V W``'s or
+    ``A^T z``'s.  They are gathered to the nodes one row block at a time,
+    into one block-sized scratch, so no node-sized gather is made.
+    ``z + R[inverse]`` has the bytes of ``R[inverse] + z``.
     """
-    step = max(1, CHUNK_ENTRIES // max(1, math.prod(shape[1:])))
-    return [slice(start, start + step) for start in range(0, shape[0] or 1, step)]
-
-
-def _add_adjoint(a: LabelAdjacency, z: np.ndarray) -> np.ndarray:
-    """Add ``A^T z`` into ``z`` and return ``z``: ``M^T y`` for ``z = y / 2``.
-
-    The k x d rows ``mix^T P^T z`` are formed from the whole of ``z`` first
-    and then gathered to the nodes one row chunk at a time, so no node-sized
-    gather is made.  ``z + A^T z`` has the bytes of ``A^T z + z``.
-    """
-    label_rows = a.adjoint_rows(z)
-    for rows in _row_chunks(z.shape):
-        z[rows] += label_rows[a.inverse[rows]]
+    chunks = _row_chunks(z.shape)
+    scratch = np.empty_like(z[chunks[0]])
+    for rows in chunks:
+        z_rows = z[rows]
+        # inverse indexes the k present ids by construction in build_graph,
+        # so "clip" clips nothing; it lets np.take gather straight into out,
+        # where the default "raise" buffers the gather
+        z_rows += np.take(label_rows, a.inverse[rows], axis=0, out=scratch[: len(z_rows)], mode="clip")
     return z
 
 
@@ -301,20 +299,16 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     ``V^T (M^T d_pre + d_aux_pre)``.  GAP spreads the pooled gradient
     evenly and every degree is 2, so the degree is folded into the
     pooled-gradient scale, ``y = s (1 - s) (W_head delta / 2n)``, and
-    ``M^T d_pre = y + A^T y``.  A graph without label sums adds ``A^T y``
-    into ``y`` in node-row chunks.  A graph that holds them leaves ``y`` as
-    it is and takes ``V^T A^T y`` from the label sums
-    (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no node-sized
-    gather.  The full mode forms its aux slope ``d_aux_pre`` in the same
-    row chunks, in one chunk-sized scratch, and adds it into ``y``.
-
-    ``V^T (...)`` is formed in row chunks of the weight.  Each chunk is the
-    sum over the node tiles of ``V_t[:, rows]^T y_t``, each tile's columns
-    cast into one tile-sized float64 scratch, and is added straight into
-    the sum.  So beside the record the backward holds ``y``, the tile
-    scratch and a chunk, no float64 copy of the whole ``V`` and no
-    weight-sized array.  A graph of one tile forms each chunk as one
-    product; a larger one sums its tiles in node order.
+    ``M^T d_pre = y + A^T y``.  ``y`` is ``g = 1 - s; g *= s; g *= d /
+    (2n)``.  A graph without label sums adds ``A^T y`` into ``y`` in
+    node-row blocks, without ``propagate_adjoint``'s halving pass.  A graph
+    that holds them leaves ``y`` as it is and takes ``V^T A^T y`` from the
+    label sums (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no
+    node-sized gather.  The full mode adds its aux slope ``d_aux_pre`` into
+    ``y`` in the same blocks, through one block-sized scratch.  Each row
+    block of ``V^T (...)`` is the sum over the node tiles, in node order, of
+    ``V_t[:, rows]^T y_t`` from the tile's cast columns, added straight
+    into the sum.
     """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
@@ -332,7 +326,7 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     y = _sigmoid_grad(record.hidden, d_pooled / (2 * n))
     mixed = a.feature_adjoint(y) if a.holds_label_sums else None
     if mixed is None:
-        _add_adjoint(a, y)
+        _add_label_rows(a, y, a.adjoint_rows(y))
 
     if record.aux_logits is not None:
         delta_a = softmax(record.aux_logits)
@@ -352,8 +346,8 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
 
     gc_sum = sums[0]
     chunks = _row_chunks(gc_sum.shape)
-    tiles = _tiles(n)
-    buf = np.empty(min(n, TILE_ROWS) * len(gc_sum[chunks[0]]))
+    tiles = _row_chunks((n,))
+    buf = np.empty(len(v[tiles[0]]) * len(gc_sum[chunks[0]]))
     for rows in chunks:
         part = _cast(v[tiles[0], rows], buf).T @ y[tiles[0]]
         for tile in tiles[1:]:

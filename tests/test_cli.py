@@ -597,10 +597,26 @@ class TestEval:
         )
         assert result.returncode == 0
 
-    def test_missing_prototype_for_graph_mode_exits_2(self, trained_artifacts):
-        data, _, _, full = trained_artifacts
-        result = run_cli("eval", "--manifest", data / "test.manifest", "--checkpoint", full)
-        assert result.returncode == 2
+    @pytest.mark.parametrize(
+        "checkpoint, mode",
+        [("full", None), ("full", "full"), ("baseline", "eval-only-iodp")],
+        ids=["full-checkpoint", "full-mode", "baseline-checkpoint-eval-only-iodp"],
+    )
+    def test_graph_mode_without_prototype_is_usage_error(self, trained_artifacts, tmp_path, checkpoint, mode):
+        data, _, baseline, full = trained_artifacts
+        report = tmp_path / "r.csv"
+        mode_args = ("--mode", mode) if mode else ()
+        # the mode comes from --mode or else from the checkpoint, which is read
+        # before the corpus: a manifest that does not exist is never opened
+        for manifest in (data / "test.manifest", tmp_path / "missing.manifest"):
+            result = run_cli(
+                "eval", "--manifest", manifest, "--checkpoint", full if checkpoint == "full" else baseline,
+                *mode_args, "--out", report,
+            )
+            assert result.returncode == 1, result.stderr
+            assert "requires --prototype" in result.stderr
+            assert result.stdout == ""
+            assert not report.exists()
 
 
 @pytest.fixture(scope="module")

@@ -208,9 +208,13 @@ class TestNoAliasing:
         inputs = [w, *adjacency_arrays(a)]
         before = [x.copy() for x in inputs]
         first, second = products(a, v, w), products(a, v, w)
-        propagated = [nn.propagate(a), nn.propagate(a, w), nn.propagate_adjoint(a, v)]
-        for x, b in zip(inputs, before):
+        product = v @ w
+        given = product.copy()
+        propagated = [nn.propagate(a), nn.propagate(a, w), nn.propagate(a, w, product), nn.propagate_adjoint(a, v)]
+        for x, b in zip(inputs + [product], before + [given]):
             assert x.tobytes() == b.tobytes()
+        # the layer builds its output in a copy of a given product
+        assert not np.shares_memory(propagated[2], product)
         # two calls on the same (cached) adjacency give equal, separate arrays
         for f, s in zip(first, second):
             assert f.tobytes() == s.tobytes()
@@ -372,3 +376,15 @@ def test_several_tiles_give_the_single_product_gradients(name, monkeypatch):
             assert np.abs(tiled[0]).max() > 0
             for t, s in zip(tiled, single):
                 assert np.abs(t - s).max() <= 1e-12 * np.abs(s).max()
+
+
+def test_a_graph_of_one_tile_forms_v_w_as_one_product():
+    # 484 nodes under 600 channels: row blocks of 600-entry rows would be
+    # 109 rows, and at 8 columns this build's OpenBLAS rounds such blocks of
+    # V W differently from the whole product
+    a = tiled_graph(22, 600, seed=15)
+    v = a.features
+    assert v.shape[0] <= nn.TILE_ROWS
+    w = np.random.default_rng(15).standard_normal((v.shape[1], 8))
+    assert nn.feature_product(a, w).tobytes() == (v.astype(np.float64) @ w).tobytes()
+    assert nn.propagate(a, w).tobytes() == expr_propagate(a, v, w).tobytes()

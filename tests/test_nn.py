@@ -180,6 +180,20 @@ class TestBatchedHead:
             nn.softmax_ce(np.zeros((2, 2)), np.array([-1, 0]))
 
 
+@pytest.mark.parametrize("shape", [(4096,), (4096, 32), (196, 512), (512, 512), (67,)])
+def test_row_chunks_are_one_rule_for_nodes_and_weights(shape):
+    # node tiles, a large-n node array, the paper's node array and weight, a
+    # vector shorter than one tile
+    chunks = nn._row_chunks(shape)
+    row_size = math.prod(shape[1:])
+    for rows in chunks:
+        count = len(range(shape[0])[rows])
+        assert 1 <= count <= nn.TILE_ROWS
+        assert count == 1 or count * row_size <= nn.CHUNK_ENTRIES
+    covered = [i for rows in chunks for i in range(shape[0])[rows]]
+    assert covered == list(range(shape[0]))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = [np.array([1.0, -2.0])]
