@@ -12,9 +12,13 @@ it is formed.
 
 Every loop over node or weight rows runs in the row blocks of
 ``_row_chunks``: at most ``TILE_ROWS`` rows and ``CHUNK_ENTRIES`` entries
-(or one row).  The graph layer casts ``V`` one tile of node rows at a time
-into a tile-sized scratch, twice per training step (for ``V W`` and for
-``V^T d``), and no step or record holds a float64 copy of the whole ``V``.
+(or one row).  The graph layer reads ``V`` one tile of node rows at a
+time, twice per training step (for ``V W`` and for ``V^T d``); numpy casts
+each tile to float64 in a tile-sized temporary, and no record holds a
+float64 copy of ``V``.  The one whole cast is the label sums ``S_V = P^T
+V`` of a graph that holds them (``graph.LabelAdjacency``), made once per
+graph: in a training graph's first step, and in each graph-mode eval
+forward, whose graph is new (1 MiB at 4096 nodes and 32 channels).
 A training step makes no temporary of a weight's size, and the backward
 holds one node-sized array beside its record.  Each node-sized (n x d)
 result is built in one array and finished in place, never in an input,
@@ -58,9 +62,10 @@ if TYPE_CHECKING:
 # baseline's 512 x 67 head is one block.
 CHUNK_ENTRIES = 65536
 
-# A row block holds at most this many rows: the graph layer casts V to
-# float64, forms V W and gathers its label rows one tile of this many node
-# rows at a time, in tile-sized scratch.  A graph of at most this many nodes
+# A row block holds at most this many rows: the graph layer forms V W and
+# V^T d, and gathers its label rows, one tile of at most this many node rows
+# at a time, so numpy's float64 casts of V and its gathers are of a tile's
+# size, made and freed per tile.  A graph of at most this many nodes
 # (the paper's 196, the desk's 49) is one tile, whose products are the
 # whole-graph ones.  At 4096 nodes and 32 channels a tile's cast is 128 KiB
 # where the whole cast is 1 MiB; 2048-row gathers, which the entry bound
@@ -92,29 +97,21 @@ def _row_chunks(shape: tuple[int, ...]) -> list[slice]:
     return [slice(start, start + step) for start in range(0, shape[0] or 1, step)]
 
 
-def _cast(src: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``src`` cast to float64 into the front of the flat scratch ``buf``, C-contiguous, of ``src``'s shape."""
-    out = buf[: src.size].reshape(src.shape)
-    np.copyto(out, src)
-    return out
-
-
 def feature_product(adjacency: LabelAdjacency, weight: np.ndarray | None = None) -> np.ndarray:
     """``V W`` for the graph's node features ``V``, as a new (n, d) float64 array.
 
     ``weight`` defaults to the identity: a float64 copy of ``V``.  Otherwise
-    ``V W`` is formed one tile of ``TILE_ROWS`` node rows at a time, each
-    tile of ``V`` cast into one tile-sized scratch, so no float64 copy of
-    the whole ``V`` is made.
+    ``V W`` is formed one tile of ``TILE_ROWS`` node rows at a time, into
+    the tile's rows of the output; numpy casts each tile of ``V`` to float64
+    in a tile-sized temporary, so no float64 copy of the whole ``V`` is
+    made.
     """
     v = adjacency.features
     if weight is None:
         return np.array(v, dtype=np.float64)
     out = np.empty((v.shape[0], weight.shape[1]))
-    tiles = _row_chunks(v.shape[:1])
-    buf = np.empty(v[tiles[0]].size)
-    for tile in tiles:
-        np.matmul(_cast(v[tile], buf), weight, out=out[tile])
+    for tile in _row_chunks(v.shape[:1]):
+        np.matmul(v[tile], weight, out=out[tile])
     return out
 
 
@@ -174,17 +171,12 @@ def _add_label_rows(a: LabelAdjacency, z: np.ndarray, label_rows: np.ndarray) ->
 
     ``label_rows`` are the k x d rows of one label each, ``A V W``'s or
     ``A^T z``'s.  They are gathered to the nodes one row block at a time,
-    into one block-sized scratch, so no node-sized gather is made.
+    each block's gather a new array, so no node-sized gather is made.
     ``z + R[inverse]`` has the bytes of ``R[inverse] + z``.
     """
-    chunks = _row_chunks(z.shape)
-    scratch = np.empty_like(z[chunks[0]])
-    for rows in chunks:
+    for rows in _row_chunks(z.shape):
         z_rows = z[rows]
-        # inverse indexes the k present ids by construction in build_graph,
-        # so "clip" clips nothing; it lets np.take gather straight into out,
-        # where the default "raise" buffers the gather
-        z_rows += np.take(label_rows, a.inverse[rows], axis=0, out=scratch[: len(z_rows)], mode="clip")
+        z_rows += label_rows.take(a.inverse[rows], axis=0)
     return z
 
 
@@ -275,9 +267,9 @@ class ForwardRecord:
     aux_logits: np.ndarray | None = None
 
 
-def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``d_out[None, :] * (s * (1 - s))``, in a new array or in ``out``, same bytes."""
-    grad = np.subtract(1.0, s, out=out)
+def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """``d_out[None, :] * (s * (1 - s))``, in a new array, with that expression's bytes."""
+    grad = 1.0 - s
     grad *= s
     grad *= d_out[None, :]
     return grad
@@ -305,10 +297,10 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     that holds them leaves ``y`` as it is and takes ``V^T A^T y`` from the
     label sums (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no
     node-sized gather.  The full mode adds its aux slope ``d_aux_pre`` into
-    ``y`` in the same blocks, through one block-sized scratch.  Each row
+    ``y`` in the same blocks, each block's slope a new array.  Each row
     block of ``V^T (...)`` is the sum over the node tiles, in node order, of
-    ``V_t[:, rows]^T y_t`` from the tile's cast columns, added straight
-    into the sum.
+    ``V_t[:, rows]^T y_t``, from a float64 copy of the tile's columns,
+    added straight into the sum.
     """
     delta_m = softmax(record.main_logits)
     delta_m[target] -= 1.0
@@ -337,21 +329,18 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
             head_sums[2] += np.outer(record.aux_pooled, delta_a)
             head_sums[3] += delta_a
         d_aux = (model.aux_head.weight @ delta_a) / n
-        chunks = _row_chunks(y.shape)
-        slope = np.empty_like(y[chunks[0]])
-        for rows in chunks:
+        for rows in _row_chunks(y.shape):
             y_rows = y[rows]
-            y_rows += _sigmoid_grad(record.aux_hidden[rows], d_aux, out=slope[: len(y_rows)])
-        del slope  # the weight's chunks are not made beside it
+            y_rows += _sigmoid_grad(record.aux_hidden[rows], d_aux)
 
     gc_sum = sums[0]
-    chunks = _row_chunks(gc_sum.shape)
     tiles = _row_chunks((n,))
-    buf = np.empty(len(v[tiles[0]]) * len(gc_sum[chunks[0]]))
-    for rows in chunks:
-        part = _cast(v[tiles[0], rows], buf).T @ y[tiles[0]]
+    for rows in _row_chunks(gc_sum.shape):
+        # cast first: numpy's mixed-dtype matmul of the float32 columns took
+        # about 1.6 times as long over the tiles of a 4096 x 32 V
+        part = v[tiles[0], rows].astype(np.float64).T @ y[tiles[0]]
         for tile in tiles[1:]:
-            part += _cast(v[tile, rows], buf).T @ y[tile]
+            part += v[tile, rows].astype(np.float64).T @ y[tile]
         if mixed is not None:
             part += mixed[rows]
         gc_sum[rows] += part

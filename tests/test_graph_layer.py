@@ -368,9 +368,12 @@ def test_several_tiles_give_the_single_product_gradients(name, monkeypatch):
         model = md.DgnModel.assemble(mode, c, d, k, 0.5, lambda shape: rng.standard_normal(shape) / np.sqrt(shape[0]))
         record = md.forward_parts(model, a)
         for target in range(k):
+            assert len(nn._row_chunks(a.inverse.shape)) > 1
             tiled = gradients(model, record, target)
             with monkeypatch.context() as m:
                 m.setattr(nn, "TILE_ROWS", a.inverse.size)
+                # the backward reads the patched bound, not tiles kept from before
+                assert len(nn._row_chunks(a.inverse.shape)) == 1
                 single = gradients(model, record, target)
             assert len(tiled) == len(single)
             assert np.abs(tiled[0]).max() > 0
