@@ -59,7 +59,8 @@ print(f"label-space block mix {k}x{k} (A = P mix P^T),",
 check("every adjacency row sums to one", np.allclose(dense.sum(axis=1), 1.0))
 check("the label-space block blows up to the dense adjacency",
       np.allclose(adjacency.mix[np.ix_(adjacency.inverse, adjacency.inverse)], dense, atol=1e-15, rtol=0))
-mixed = nn.propagate(adjacency)
+# the identity weight propagates the features themselves
+mixed = nn.propagate(adjacency, np.eye(spec.channels))
 check("label-space propagation equals the scalar loop over the dense adjacency",
       np.allclose(mixed, oracle.naive_propagate(dense, features), atol=1e-12, rtol=0))
 
@@ -84,10 +85,12 @@ w = rng.standard_normal((spec.channels, 4))
 print()
 check("weight-first layer equals propagate-first",
       np.allclose(nn.propagate(adjacency, w), mixed @ w, atol=1e-12, rtol=0))
-# the plug-and-play mode pools through the adjoint: gap(M V) = (M^T 1/n)^T V
-weights = nn.propagate_adjoint(adjacency, np.full((n, 1), 1.0 / n))[:, 0]
-check("pooling through the adjoint equals pooling the propagation",
-      np.allclose(weights @ features, pooled_after, atol=1e-12, rtol=0))
+# the plug-and-play mode has no weight, so it pools through the adjoint,
+# gap(M V) = (M^T 1/n)^T V, with one weight per label from the label counts
+baseline = dgn.init_model(dgn.AblationMode.BASELINE, spec.channels, spec.num_classes, dgn.TrainConfig())
+plugged = dgn.model.forward_parts(baseline, adjacency, dgn.AblationMode.EVAL_ONLY_IODP)
+check("eval-only pooling equals pooling the propagation",
+      np.allclose(plugged.pooled, pooled_after, atol=1e-12, rtol=0))
 
 # forward_parts takes the graph alone and returns the activations of a
 # train-eval-iodp model: its hidden layer and logits

@@ -47,9 +47,11 @@ class LabelAdjacency:
     sums ``S_V = P^T V`` (:attr:`holds_label_sums`): ``P^T V W`` is then
     ``S_V W``, and ``V^T A^T y`` is ``S_V^T mix^T P^T y``
     (:meth:`feature_adjoint`).
-    ``A^T y``, which eval-only pooling and the wide backward read, is
-    ``(mix^T P^T y)[inverse]`` (:meth:`adjoint_rows`).  The graph is not an
-    array: ``A @ V`` and ``A + 1`` raise.
+    ``A^T y``, which the backward of a graph without label sums reads, is
+    ``(mix^T P^T y)[inverse]`` (:meth:`adjoint_rows`).  Eval-only pooling
+    reads ``A^T 1 = (mix^T cnt)[inverse]`` for the label counts ``cnt``,
+    with no one-hot and no label sums.  The graph is not an array: ``A @ V``
+    and ``A + 1`` raise.
 
     A cached graph holds its indices, ``mix`` and label sums but no k x n
     array: every product forms its one-hot ``P^T`` and frees it.
@@ -82,17 +84,16 @@ class LabelAdjacency:
         """The k x c label sums ``S_V = P^T V``, read only when :attr:`holds_label_sums`."""
         return self._one_hot() @ self.features
 
-    def label_rows(self, product: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    def label_rows(self, product: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """(k, d): row l is the row of ``A V W`` at every node of label l.
 
         ``product`` is ``V W`` for the graph's own ``V`` and ``weight`` is
-        ``W``, the identity by default.  The label sums ``P^T V W`` are
-        ``S_V W`` when the graph holds ``S_V``, else ``P^T product``.
+        ``W``.  The label sums ``P^T V W`` are ``S_V W`` when the graph
+        holds ``S_V``, else ``P^T product``.
         """
         if not self.holds_label_sums:
             return self.mix @ (self._one_hot() @ product)
-        sums = self._label_sums
-        return self.mix @ (sums if weight is None else sums @ weight)
+        return self.mix @ (self._label_sums @ weight)
 
     def adjoint_rows(self, y: np.ndarray) -> np.ndarray:
         """(k, d): ``mix^T P^T y``, row l of ``A^T y`` at every node of label l."""
@@ -123,6 +124,18 @@ def _checked_ids(semantics: np.ndarray, prototype: Prototype) -> np.ndarray:
             f"object id out of range for prototype vocab {prototype.vocab_size}"
         )
     return sem
+
+
+def _unique_ids(sem: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(sem, return_inverse=True, return_counts=True)`` of checked ids, without its sort.
+
+    The ids are non-negative, so one count per id finds the present ones,
+    their counts and, by a running count of the present, each node's index
+    among them.
+    """
+    occurrences = np.bincount(sem)
+    present = np.flatnonzero(occurrences)
+    return present, (np.cumsum(occurrences > 0) - 1)[sem], occurrences[present]
 
 
 def extract_local_knowledge(semantics: np.ndarray, prototype: Prototype) -> np.ndarray:
@@ -164,9 +177,9 @@ def build_graph(
     """
     features, semantics = flatten(feature_map, resized_labels)
     sem = _checked_ids(semantics, prototype)
-    present, inverse = np.unique(sem, return_inverse=True)
+    present, inverse, counts = _unique_ids(sem)
     mix = prototype.omega[np.ix_(present, present)]
-    counts = np.bincount(inverse, minlength=present.size).astype(np.float64)
+    counts = counts.astype(np.float64)
     with np.errstate(over="ignore"):
         weights = mix @ counts
     if not np.isfinite(weights).all():

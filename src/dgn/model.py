@@ -28,13 +28,13 @@ from .nn import (
     AdamState,
     ClassifierParams,
     ForwardRecord,
+    _row_chunks,
     adam_step,
     backward,
     feature_product,
     gap,
     linear,
     propagate,
-    propagate_adjoint,
     sigmoid,
     softmax,
     softmax_ce,
@@ -194,13 +194,16 @@ def forward_parts(
     holds the node features; the graph modes refuse anything else.  The
     graph layer is weight-first, ``(A + I) (V W) / 2`` with ``A V W`` mixed
     in label space, so the full mode's auxiliary path reuses the same
-    ``V W``.  The eval-only mode pools the propagation through its adjoint,
-    ``gap(M V) = (M^T 1/n)^T V``, one column wide.  The features may be a
-    feature map's float32 array; the graph modes cast them to float64 one
-    tile of node rows at a time, to form ``V W`` (``nn.feature_product``,
-    on which ``nn.propagate`` builds), and the record keeps no copy of
-    them.  The sigmoids run in place: over the propagated array, and in the
-    full mode over ``V W`` itself, which becomes the aux path's activations.
+    ``V W``.  The eval-only mode has no weight, so its pooled propagation
+    ``gap(M V)`` is the fixed map ``(u[inverse] @ V) / (2n)``, with one
+    weight per label ``u = 1 + mix^T cnt`` from the label counts ``cnt``,
+    since ``M^T 1 = (1 + A^T 1) / 2``.  The features may be a feature map's
+    float32 array; the graph modes cast them to float64 one tile of node
+    rows at a time, to form ``V W`` (``nn.feature_product``, on which
+    ``nn.propagate`` builds) or the eval-only sum, and the record keeps no
+    copy of them.  The sigmoids run in place: over the propagated array,
+    and in the full mode over ``V W`` itself, which becomes the aux path's
+    activations.
     """
     mode = mode or model.mode
     if mode is AblationMode.BASELINE:
@@ -213,8 +216,14 @@ def forward_parts(
         )
     if mode is AblationMode.EVAL_ONLY_IODP:
         n = x.inverse.size
-        weights = propagate_adjoint(x, np.full((n, 1), 1.0 / n))
-        pooled = weights[:, 0] @ x.features
+        # row i of M^T 1 is (1 + (A^T 1)_i) / 2, and A^T 1 = (mix^T cnt)[inverse];
+        # every label of the graph has a node, so the counts are k long
+        weights = (1.0 + x.mix.T @ np.bincount(x.inverse))[x.inverse]
+        tiles = _row_chunks((n,))
+        pooled = weights[tiles[0]] @ x.features[tiles[0]]
+        for tile in tiles[1:]:
+            pooled += weights[tile] @ x.features[tile]
+        pooled /= 2 * n
         logits = linear(pooled, model.main_head)
         return ForwardRecord(pooled, logits, adjacency=x)
 

@@ -13,12 +13,14 @@ it is formed.
 Every loop over node or weight rows runs in the row blocks of
 ``_row_chunks``: at most ``TILE_ROWS`` rows and ``CHUNK_ENTRIES`` entries
 (or one row).  The graph layer reads ``V`` one tile of node rows at a
-time, twice per training step (for ``V W`` and for ``V^T d``); numpy casts
+time, twice per training step (for ``V W`` and for ``V^T d``), and
+eval-only pooling (``model.forward_parts``) once per forward; numpy casts
 each tile to float64 in a tile-sized temporary, and no record holds a
 float64 copy of ``V``.  The one whole cast is the label sums ``S_V = P^T
 V`` of a graph that holds them (``graph.LabelAdjacency``), made once per
-graph: in a training graph's first step, and in each graph-mode eval
-forward, whose graph is new (1 MiB at 4096 nodes and 32 channels).
+graph: in a training graph's first step, and in each eval forward of a
+trained graph layer, whose graph is new (1 MiB at 4096 nodes and 32
+channels).
 A training step makes no temporary of a weight's size, and the backward
 holds one node-sized array beside its record.  Each node-sized (n x d)
 result is built in one array and finished in place, never in an input,
@@ -97,18 +99,15 @@ def _row_chunks(shape: tuple[int, ...]) -> list[slice]:
     return [slice(start, start + step) for start in range(0, shape[0] or 1, step)]
 
 
-def feature_product(adjacency: LabelAdjacency, weight: np.ndarray | None = None) -> np.ndarray:
+def feature_product(adjacency: LabelAdjacency, weight: np.ndarray) -> np.ndarray:
     """``V W`` for the graph's node features ``V``, as a new (n, d) float64 array.
 
-    ``weight`` defaults to the identity: a float64 copy of ``V``.  Otherwise
     ``V W`` is formed one tile of ``TILE_ROWS`` node rows at a time, into
     the tile's rows of the output; numpy casts each tile of ``V`` to float64
     in a tile-sized temporary, so no float64 copy of the whole ``V`` is
     made.
     """
     v = adjacency.features
-    if weight is None:
-        return np.array(v, dtype=np.float64)
     out = np.empty((v.shape[0], weight.shape[1]))
     for tile in _row_chunks(v.shape[:1]):
         np.matmul(v[tile], weight, out=out[tile])
@@ -116,9 +115,7 @@ def feature_product(adjacency: LabelAdjacency, weight: np.ndarray | None = None)
 
 
 def propagate(
-    adjacency: LabelAdjacency,
-    weight: np.ndarray | None = None,
-    product: np.ndarray | None = None,
+    adjacency: LabelAdjacency, weight: np.ndarray, product: np.ndarray | None = None
 ) -> np.ndarray:
     """Self-loop-augmented, degree-normalized propagation of ``V W``.
 
@@ -126,10 +123,10 @@ def propagate(
     ``graph.LabelAdjacency``, so every degree is 2 and each node returns the
     average of its own feature and its neighborhood mixture,
     ``(V W + A V W) / 2``, with ``V`` the features the graph holds.
-    ``weight`` defaults to the identity; ``product`` is ``V @ weight`` when
-    the caller holds it already, and is left as it is.  ``A V W`` is mixed
-    in label space (:meth:`~dgn.graph.LabelAdjacency.label_rows`).  Any
-    other adjacency is refused.
+    ``product`` is ``V @ weight`` when the caller holds it already, and is
+    left as it is.  ``A V W`` is mixed in label space
+    (:meth:`~dgn.graph.LabelAdjacency.label_rows`).  Any other adjacency is
+    refused.
 
     It is ``out = X; out += R[inverse]; out *= 0.5``: ``X = V W`` from
     ``feature_product`` or a copy of ``product``, and the label rows ``R =
@@ -145,29 +142,8 @@ def propagate(
     return out
 
 
-def propagate_adjoint(adjacency: LabelAdjacency, y: np.ndarray) -> np.ndarray:
-    """``M^T y`` for the map ``M = (I + A) / 2`` that ``propagate`` applies.
-
-    With ``z = y / 2`` it is ``z + A^T z``, so ``<M V, Y> =
-    <V, propagate_adjoint(A, Y)>``.  ``A^T z`` comes from label space
-    (:meth:`~dgn.graph.LabelAdjacency.adjoint_rows`) and is added into
-    ``z`` in node-row blocks, so ``z`` is the one node-sized array made.
-    Any adjacency other than a ``graph.LabelAdjacency`` is refused.
-    """
-    a = adjacency
-    if not isinstance(a, LabelAdjacency):
-        raise ValidationError(f"the adjacency must be a graph.LabelAdjacency, not {type(a).__name__}")
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != a.inverse.size:
-        raise ValidationError(f"shape mismatch: {a.inverse.size} nodes, gradient {y.shape}")
-    # every degree of a row-stochastic adjacency is 2; y * 0.5 has the bytes
-    # of y / 2.0
-    z = y * 0.5
-    return _add_label_rows(a, z, a.adjoint_rows(z))
-
-
-def _add_label_rows(a: LabelAdjacency, z: np.ndarray, label_rows: np.ndarray) -> np.ndarray:
-    """Add ``label_rows[inverse]`` into the (n, d) array ``z`` and return ``z``.
+def _add_label_rows(a: LabelAdjacency, z: np.ndarray, label_rows: np.ndarray) -> None:
+    """Add ``label_rows[inverse]`` into the (n, d) array ``z``.
 
     ``label_rows`` are the k x d rows of one label each, ``A V W``'s or
     ``A^T z``'s.  They are gathered to the nodes one row block at a time,
@@ -177,7 +153,6 @@ def _add_label_rows(a: LabelAdjacency, z: np.ndarray, label_rows: np.ndarray) ->
     for rows in _row_chunks(z.shape):
         z_rows = z[rows]
         z_rows += label_rows.take(a.inverse[rows], axis=0)
-    return z
 
 
 def gap(x: np.ndarray) -> np.ndarray:
@@ -293,10 +268,10 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     pooled-gradient scale, ``y = s (1 - s) (W_head delta / 2n)``, and
     ``M^T d_pre = y + A^T y``.  ``y`` is ``g = 1 - s; g *= s; g *= d /
     (2n)``.  A graph without label sums adds ``A^T y`` into ``y`` in
-    node-row blocks, without ``propagate_adjoint``'s halving pass.  A graph
-    that holds them leaves ``y`` as it is and takes ``V^T A^T y`` from the
-    label sums (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no
-    node-sized gather.  The full mode adds its aux slope ``d_aux_pre`` into
+    node-row blocks (``_add_label_rows``).  A graph that holds them leaves
+    ``y`` as it is and takes ``V^T A^T y`` from the label sums
+    (:meth:`~dgn.graph.LabelAdjacency.feature_adjoint`), with no node-sized
+    gather.  The full mode adds its aux slope ``d_aux_pre`` into
     ``y`` in the same blocks, each block's slope a new array.  Each row
     block of ``V^T (...)`` is the sum over the node tiles, in node order, of
     ``V_t[:, rows]^T y_t``, from a float64 copy of the tile's columns,

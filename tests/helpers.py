@@ -1,7 +1,7 @@
 """Run Python in a child process, or the ``dgn`` CLI in this one, against this
 checkout's sources; build the dense adjacency that a label-space graph stands for;
 build a graph-mode model from its parameter blocks and take its loss and its
-gradients, for the gradient checks."""
+gradients, for the gradient checks; pool a graph as the eval-only mode does."""
 
 import contextlib
 import io
@@ -84,6 +84,13 @@ def model_of(mode, lam, classes, blocks):
         nn.ClassifierParams(blocks[1], blocks[2]),
         gc_weight=blocks[0], aux_head=nn.ClassifierParams(blocks[3], blocks[4]),
     )
+
+
+def eval_only_pooled(graph):
+    """The pooled vector of an eval-only forward of ``graph``, by a two-class baseline model."""
+    c = graph.features.shape[1]
+    baseline = md.DgnModel.assemble(AblationMode.BASELINE, c, c, 2, 0.0, np.zeros)
+    return md.forward_parts(baseline, graph, AblationMode.EVAL_ONLY_IODP).pooled
 
 
 def loss_and_record(model, graph, target):

@@ -160,7 +160,7 @@ def test_criterion_5_graph_suite():
     v = fm.values.reshape(6, 3)
     v64 = v.astype(np.float64)
     np.testing.assert_allclose(
-        nn.propagate(adjacency), (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0
+        nn.propagate(adjacency, np.eye(3)), (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0
     )
     passed(5, "graph suite")
 
@@ -213,7 +213,7 @@ def test_criterion_7_gcn_numerics():
     np.testing.assert_array_equal(dense, [[0.5, 0.5], [1.0, 0.0]])
     np.testing.assert_array_equal(a.mix[np.ix_(a.inverse, a.inverse)], dense)
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, 1, 1, 2, 0.0, np.ones)
-    propagated = nn.propagate(a)
+    propagated = nn.propagate(a, model.gc_weight)
     record = md.forward_parts(model, a)
     # with the unit hidden weight the propagation is the pre-activation
     np.testing.assert_array_equal(propagated.ravel(), [0.75, 0.5])

@@ -176,9 +176,7 @@ def test_the_graph_cannot_be_densified_by_accident(monkeypatch):
     model = md.DgnModel.assemble(md.AblationMode.FULL, 4, 2, 2, 0.5, np.ones)
     for array in (np.asarray(a), np.full((6, 6), 1.0 / 6), v):
         with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-            nn.propagate(array)
-        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-            nn.propagate_adjoint(array, v)
+            nn.propagate(array, model.gc_weight)
         with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
             md.forward_parts(model, array)
 
@@ -193,6 +191,6 @@ def test_uniform_adjacency_propagation_matches_half_mean_shift():
     a = gr.build_graph(fm, labels, proto)
     # the graph propagates the feature map's own (float32) array, in float64
     v = fm.values.reshape(5, 3)
-    out = nn.propagate(a)
+    out = nn.propagate(a, np.eye(3))  # the identity weight propagates V itself
     v64 = v.astype(np.float64)
     np.testing.assert_allclose(out, (v64 + v64.mean(axis=0)) / 2, atol=1e-12, rtol=0)

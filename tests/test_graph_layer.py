@@ -1,7 +1,7 @@
 """The graph layer's in-place and label-space forms keep their bytes and never alias.
 
-``nn.propagate``, ``nn.propagate_adjoint`` and ``nn.backward`` build their
-results in place.  A ``LabelAdjacency`` is ``A = P mix P^T``, and its
+``nn.propagate``, eval-only pooling and ``nn.backward`` build their results
+in place.  A ``LabelAdjacency`` is ``A = P mix P^T``, and its
 products are chains through its k x k block ``mix``, the label-space ones
 from the label sums ``S_V = P^T V`` the graph holds.  Each is compared byte
 for byte with the expression form of the same arithmetic, written out
@@ -20,7 +20,7 @@ from dgn.errors import ValidationError
 from dgn.graph import build_graph
 from dgn.model import AblationMode
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype
-from tests.helpers import gradients
+from tests.helpers import eval_only_pooled, gradients
 from tests.test_oracle import factored_graph, random_graph, zero_affinity_rows
 
 # ---------------------------------------------------------------------------
@@ -35,9 +35,8 @@ def expr_one_hot(a):
 def expr_label_rows(a, v, w):
     """``mix P^T V W``, from the label sums ``S_V`` when the graph holds them."""
     if not a.holds_label_sums:
-        return a.mix @ (expr_one_hot(a) @ (v if w is None else v @ w))
-    sums = expr_one_hot(a) @ a.features
-    return a.mix @ (sums if w is None else sums @ w)
+        return a.mix @ (expr_one_hot(a) @ (v @ w))
+    return a.mix @ ((expr_one_hot(a) @ a.features) @ w)
 
 
 def expr_adjoint_rows(a, z):
@@ -51,24 +50,28 @@ def expr_feature_adjoint(a, y):
 
 def products(a, v, w):
     """The graph's label-space products."""
-    out = [a.label_rows(v), a.label_rows(v @ w, w), a.adjoint_rows(v)]
+    out = [a.label_rows(v @ w, w), a.adjoint_rows(v)]
     return out + [a.feature_adjoint(v @ w)] if a.holds_label_sums else out
 
 
 def expr_products(a, v, w):
-    out = [expr_label_rows(a, v, None), expr_label_rows(a, v, w), expr_adjoint_rows(a, v)]
+    out = [expr_label_rows(a, v, w), expr_adjoint_rows(a, v)]
     return out + [expr_feature_adjoint(a, v @ w)] if a.holds_label_sums else out
 
 
-def expr_propagate(a, v, w=None):
-    x = v if w is None else v @ w
-    return (x + expr_label_rows(a, v, w)[a.inverse]) / 2.0
+def expr_propagate(a, v, w):
+    return (v @ w + expr_label_rows(a, v, w)[a.inverse]) / 2.0
 
 
-def expr_propagate_adjoint(a, y):
-    # a row-stochastic adjacency: every degree is 2
+def expr_adjoint(a, y):
+    """``M^T y`` for ``M = (I + A) / 2``: a row-stochastic adjacency's degrees are 2."""
     z = y / 2.0
     return z + expr_adjoint_rows(a, z)[a.inverse]
+
+
+def expr_eval_only_pooled(a):
+    """``gap(M V) = (1 + A^T 1)^T V / 2n``, with ``A^T 1 = (mix^T cnt)[inverse]``."""
+    return ((1.0 + a.mix.T @ np.bincount(a.inverse))[a.inverse] @ a.features) / (2 * a.inverse.size)
 
 
 def expr_backward(model, record, target):
@@ -79,7 +82,7 @@ def expr_backward(model, record, target):
     d_pooled = model.main_head.weight @ delta_m
     slope = record.hidden * (1.0 - record.hidden)
     if not a.holds_label_sums:
-        d_fw = expr_propagate_adjoint(a, (d_pooled / n)[None, :] * slope)
+        d_fw = expr_adjoint(a, (d_pooled / n)[None, :] * slope)
         mixed = None
     else:
         d_fw = (d_pooled / (2 * n))[None, :] * slope
@@ -181,13 +184,12 @@ class TestSameBytes:
         for f, s in zip(fast, slow):
             assert f.tobytes() == s.tobytes()
 
-    def test_propagate_and_adjoint(self, name, seed):
+    def test_propagate_and_eval_only_pooling(self, name, seed):
         v, a, _ = graph_case(name, seed)
         w = hidden_weight(v, seed)
-        assert nn.propagate(a).tobytes() == expr_propagate(a, v).tobytes()
         assert nn.propagate(a, w).tobytes() == expr_propagate(a, v, w).tobytes()
         assert nn.propagate(a, w, v @ w).tobytes() == expr_propagate(a, v, w).tobytes()
-        assert nn.propagate_adjoint(a, v).tobytes() == expr_propagate_adjoint(a, v).tobytes()
+        assert eval_only_pooled(a).tobytes() == expr_eval_only_pooled(a).tobytes()
 
     def test_backward(self, name, seed):
         v, a, _ = graph_case(name, seed)
@@ -210,11 +212,11 @@ class TestNoAliasing:
         first, second = products(a, v, w), products(a, v, w)
         product = v @ w
         given = product.copy()
-        propagated = [nn.propagate(a), nn.propagate(a, w), nn.propagate(a, w, product), nn.propagate_adjoint(a, v)]
+        propagated = [nn.propagate(a, w), nn.propagate(a, w, product), eval_only_pooled(a)]
         for x, b in zip(inputs + [product], before + [given]):
             assert x.tobytes() == b.tobytes()
         # the layer builds its output in a copy of a given product
-        assert not np.shares_memory(propagated[2], product)
+        assert not np.shares_memory(propagated[1], product)
         # two calls on the same (cached) adjacency give equal, separate arrays
         for f, s in zip(first, second):
             assert f.tobytes() == s.tobytes()
@@ -247,22 +249,13 @@ def test_propagation_refuses_features_that_are_not_a_matrix():
     baseline = md.DgnModel.assemble(AblationMode.BASELINE, c, c, 3, 0.0, np.ones)
     for array in (dense, np.full((n, n), 1.0 / n), np.asarray(a), v):
         with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-            nn.propagate(array)
-        with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
-            nn.propagate_adjoint(array, v)
+            nn.propagate(array, full.gc_weight)
         for model, mode in (
             (full, AblationMode.TRAIN_EVAL_IODP), (full, AblationMode.FULL),
             (baseline, AblationMode.EVAL_ONLY_IODP),
         ):
             with pytest.raises(ValidationError, match="must be a graph.LabelAdjacency"):
                 md.forward_parts(model, array, mode)
-    # a label-space graph refuses a gradient that is not one row per node
-    for name in CASES:
-        v, a, _ = graph_case(name, 8)
-        n = v.shape[0]
-        for y in (np.ones(n), np.ones((n - 1, 4)), np.ones((n + 1, 4)), np.ones((n, 4, 1))):
-            with pytest.raises(ValidationError, match="shape mismatch"):
-                nn.propagate_adjoint(a, y)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +313,7 @@ def test_held_label_sums_are_the_one_hot_times_the_features(name):
         w = hidden_weight(v, 5)
         products(a, v, w)
         nn.propagate(a, w)
-        nn.propagate_adjoint(a, v)
+        eval_only_pooled(a)
         for model, record in records(v, a, 5):
             gradients(model, record, 1)
         assert "_label_sums" not in vars(a)
@@ -353,7 +346,6 @@ def test_several_tiles_keep_the_expression_bytes(name):
     # gives a tile of V W the bytes of the same rows of the whole product
     w = np.random.default_rng(13).standard_normal((v.shape[1], v.shape[1]))
     assert nn.feature_product(a, w).tobytes() == (v.astype(np.float64) @ w).tobytes()
-    assert nn.propagate(a).tobytes() == expr_propagate(a, v).tobytes()
     assert nn.propagate(a, w).tobytes() == expr_propagate(a, v, w).tobytes()
     assert nn.propagate(a, w, v @ w).tobytes() == expr_propagate(a, v, w).tobytes()
 

@@ -51,9 +51,9 @@ class TestForward:
             AblationMode.FULL, 3, 4, 2, 0.25, head, gc_weight=w, aux_head=twin
         )
         v, adjacency, dense = factored_graph(np.array([[0]]), np.ones((1, 1)), rng)
-        # single node: adjacency [[1]], propagation returns V itself
+        # single node: adjacency [[1]], propagation with the identity weight returns V itself
         np.testing.assert_array_equal(dense, [[1.0]])
-        propagated = nn.propagate(adjacency)
+        propagated = nn.propagate(adjacency, np.eye(3))
         np.testing.assert_allclose(propagated, v, atol=1e-15, rtol=0)
         record = md.forward_parts(model, adjacency)
         np.testing.assert_allclose(record.main_logits, record.aux_logits, atol=1e-15, rtol=0)
@@ -324,8 +324,7 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
         summed.append(adjacency)
         return label_sums.func(adjacency)
 
-    def counted(adjacency, weight=None, product=None):
-        assert weight is not None
+    def counted(adjacency, weight, product=None):
         out = nn.propagate(adjacency, weight, product)
         widths.append(out.shape[1])
         return out
@@ -346,9 +345,10 @@ def test_training_caches_graphs_and_propagates_only_the_hidden_width(trained_set
     assert widths == [5] * (2 * (2 * n_train + n_test))
 
 
-def test_eval_only_pooling_computes_no_label_sums(trained_setup, tmp_path, monkeypatch):
-    # eval-only pooling is A^T z, which reads the one-hot P^T only: graphs
-    # with fewer channels than nodes hold label sums, yet none is computed
+def test_eval_only_pooling_forms_no_one_hot_and_no_label_sums(trained_setup, tmp_path, monkeypatch):
+    # eval-only pooling weighs each node by its label's 1 + (mix^T cnt), from
+    # the label counts: graphs with fewer channels than nodes hold label sums,
+    # yet no graph forms its one-hot P^T or computes its sums
     train_corpus, test_corpus, proto = trained_setup
     config = TrainConfig(epochs=1, seed=304)
     md.save_model(md.train(train_corpus, None, config, AblationMode.BASELINE)[0], tmp_path / "b.dgnm")
@@ -369,8 +369,7 @@ def test_eval_only_pooling_computes_no_label_sums(trained_setup, tmp_path, monke
     md.evaluate(baseline, test_corpus, proto, AblationMode.EVAL_ONLY_IODP)
     assert len(graphs) == len(test_corpus.instances)
     assert all(a.holds_label_sums for a in graphs)
-    # every graph's pooling read its one-hot once, and no graph its sums
-    assert [id(i) for i in written] == [id(a.inverse) for a in graphs]
+    assert written == []
     assert all("_label_sums" not in vars(a) for a in graphs)
 
 

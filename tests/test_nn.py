@@ -17,11 +17,11 @@ from tests.test_oracle import factored_graph, graph_over, random_graph
 
 
 def graph_layer(adjacency, weight):
-    """Propagation and hidden layer of a train-eval-iodp model with ``weight``."""
+    """Propagation of ``V weight`` and hidden layer of a train-eval-iodp model with ``weight``."""
     c, d = np.shape(weight)
     model = md.DgnModel.assemble(AblationMode.TRAIN_EVAL_IODP, c, d, 2, 0.0, np.zeros)
     model.gc_weight = np.asarray(weight, dtype=np.float64)
-    return nn.propagate(adjacency), md.forward_parts(model, adjacency).hidden
+    return nn.propagate(adjacency, model.gc_weight), md.forward_parts(model, adjacency).hidden
 
 
 class TestGcnForward:
@@ -63,7 +63,7 @@ class TestGcnForward:
     def test_propagation_is_convex_combination(self):
         rng = np.random.default_rng(1)
         v, a, _ = random_graph(rng, 4, (2, 3), channels=4)
-        out = nn.propagate(a)
+        out = nn.propagate(a, np.eye(4))  # the identity weight propagates V itself
         assert np.abs(out).max() <= np.abs(v).max() + 1e-12
 
     def test_outputs_strictly_inside_unit_interval(self):

@@ -14,7 +14,7 @@ from dgn.corpus import Corpus, FeatureMap, Instance, LabelMap, nn_resize
 from dgn.errors import ValidationError
 from dgn.graph import build_graph
 from dgn.prototype import CooccurrenceMode, DispersionMetric, Prototype, build_prototype
-from tests.helpers import dense_adjacency
+from tests.helpers import dense_adjacency, eval_only_pooled
 from tests.test_prototype import TOY_OMEGA, presence_corpus, random_presence_corpus
 
 
@@ -148,7 +148,8 @@ def assert_block_matches_dense(adjacency, dense):
 
 
 def assert_factored_matches_dense(v, adjacency, dense):
-    fast = nn.propagate(adjacency)
+    # the identity weight propagates V itself
+    fast = nn.propagate(adjacency, np.eye(v.shape[1]))
     slow = oracle.naive_propagate(dense, v)
     assert oracle.compare(fast, slow).max_abs_deviation <= 1e-12
 
@@ -168,7 +169,7 @@ class TestFactoredPropagation:
         # v is the feature map's own (float32) array; the expectation is in float64
         v64 = v.astype(np.float64)
         np.testing.assert_allclose(
-            nn.propagate(adjacency)[lone], (v64[lone] + v64.mean(axis=0)) / 2,
+            nn.propagate(adjacency, np.eye(3))[lone], (v64[lone] + v64.mean(axis=0)) / 2,
             atol=1e-15, rtol=0,
         )
 
@@ -197,28 +198,18 @@ class TestFactoredPropagation:
             assert_factored_matches_dense(v, adjacency, dense)
 
 
-def assert_adjoint_matches_dense(v, adjacency, dense, rng):
-    """``propagate_adjoint`` in label space against the scalar loop's transpose."""
-    n, c = v.shape
-    y = rng.standard_normal((n, c))
-    adjoint = nn.propagate_adjoint(adjacency, y)
-    # <M V, Y> = <V, M^T Y>
-    assert abs(np.sum(oracle.naive_propagate(dense, v) * y) - np.sum(v * adjoint)) <= 1e-12
-    m = oracle.naive_propagate(dense, np.eye(n))
-    assert oracle.compare(adjoint, m.T @ y).max_abs_deviation <= 1e-12
-
-
 def assert_eval_only_pool_matches_dense(v, adjacency, dense):
-    """The eval-only mode pools through the adjoint; the oracle pools the propagation."""
-    c = v.shape[1]
-    baseline = md.DgnModel.assemble(md.AblationMode.BASELINE, c, c, 2, 0.0, np.zeros)
-    record = md.forward_parts(baseline, adjacency, md.AblationMode.EVAL_ONLY_IODP)
+    """The eval-only mode pools through the label counts; the oracle pools the propagation."""
     slow = nn.gap(oracle.naive_propagate(dense, v))
-    assert oracle.compare(record.pooled, slow).max_abs_deviation <= 1e-12
+    assert oracle.compare(eval_only_pooled(adjacency), slow).max_abs_deviation <= 1e-12
 
 
 class TestAdjoint:
-    """``M^T`` of the label-space adjacency, on the fixtures of TestFactoredPropagation."""
+    """``M^T 1/n``, the weights of eval-only pooling, on the fixtures of TestFactoredPropagation.
+
+    ``M^T y`` for any ``y`` is checked through the backward, against the
+    dense matrix (``tests/test_graph_layer.py``).
+    """
 
     def test_all_zero_rows(self):
         rng = np.random.default_rng(16)
@@ -226,27 +217,23 @@ class TestAdjoint:
         labels = np.array([[0, 1, 1], [1, 0, 1]])
         v, adjacency, dense = factored_graph(labels, omega, rng)
         assert zero_affinity_rows(labels, omega) == 4
-        assert_adjoint_matches_dense(v, adjacency, dense, rng)
         assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_every_row_zero(self):
         rng = np.random.default_rng(17)
         v, adjacency, dense = factored_graph(np.array([[0, 1], [2, 1]]), np.zeros((3, 3)), rng)
-        assert_adjoint_matches_dense(v, adjacency, dense, rng)
         assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_single_label_map(self):
         rng = np.random.default_rng(18)
         for self_relation in (0.0, 0.7):
             v, adjacency, dense = factored_graph(np.full((3, 4), 2), np.full((3, 3), self_relation), rng)
-            assert_adjoint_matches_dense(v, adjacency, dense, rng)
             assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_vocab_larger_than_node_count(self):
         rng = np.random.default_rng(19)
         omega = rng.random((12, 12))
         v, adjacency, dense = factored_graph(np.array([[11, 3], [3, 0]]), (omega + omega.T) / 2, rng)
-        assert_adjoint_matches_dense(v, adjacency, dense, rng)
         assert_eval_only_pool_matches_dense(v, adjacency, dense)
 
     def test_random_cases(self):
@@ -256,14 +243,7 @@ class TestAdjoint:
             omega = rng.random((vocab, vocab)) * (rng.random((vocab, vocab)) > 0.5)
             labels = rng.integers(0, vocab, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
             v, adjacency, dense = factored_graph(labels, (omega + omega.T) / 2, rng, int(rng.integers(1, 5)))
-            assert_adjoint_matches_dense(v, adjacency, dense, rng)
             assert_eval_only_pool_matches_dense(v, adjacency, dense)
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(21)
-        _, adjacency, _ = factored_graph(np.array([[0, 1, 1]]), np.ones((2, 2)), rng)
-        with pytest.raises(ValidationError, match="shape mismatch"):
-            nn.propagate_adjoint(adjacency, np.ones((2, 2)))
 
 
 class TestFdGradient:

@@ -13,7 +13,7 @@ from dgn import corpus as cp
 from dgn import graph as gr
 from dgn import nn, oracle
 from dgn import prototype as pt
-from tests.helpers import dense_adjacency
+from tests.helpers import dense_adjacency, eval_only_pooled
 from tests.test_oracle import graph_over
 from tests.test_prototype import omega_in_blocks_of, presence_corpus
 
@@ -181,7 +181,7 @@ def test_propagation_never_expands_max_norm(n, c, seed):
     omega = rng.random((4, 4))
     labels = rng.integers(0, 4, size=(1, n))
     v, a, _ = graph_over(rng.standard_normal((1, n, c)) * 10, labels, (omega + omega.T) / 2)
-    out = nn.propagate(a)
+    out = nn.propagate(a, np.eye(c))  # the identity weight propagates V itself
     assert np.abs(out).max() <= np.abs(v).max() + 1e-12
 
 
@@ -193,7 +193,8 @@ def test_propagation_never_expands_max_norm(n, c, seed):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_label_space_adjoint_identity(grid, c, sparsity, seed):
-    # <M V, Y> = <V, M^T Y> for the label-space adjacency, zero-affinity rows included
+    # gap(M V) = (M^T 1/n)^T V: eval-only pooling weighs V by the adjoint of
+    # the label-space adjacency, zero-affinity rows included
     rng = np.random.default_rng(seed)
     omega = rng.random((7, 7)) * (rng.random((7, 7)) >= sparsity)
     proto = pt.Prototype(
@@ -204,10 +205,20 @@ def test_label_space_adjoint_identity(grid, c, sparsity, seed):
     features = cp.FeatureMap(rng.standard_normal((h, w, c)))
     adjacency = gr.build_graph(features, cp.LabelMap(grid, 7), proto)
     v = features.values.reshape(h * w, c)
-    y = rng.standard_normal(v.shape)
-    lhs = np.sum(oracle.naive_propagate(dense_adjacency(grid.reshape(-1), proto), v) * y)
-    rhs = np.sum(v * nn.propagate_adjoint(adjacency, y))
-    assert abs(lhs - rhs) <= 1e-12
+    expected = nn.gap(oracle.naive_propagate(dense_adjacency(grid.reshape(-1), proto), v))
+    assert np.abs(eval_only_pooled(adjacency) - expected).max() <= 1e-12
+
+
+@given(label_grids)
+def test_present_ids_from_one_count_are_np_unique(grid):
+    # build_graph's present ids, node indices among them and label counts
+    ids = grid.reshape(-1)
+    for fast, slow in zip(gr._unique_ids(ids), np.unique(ids, return_inverse=True, return_counts=True)):
+        assert fast.dtype == slow.dtype
+        np.testing.assert_array_equal(fast, slow)
+    proto = pt.Prototype(7, np.ones((7, 7)), pt.CooccurrenceMode.INDEPENDENT, pt.DispersionMetric.COEFF_VAR, True, 2)
+    a = gr.build_graph(cp.FeatureMap(np.zeros((*grid.shape, 1))), cp.LabelMap(grid, 7), proto)
+    np.testing.assert_array_equal(a.inverse, np.unique(ids, return_inverse=True)[1])
 
 
 @given(
