@@ -18,8 +18,11 @@ degree 2, and a label that relates to nothing has the uniform row of
 
 Every gradient below is hand-derived; the finite-difference oracle knows
 nothing about the chain rule, it only evaluates the loss at perturbed
-parameters.  The demo exits 1 if any deviation passes 1e-6, or if the
-auxiliary gradients at ``lam = 0`` are not exactly zero.
+parameters.  ``nn.backward`` returns the two head losses it
+differentiated, which the demo checks against the loss it perturbs.  It
+exits 1 if any deviation passes 1e-6, or if at ``lam = 0`` the auxiliary
+path adds anything: no aux gradient, and the shared weight's gradient of
+the main path alone.
 """
 
 import dataclasses
@@ -65,10 +68,10 @@ names = ["shared weight", "main weight", "main bias", "aux weight", "aux bias"]
 
 
 def gradients(model, record):
-    """``nn.backward`` adds one instance's gradients into batch sums; here the sums start at zero."""
+    """One instance's two head losses, and its gradients: ``nn.backward`` adds them into sums of zeros."""
     sums = [np.zeros_like(p) for p in model.blocks()]
-    nn.backward(model, record, target, sums)
-    return sums
+    losses = nn.backward(model, record, target, sums)
+    return losses, sums
 
 
 def model_of(p):
@@ -87,14 +90,15 @@ for title, adjacency in (
 
     def loss_of(p):
         record = md.forward_parts(model_of(p), adjacency)
-        return md.total_loss(
-            nn.softmax_ce(record.main_logits, target), nn.softmax_ce(record.aux_logits, target), lam
-        )
+        loss_main, _ = nn.cross_entropy(record.main_logits, target)
+        loss_aux, _ = nn.cross_entropy(record.aux_logits, target)
+        return md.total_loss(loss_main, loss_aux, lam)
 
     print(f"{title}: loss at the starting point {loss_of(params):.6f}")
     model = model_of(params)
     record = md.forward_parts(model, adjacency)
-    analytic = gradients(model, record)
+    losses, analytic = gradients(model, record)
+    assert md.total_loss(*losses, lam) == loss_of(params), "nn.backward returned other losses"
     numeric = oracle.fd_gradient(loss_of, params)
     for name, a, f in zip(names, analytic, numeric):
         report = oracle.compare(a, f)
@@ -102,9 +106,15 @@ for title, adjacency in (
         print(f"  {name:14s} max |analytic - numeric| = {report.max_abs_deviation:.3e}")
 
 print("\nwith lam = 0 the auxiliary path contributes nothing:")
-# the same forward record, differentiated for the model with lam 0
-zeroed = gradients(dataclasses.replace(model, lam=0.0), record)
+# the same forward record, differentiated for the model with lam 0, and the
+# main path alone: the train-eval-iodp forward of the same weights
+zeroed = gradients(dataclasses.replace(model, lam=0.0), record)[1]
 exactly_zero = not zeroed[names.index("aux weight")].any()
 print("aux weight gradient is exactly zero:", exactly_zero)
+main_only = dataclasses.replace(model, mode=md.AblationMode.TRAIN_EVAL_IODP)
+main_path = gradients(main_only, md.forward_parts(main_only, adjacency))[1]
+same_shared = zeroed[0].tobytes() == main_path[0].tobytes()
+print("shared weight gradient is the main path's:", same_shared)
 assert exactly_zero, "with lam = 0 the aux weight gradient is not zero"
+assert same_shared, "with lam = 0 the aux path changes the shared weight's gradient"
 assert worst <= TOLERANCE, f"a gradient deviates by {worst:.3e}, more than {TOLERANCE:g}"

@@ -31,13 +31,12 @@ from .nn import (
     _row_chunks,
     adam_step,
     backward,
+    cross_entropy,
     feature_product,
     gap,
     linear,
     propagate,
     sigmoid,
-    softmax,
-    softmax_ce,
     xavier_init,
 )
 from .prototype import Prototype
@@ -106,7 +105,7 @@ class DgnModel:
         The order is shared hidden weight, main weight, main bias, aux weight,
         aux bias, skipping blocks the model does not have, the order in
         which ``nn.backward`` adds gradients; ``aux=False`` leaves out the
-        auxiliary head.
+        auxiliary head, as ``train`` does for a model whose ``lam`` is 0.
         """
         out = [] if self.gc_weight is None else [self.gc_weight]
         out += [self.main_head.weight, self.main_head.bias]
@@ -287,14 +286,13 @@ def _baseline_batch(
 
     ``pooled`` is the batch's (B, c) block.  The losses are per instance,
     and the summed gradients are one ``(c, B) @ (B, k)`` weight product and
-    the column sum of the softmax deltas.
+    the column sum of the deltas ``softmax - onehot`` that
+    ``nn.cross_entropy`` gives with the losses.
     """
     logits = linear(pooled, model.main_head)
-    losses = softmax_ce(logits, targets).tolist()
-    delta = softmax(logits)
-    delta[np.arange(targets.size), targets] -= 1.0
+    losses, delta = cross_entropy(logits, targets)
     hits = int((logits.argmax(axis=1) == targets).sum())
-    return losses, hits, [pooled.T @ delta, delta.sum(axis=0)]
+    return losses.tolist(), hits, [pooled.T @ delta, delta.sum(axis=0)]
 
 
 def train(
@@ -311,7 +309,8 @@ def train(
     forward and one gradient product over the batch's (B, c) block.  Graph
     modes run ``forward_parts`` per instance, and ``backward`` adds its
     gradients into the batch sums that the loop owns, so no instance makes
-    a gradient array of a weight's size; ``adam_step`` then updates each
+    a gradient array of a weight's size, and returns the instance's two
+    head losses; ``adam_step`` then updates each
     block in row chunks.  The learning rate drops by ``DECAY_FACTOR`` at
     each epoch in ``decay_epochs``.
     """
@@ -326,7 +325,7 @@ def train(
     c = train_corpus.feature_shape[2]
     model = init_model(mode, c, train_corpus.num_classes, config)
     # the auxiliary head is optimized only when its loss has weight
-    params = model.blocks(aux=mode is AblationMode.FULL and config.lam > 0)
+    params = model.blocks(aux=model.lam > 0)
     state = AdamState.for_params(params, config.lr, config.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
     if mode is AblationMode.BASELINE:
@@ -356,11 +355,9 @@ def train(
                 for idx in batch:
                     x, target = data[idx]
                     record = forward_parts(model, x, mode)
-                    loss_main = softmax_ce(record.main_logits, target)
-                    loss_aux = 0.0 if record.aux_logits is None else softmax_ce(record.aux_logits, target)
+                    # adds into the sums in block order; an untrained aux head gets nothing
+                    loss_main, loss_aux = backward(model, record, target, grad_sums)
                     loss = total_loss(loss_main, loss_aux, model.lam)
-                    # adds into the sums in block order, leaving out an untrained aux tail
-                    backward(model, record, target, grad_sums)
                     batch_loss += loss
                     sums["loss"] += loss
                     sums["main"] += loss_main

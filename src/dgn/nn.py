@@ -190,19 +190,13 @@ def linear(x: np.ndarray, params: ClassifierParams) -> np.ndarray:
     return (x[:, None, :] @ params.weight)[:, 0, :] + params.bias
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, max-subtracted; a (B, k) block row by row."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def cross_entropy(logits: np.ndarray, target: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Cross-entropy of softmax(logits) against a class index, and its gradient in the logits.
 
-
-def softmax_ce(logits: np.ndarray, target: int | np.ndarray) -> float | np.ndarray:
-    """Cross-entropy of softmax(logits) against a class index, max-subtracted.
-
-    One (k,) logit vector and an int give a float; a (B, k) block and B
-    targets give the (B,) per-row losses, each with the bytes of its
+    Returns the loss and ``softmax(logits) - onehot(target)``, both from one
+    max-subtracted exponential.  One (k,) logit vector and an int give a
+    float and a (k,) delta; a (B, k) block and B targets give the (B,)
+    per-row losses and the (B, k) deltas, each row with the bytes of its
     per-row call.
     """
     z = np.asarray(logits, dtype=np.float64)
@@ -214,10 +208,13 @@ def softmax_ce(logits: np.ndarray, target: int | np.ndarray) -> float | np.ndarr
     if not fits:
         raise ValidationError(f"targets {target} do not fit logits of shape {z.shape}")
     z = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
-    if z.ndim == 1:
-        return float(lse - z[target])
-    return lse - z[np.arange(z.shape[0]), target]
+    delta = np.exp(z)
+    total = delta.sum(axis=-1, keepdims=True)
+    picked = target if z.ndim == 1 else (np.arange(z.shape[0]), target)
+    loss = np.log(total[..., 0]) - z[picked]
+    delta /= total
+    delta[picked] -= 1.0
+    return (float(loss) if z.ndim == 1 else loss), delta
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +247,21 @@ def _sigmoid_grad(s: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return grad
 
 
-def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.ndarray]) -> None:
-    """Add one instance's exact gradients of loss_main + lam * loss_aux into ``sums``.
+def backward(
+    model: DgnModel, record: ForwardRecord, target: int, sums: list[np.ndarray]
+) -> tuple[float, float]:
+    """Add one graph-mode instance's gradients of loss_main + lam * loss_aux into ``sums``.
 
-    ``record`` is ``model.forward_parts`` of ``model``, whose weights and
-    ``lam`` are read.  ``sums`` are the batch's gradient sums in
-    ``DgnModel.blocks()`` order, each of its block's shape: hidden weight
-    (graph modes only), main weight and bias, aux weight and bias.  Each
-    gradient is added into its sum as soon as it is formed.  Aux gradients
-    are added only when the record ran the aux head and ``sums`` holds its
-    blocks, so a list without them leaves out an untrained aux head.  Sums
-    of zeros give one instance's gradients.
+    Returns ``(loss_main, loss_aux)``: each head's loss comes from the
+    ``cross_entropy`` call that gives its delta, and ``loss_aux`` is 0.0
+    when the record did not run the aux head.  ``record`` is
+    ``model.forward_parts`` of ``model``, whose weights and ``lam`` are
+    read.  ``sums`` are the batch's gradient sums in ``DgnModel.blocks()``
+    order: hidden weight, main weight and bias, aux weight and bias.  Each
+    gradient is added into its sum as soon as it is formed.  The aux head's
+    gradients and its slope into ``y`` are added only when ``lam > 0``, so
+    ``model.blocks(aux=model.lam > 0)`` is the list to pass.  Sums of zeros
+    give one instance's gradients.
 
     Both paths start from ``V @ W``, so the shared weight's gradient is
     ``V^T (M^T d_pre + d_aux_pre)``.  GAP spreads the pooled gradient
@@ -277,13 +278,9 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     ``V_t[:, rows]^T y_t``, from a float64 copy of the tile's columns,
     added straight into the sum.
     """
-    delta_m = softmax(record.main_logits)
-    delta_m[target] -= 1.0
-    head_sums = sums if model.gc_weight is None else sums[1:]
-    head_sums[0] += np.outer(record.pooled, delta_m)
-    head_sums[1] += delta_m
-    if model.gc_weight is None:
-        return
+    loss_main, delta_m = cross_entropy(record.main_logits, target)
+    sums[1] += np.outer(record.pooled, delta_m)
+    sums[2] += delta_m
 
     a = record.adjacency
     v = a.features
@@ -295,18 +292,18 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
     if mixed is None:
         _add_label_rows(a, y, a.adjoint_rows(y))
 
+    loss_aux = 0.0
     if record.aux_logits is not None:
-        delta_a = softmax(record.aux_logits)
-        delta_a[target] -= 1.0
-        delta_a *= model.lam
-        # a sum list without the aux blocks leaves out an untrained aux head
-        if len(sums) == len(model.blocks()):
-            head_sums[2] += np.outer(record.aux_pooled, delta_a)
-            head_sums[3] += delta_a
-        d_aux = (model.aux_head.weight @ delta_a) / n
-        for rows in _row_chunks(y.shape):
-            y_rows = y[rows]
-            y_rows += _sigmoid_grad(record.aux_hidden[rows], d_aux)
+        loss_aux, delta_a = cross_entropy(record.aux_logits, target)
+        # an aux loss of weight 0 trains nothing
+        if model.lam > 0:
+            delta_a *= model.lam
+            sums[3] += np.outer(record.aux_pooled, delta_a)
+            sums[4] += delta_a
+            d_aux = (model.aux_head.weight @ delta_a) / n
+            for rows in _row_chunks(y.shape):
+                y_rows = y[rows]
+                y_rows += _sigmoid_grad(record.aux_hidden[rows], d_aux)
 
     gc_sum = sums[0]
     tiles = _row_chunks((n,))
@@ -320,6 +317,7 @@ def backward(model: DgnModel, record: ForwardRecord, target: int, sums: list[np.
             part += mixed[rows]
         gc_sum[rows] += part
         del part  # the next chunk is not made beside this one
+    return loss_main, loss_aux
 
 
 # ---------------------------------------------------------------------------

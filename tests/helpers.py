@@ -96,16 +96,17 @@ def eval_only_pooled(graph):
 def loss_and_record(model, graph, target):
     """The training loss of ``model`` on one graph, ``loss_main + lam * loss_aux``, and its record."""
     record = md.forward_parts(model, graph)
-    loss_aux = 0.0 if record.aux_logits is None else nn.softmax_ce(record.aux_logits, target)
-    return md.total_loss(nn.softmax_ce(record.main_logits, target), loss_aux, model.lam), record
+    loss_aux = 0.0 if record.aux_logits is None else nn.cross_entropy(record.aux_logits, target)[0]
+    return md.total_loss(nn.cross_entropy(record.main_logits, target)[0], loss_aux, model.lam), record
 
 
 def gradients(model, record, target):
     """The gradients of one instance: ``nn.backward`` of ``record`` into zeros.
 
     One array per block of ``model.blocks()``, in that order; the aux head's
-    blocks only when the record ran it.  Each entry is ``0.0 + g`` for the
-    gradient ``g``, so a gradient's ``-0.0`` reads ``+0.0``.
+    blocks only when the record ran it, and zeros when ``lam`` is 0.  Each
+    entry is ``0.0 + g`` for the gradient ``g``, so a gradient's ``-0.0``
+    reads ``+0.0``.
     """
     sums = [np.zeros_like(p) for p in model.blocks(aux=record.aux_logits is not None)]
     nn.backward(model, record, target, sums)

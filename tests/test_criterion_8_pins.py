@@ -7,7 +7,9 @@ trains the four checkpoints and evaluates each in the modes it supports,
 all in process through ``cli.main``.  Checkpoint bytes rest on the BLAS
 kernels: the values were recorded with numpy 2.4.6 on OpenBLAS 0.3.31, and
 a mismatch prints the build it ran on.  A change that moves these bytes on
-purpose re-pins them and lists the old and new digests.
+purpose re-pins them and lists the old and new digests.  The same runs made
+through the library, with no file between the steps, give the pinned
+prototype and checkpoints.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import dgn
 from tests.helpers import run_cli
 
 # (cells, channels): 16 nodes over 8 channels hold label sums, 9 nodes over
@@ -150,3 +153,34 @@ def test_criterion_8_bytes_are_pinned(run, tmp_path):
     assert got.keys() == PINNED[run].keys()
     changed = [name for name, digest in PINNED[run].items() if got[name] != digest]
     assert not changed, f"{run} run: {', '.join(changed)} changed bytes (ran on {blas_build()})"
+
+
+def library_digests(root, cells, channels):
+    """Prototype and checkpoint name -> sha256 of one criterion-8 run made through the library.
+
+    It generates the corpus in memory, with the test split that ``dgn gen``
+    gives 12 instances per class, and writes only the prototype and the
+    checkpoints, so no artifact is read back between the steps.
+    """
+    spec = dgn.SyntheticSpec(
+        num_classes=3, vocab_size=10, grid_cells=cells, train_per_class=12, test_per_class=2,
+        channels=channels, noise=2.0, seed=304,
+    )
+    train_corpus, _ = dgn.generate_synthetic_corpus(spec)
+    proto = dgn.build_prototype(train_corpus, dgn.CooccurrenceMode.INDEPENDENT)
+    dgn.save_prototype(proto, root / "p.dgnp")
+    digests = {"prototype": sha256((root / "p.dgnp").read_bytes())}
+    for name, (flags, _) in TRAININGS.items():
+        options = dict(zip(flags[::2], flags[1::2]))
+        config = dgn.TrainConfig(epochs=5, seed=304, lam=options.get("--lambda", dgn.TrainConfig.lam))
+        model, _ = dgn.train(train_corpus, proto, config, dgn.AblationMode(options["--mode"]))
+        dgn.save_model(model, root / f"{name}.dgnm")
+        digests[f"{name} checkpoint"] = sha256((root / f"{name}.dgnm").read_bytes())
+    return digests
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_the_library_makes_the_pinned_checkpoints(run, tmp_path):
+    got = library_digests(tmp_path, *RUNS[run])
+    changed = [name for name, digest in got.items() if digest != PINNED[run][name]]
+    assert not changed, f"{run} run: {', '.join(changed)} differ from the CLI's (ran on {blas_build()})"

@@ -74,9 +74,16 @@ def expr_eval_only_pooled(a):
     return ((1.0 + a.mix.T @ np.bincount(a.inverse))[a.inverse] @ a.features) / (2 * a.inverse.size)
 
 
+def expr_delta(logits, target):
+    """``softmax(logits) - onehot(target)``, the cross-entropy's gradient in the logits."""
+    e = np.exp(logits - logits.max())
+    delta = e / e.sum()
+    delta[target] -= 1.0
+    return delta
+
+
 def expr_backward(model, record, target):
-    delta_m = nn.softmax(record.main_logits)
-    delta_m[target] -= 1.0
+    delta_m = expr_delta(record.main_logits, target)
     a = record.adjacency
     n = a.inverse.size
     d_pooled = model.main_head.weight @ delta_m
@@ -89,8 +96,7 @@ def expr_backward(model, record, target):
         mixed = expr_feature_adjoint(a, d_fw)
     grads = [np.outer(record.pooled, delta_m), delta_m]
     if record.aux_logits is not None:
-        delta_a = nn.softmax(record.aux_logits)
-        delta_a[target] -= 1.0
+        delta_a = expr_delta(record.aux_logits, target)
         delta_a *= model.lam
         grads += [np.outer(record.aux_pooled, delta_a), delta_a]
         d_aux_pooled = model.aux_head.weight @ delta_a
@@ -269,15 +275,13 @@ def relative_error(actual, expected):
 def dense_hidden_weight_gradient(model, record, dense, target):
     """``V^T (M^T d_pre + d_aux_pre)`` with ``M = D^-1 (I + A)`` the dense matrix of the layer."""
     n = record.adjacency.inverse.size
-    delta_m = nn.softmax(record.main_logits)
-    delta_m[target] -= 1.0
+    delta_m = expr_delta(record.main_logits, target)
     slope = record.hidden * (1.0 - record.hidden)
     d_pre = (model.main_head.weight @ delta_m / n)[None, :] * slope
     m = (np.eye(n) + dense) / (dense.sum(axis=1) + 1.0)[:, None]
     d_fw = m.T @ d_pre
     if record.aux_logits is not None:
-        delta_a = nn.softmax(record.aux_logits)
-        delta_a[target] -= 1.0
+        delta_a = expr_delta(record.aux_logits, target)
         aux_slope = record.aux_hidden * (1.0 - record.aux_hidden)
         d_fw = d_fw + (model.aux_head.weight @ (model.lam * delta_a) / n)[None, :] * aux_slope
     return np.asarray(record.adjacency.features, dtype=np.float64).T @ d_fw

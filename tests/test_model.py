@@ -161,8 +161,12 @@ class TestTrain:
             for j, i in enumerate(batch):
                 record = md.forward_parts(model, features[i])
                 logits = record.main_logits
-                per_instance.append(gradients(model, record, int(targets[i])))
-                assert losses[j] == nn.softmax_ce(logits, int(targets[i]))
+                # one instance's head gradient, softmax - onehot, as its own expression
+                e = np.exp(logits - logits.max())
+                delta = e / e.sum()
+                delta[targets[i]] -= 1.0
+                per_instance.append([np.outer(record.pooled, delta), delta])
+                assert losses[j] == nn.cross_entropy(logits, int(targets[i]))[0]
                 expected_hits += int(np.argmax(logits) == targets[i])
             assert hits == expected_hits
             for block, g in enumerate(grad_sums):
@@ -552,8 +556,11 @@ class TestCheckpoints:
             features = inst.feature_map.values.reshape(-1, model.in_channels)
             resized = dgn.nn_resize(inst.label_map, inst.feature_map.width, inst.feature_map.height)
             graph = gr.build_graph(inst.feature_map, resized, proto)
-            x = features if mode is AblationMode.BASELINE else graph
-            grads = gradients(model, md.forward_parts(model, x), inst.scene_id)
+            if mode is AblationMode.BASELINE:
+                pooled = nn.gap(features)[None, :]
+                grads = md._baseline_batch(model, pooled, np.array([inst.scene_id]))[2]
+            else:
+                grads = gradients(model, md.forward_parts(model, graph), inst.scene_id)
             expected = [a.shape for a in arrays]
             if mode is not AblationMode.FULL:
                 expected = expected[: len(grads)]  # no aux loss, no aux gradients

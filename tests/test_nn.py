@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -111,25 +112,42 @@ def test_linear():
         nn.linear(np.ones(2), params)
 
 
-class TestSoftmaxCe:
+class TestCrossEntropy:
     def test_fixed_values(self):
-        assert abs(nn.softmax_ce(np.array([0.0, 0.0]), 0) - math.log(2)) < 1e-12
-        assert abs(nn.softmax_ce(np.array([2.0, 0.0]), 0) - math.log(1 + math.exp(-2))) < 1e-12
+        loss, delta = nn.cross_entropy(np.array([0.0, 0.0]), 0)
+        assert abs(loss - math.log(2)) < 1e-12
+        assert delta.tolist() == [-0.5, 0.5]
+        loss, delta = nn.cross_entropy(np.array([2.0, 0.0]), 0)
+        assert abs(loss - math.log(1 + math.exp(-2))) < 1e-12
+        assert abs(delta[1] - 1 / (1 + math.exp(2))) < 1e-15
+        assert abs(delta[0] + delta[1]) < 1e-15
 
     def test_large_logits_stable(self):
-        loss = nn.softmax_ce(np.array([30.0, 0.0]), 0)
+        loss, _ = nn.cross_entropy(np.array([30.0, 0.0]), 0)
         assert abs(loss - 9.357622968840175e-14) < 1e-16
-        assert np.isfinite(nn.softmax_ce(np.array([1000.0, 0.0]), 1))
+        loss, delta = nn.cross_entropy(np.array([1000.0, 0.0]), 1)
+        assert np.isfinite(loss) and delta.tolist() == [1.0, -1.0]
 
     def test_target_out_of_range(self):
         with pytest.raises(ValidationError):
-            nn.softmax_ce(np.array([0.0, 0.0]), 2)
+            nn.cross_entropy(np.array([0.0, 0.0]), 2)
 
     def test_non_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             logits = rng.standard_normal(4) * 10
-            assert nn.softmax_ce(logits, int(rng.integers(0, 4))) >= 0.0
+            assert nn.cross_entropy(logits, int(rng.integers(0, 4)))[0] >= 0.0
+
+    def test_delta_is_the_finite_difference_gradient_of_the_scalar_loss(self):
+        # the oracle's scalar cross-entropy knows nothing of the softmax delta
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            k = int(rng.integers(1, 8))
+            logits, target = rng.standard_normal(k) * 3, int(rng.integers(0, k))
+            loss, delta = nn.cross_entropy(logits, target)
+            assert abs(loss - oracle._ce(logits.tolist(), target)) <= 1e-12 * max(1.0, loss)
+            numeric = oracle.fd_gradient(lambda p: oracle._ce(p[0].tolist(), target), [logits])[0]
+            assert _gradcheck_relative_error(delta, numeric) <= 1e-6
 
 
 class TestBatchedHead:
@@ -144,14 +162,14 @@ class TestBatchedHead:
         x = rng.standard_normal((b, c))
         targets = rng.integers(0, k, size=b)
         logits = nn.linear(x, head)
-        probs = nn.softmax(logits * 30.0)
-        losses = nn.softmax_ce(logits * 30.0, targets)
-        assert logits.shape == probs.shape == (b, k) and losses.shape == (b,)
+        losses, deltas = nn.cross_entropy(logits * 30.0, targets)
+        assert logits.shape == deltas.shape == (b, k) and losses.shape == (b,)
         for i in range(b):
             row = nn.linear(x[i], head)
             assert logits[i].tobytes() == row.tobytes()
-            assert probs[i].tobytes() == nn.softmax(row * 30.0).tobytes()
-            assert losses[i].tobytes() == np.float64(nn.softmax_ce(row * 30.0, int(targets[i]))).tobytes()
+            loss, delta = nn.cross_entropy(row * 30.0, int(targets[i]))
+            assert deltas[i].tobytes() == delta.tobytes()
+            assert losses[i].tobytes() == np.float64(loss).tobytes()
 
     def test_single_vector_calls_keep_the_plain_expression_bytes(self):
         rng = np.random.default_rng(77)
@@ -161,8 +179,10 @@ class TestBatchedHead:
         assert logits.tobytes() == (x @ head.weight + head.bias).tobytes()
         z = logits - logits.max()
         e = np.exp(z)
-        assert nn.softmax(logits).tobytes() == (e / e.sum()).tobytes()
-        loss = nn.softmax_ce(logits, 5)
+        expected = e / e.sum()
+        expected[5] -= 1.0
+        loss, delta = nn.cross_entropy(logits, 5)
+        assert delta.tobytes() == expected.tobytes()
         assert type(loss) is float
         assert loss == float(np.log(np.exp(z).sum()) - z[5])
 
@@ -173,11 +193,11 @@ class TestBatchedHead:
         with pytest.raises(ValidationError):
             nn.linear(np.ones((2, 4, 3)), head)
         with pytest.raises(ValidationError):
-            nn.softmax_ce(np.zeros((3, 2)), np.array([0, 1]))
+            nn.cross_entropy(np.zeros((3, 2)), np.array([0, 1]))
         with pytest.raises(ValidationError):
-            nn.softmax_ce(np.zeros((2, 2)), np.array([0, 2]))
+            nn.cross_entropy(np.zeros((2, 2)), np.array([0, 2]))
         with pytest.raises(ValidationError):
-            nn.softmax_ce(np.zeros((2, 2)), np.array([-1, 0]))
+            nn.cross_entropy(np.zeros((2, 2)), np.array([-1, 0]))
 
 
 @pytest.mark.parametrize("shape", [(4096,), (4096, 32), (196, 512), (512, 512), (67,)])
@@ -394,11 +414,19 @@ class TestBackward:
         for s, g in zip(sums, once):
             assert s.tobytes() == (2.0 * g).tobytes()
 
-    def test_a_shorter_sum_list_leaves_out_the_aux_tail(self):
-        model, record = self._record(0.25, np.random.default_rng(7))
-        full = gradients(model, record, 0)
-        sums = [np.zeros_like(p) for p in model.blocks(aux=False)]
-        nn.backward(model, record, 0, sums)
-        assert len(full) == 5
-        for s, g in zip(sums, full[:3]):
+    def test_lambda_zero_gives_the_main_path_gradients_and_both_losses(self):
+        # with lam 0 the full model trains the blocks of a train-eval-iodp
+        # model and takes the same gradients, yet still reports its aux loss
+        model, record = self._record(0.0, np.random.default_rng(7))
+        main_only = dataclasses.replace(model, mode=AblationMode.TRAIN_EVAL_IODP)
+        main_record = md.forward_parts(main_only, record.adjacency)
+        assert main_record.aux_logits is None
+        sums = [np.zeros_like(p) for p in model.blocks(aux=model.lam > 0)]
+        losses = nn.backward(model, record, 0, sums)
+        expected = [np.zeros_like(p) for p in sums]
+        main_losses = nn.backward(main_only, main_record, 0, expected)
+        assert len(sums) == 3
+        for s, g in zip(sums, expected):
             assert s.tobytes() == g.tobytes()
+        assert losses == (nn.cross_entropy(record.main_logits, 0)[0], nn.cross_entropy(record.aux_logits, 0)[0])
+        assert main_losses == (losses[0], 0.0)

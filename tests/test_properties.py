@@ -130,9 +130,13 @@ logit_vectors = hnp.arrays(
 
 
 @given(logit_vectors, st.data())
-def test_softmax_ce_non_negative(logits, data):
+def test_cross_entropy_non_negative_and_its_delta_sums_to_zero(logits, data):
     target = data.draw(st.integers(min_value=0, max_value=logits.size - 1))
-    assert nn.softmax_ce(logits, target) >= 0.0
+    loss, delta = nn.cross_entropy(logits, target)
+    assert loss >= 0.0
+    # softmax - onehot: every entry but the target's in [0, 1], the target's in [-1, 0]
+    assert -1.0 <= delta[target] <= 0.0 and np.all((delta >= 0.0) | (np.arange(delta.size) == target))
+    assert abs(delta.sum()) <= 1e-15 * delta.size
 
 
 # dyadic logits and shifts keep the addition exact, so argmax order is preserved
